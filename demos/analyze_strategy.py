@@ -24,7 +24,7 @@ from lalearn.forest import ForestConfig, regressor_config
 from lalearn.harness import probability_histogram, regressor_importance_report, run_repeated
 from lalearn.strategies import UncertaintyStrategy, load_strategy
 from lalearn.svg import bar_chart
-from lalearn.training import ColdStartConfig, MonteCarloConfig, build_cold_start_strategy
+from lalearn.training import MonteCarloConfig, build_lal, cold_start_data
 
 OUT = Path(__file__).parent / "output"
 
@@ -37,8 +37,8 @@ def _strategy(method, workers):
                           classifier=ForestConfig(n_trees=50, features_per_split=1),
                           regressor=regressor_config(n_trees=100, min_leaf_size=80),
                           seed=11)
-    return build_cold_start_strategy(ColdStartConfig(monte_carlo=mc, method=method),
-                                     workers=workers)
+    strategy, _ = build_lal(mc, *cold_start_data(mc.seed), method, workers=workers)
+    return strategy
 
 
 def main():

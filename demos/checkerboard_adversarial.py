@@ -24,7 +24,7 @@ from lalearn.harness import run_repeated
 from lalearn.strategies import RandomStrategy, UncertaintyStrategy, load_strategy, \
     save_strategy
 from lalearn.svg import line_plot
-from lalearn.training import ColdStartConfig, MonteCarloConfig, build_cold_start_strategy
+from lalearn.training import MonteCarloConfig, build_lal, cold_start_data
 
 OUT = Path(__file__).parent / "output"
 
@@ -50,9 +50,8 @@ def main():
                               regressor=regressor_config(n_trees=100,
                                                          min_leaf_size=320),
                               seed=20260808)
-        learned = build_cold_start_strategy(
-            ColdStartConfig(monte_carlo=mc, method="iterative", n_test=2000),
-            workers=args.workers)
+        learned, _ = build_lal(mc, *cold_start_data(mc.seed, n_test=2000), "iterative",
+                               workers=args.workers)
         save_strategy(learned, strategy_file)
 
     board = gen_checkerboard(2, 2000, seed=13)

@@ -24,7 +24,7 @@ from lalearn.forest import ForestConfig, regressor_config
 from lalearn.harness import run_repeated
 from lalearn.strategies import RandomStrategy, UncertaintyStrategy, save_strategy
 from lalearn.svg import line_plot
-from lalearn.training import ColdStartConfig, MonteCarloConfig, build_cold_start_strategy
+from lalearn.training import MonteCarloConfig, build_lal, cold_start_data
 
 OUT = Path(__file__).parent / "output"
 
@@ -40,11 +40,12 @@ def main():
                           classifier=ForestConfig(n_trees=50, features_per_split=1),
                           regressor=regressor_config(n_trees=100, min_leaf_size=80),
                           seed=11)
+    representative, representative_test = cold_start_data(mc.seed)
     strategies = [RandomStrategy(), UncertaintyStrategy()]
     for method in ("independent", "iterative"):
         print(f"building the {method} strategy...")
-        strategy = build_cold_start_strategy(
-            ColdStartConfig(monte_carlo=mc, method=method), workers=args.workers)
+        strategy, _ = build_lal(mc, representative, representative_test, method,
+                                workers=args.workers)
         save_strategy(strategy, OUT / f"lal_{method}.json")
         strategies.append(strategy)
 

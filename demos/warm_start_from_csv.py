@@ -18,7 +18,7 @@ from lalearn.data import gen_banana, load_csv, save_csv, split
 from lalearn.forest import ForestConfig, regressor_config
 from lalearn.harness import run_repeated
 from lalearn.strategies import RandomStrategy, UncertaintyStrategy
-from lalearn.training import MonteCarloConfig, build_lal_independent
+from lalearn.training import MonteCarloConfig, build_lal
 
 OUT = Path(__file__).parent / "output"
 
@@ -42,8 +42,8 @@ def main():
                           classifier=ForestConfig(n_trees=50, features_per_split=1),
                           regressor=regressor_config(n_trees=100, min_leaf_size=60),
                           seed=29)
-    tailored = build_lal_independent(mc, build_train, build_test,
-                                     workers=args.workers)
+    tailored, _ = build_lal(mc, build_train, build_test, "independent",
+                            workers=args.workers)
 
     train, test = split(experiment_half, 0.4, seed=6)
     curves, _ = run_repeated(train, test,

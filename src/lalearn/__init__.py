@@ -25,8 +25,7 @@ from .seeding import derive_seed, rng_for
 from .strategies import (LalStrategy, RandomStrategy, Strategy, UncertaintyStrategy,
                          entropy, load_strategy, save_strategy, select_lal,
                          select_uncertainty)
-from .training import (ColdStartConfig, MonteCarloConfig, RegressionSet,
-                       build_cold_start_strategy, build_lal_independent,
-                       build_lal_iterative, data_monte_carlo, random_split)
+from .training import (MonteCarloConfig, RegressionSet, build_lal, cold_start_data,
+                       data_monte_carlo)
 
 __version__ = "0.1.0"

@@ -25,10 +25,9 @@ from .harness import motivation_experiment, probability_histogram, \
     regressor_importance_report, run_repeated
 from .metrics import METRIC_IDS
 from .seeding import derive_seed
-from .strategies import LalStrategy, RandomStrategy, Strategy, UncertaintyStrategy, \
-    load_strategy, save_strategy
-from .training import ColdStartConfig, MonteCarloConfig, build_cold_start_strategy, \
-    build_lal_independent, build_lal_iterative
+from .strategies import BUILD_METHODS, LalStrategy, RandomStrategy, Strategy, \
+    UncertaintyStrategy, load_strategy, save_strategy
+from .training import MonteCarloConfig, build_lal, cold_start_data
 
 CONFIG_FORMAT = 1
 OUTPUT_DIR_ENV = "LALEARN_OUTPUT_DIR"
@@ -60,15 +59,30 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, kind, what: str):
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def _require(doc: dict, key: str, kind, what: str, default=_REQUIRED):
+    """``doc[key]`` checked to be of ``kind``; ``default`` when absent, if given.
+
+    A ``float`` field accepts integers too; no field accepts a boolean.
+    """
     if key not in doc:
-        _fail(f"{what}: missing required field {key!r}")
+        if default is _REQUIRED:
+            _fail(f"{what}: missing required field {key!r}")
+        return default
     value = doc[key]
-    if kind is int and isinstance(value, bool):
-        _fail(f"{what}: field {key!r} must be an integer")
-    if not isinstance(value, kind):
-        _fail(f"{what}: field {key!r} has the wrong type")
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        _fail(f"{what}: field {key!r} must be {_KIND_NAMES[kind]}")
     return value
+
+
+def _present(doc: dict, kinds: dict, what: str) -> dict:
+    """The fields of ``kinds`` that ``doc`` sets, each checked by ``_require``."""
+    return {key: _require(doc, key, kind, what) for key, kind in kinds.items() if key in doc}
 
 
 def _forest_config(doc: dict | None, base: ForestConfig, what: str) -> ForestConfig:
@@ -92,29 +106,33 @@ def _forest_config(doc: dict | None, base: ForestConfig, what: str) -> ForestCon
 def _dataset_from_spec(spec, seed: int, what: str) -> Dataset:
     if not isinstance(spec, dict):
         _fail(f"{what}: dataset spec must be an object")
+
+    def field(key, kind, default):
+        return _require(spec, key, kind, what, default)
+
     if "csv" in spec:
-        path = spec["csv"]
+        path = field("csv", str, None)
         if not Path(path).exists():
             _fail(f"{what}: dataset file not found: {path}")
         try:
-            return load_csv(path, spec.get("label_column", "label"))
+            return load_csv(path, field("label_column", str, "label"))
         except ValueError as exc:
             _fail(f"{what}: {exc}")
     generator = spec.get("generator")
-    gen_seed = spec.get("seed", derive_seed(seed, "dataset"))
+    gen_seed = field("seed", int, derive_seed(seed, "dataset"))
     try:
         if generator == "gaussian_clouds":
             return gen_gaussian_clouds(
-                n=spec.get("n", 2000),
-                class0_fraction=spec.get("class0_fraction", 0.5),
-                separation=spec.get("separation", 2.0),
-                dim=spec.get("dim", 2), seed=gen_seed)
+                n=field("n", int, 2000),
+                class0_fraction=field("class0_fraction", float, 0.5),
+                separation=field("separation", float, 2.0),
+                dim=field("dim", int, 2), seed=gen_seed)
         if generator == "checkerboard":
-            return gen_checkerboard(k=spec.get("k", 2), n=spec.get("n", 2000),
+            return gen_checkerboard(k=field("k", int, 2), n=field("n", int, 2000),
                                     seed=gen_seed,
-                                    label_noise=spec.get("label_noise", 0.0))
+                                    label_noise=field("label_noise", float, 0.0))
         if generator == "banana":
-            return gen_banana(n=spec.get("n", 2000), noise=spec.get("noise", 0.2),
+            return gen_banana(n=field("n", int, 2000), noise=field("noise", float, 0.2),
                               seed=gen_seed)
     except ValueError as exc:
         _fail(f"{what}: {exc}")
@@ -142,47 +160,44 @@ def _output_dir(doc_value, flag_value) -> Path:
 
 
 def cmd_build_strategy(args) -> int:
+    what = "build config"
     doc = _load_config(args.config)
-    seed = args.seed if args.seed is not None else _require(doc, "seed", int, "build config")
-    method = _require(doc, "method", str, "build config")
-    if method not in ("independent", "iterative"):
-        _fail(f"build config: method must be independent or iterative, got {method!r}")
+    seed = args.seed if args.seed is not None else _require(doc, "seed", int, what)
+    method = _require(doc, "method", str, what)
+    if method not in BUILD_METHODS:
+        _fail(f"{what}: method must be independent or iterative, got {method!r}")
     try:
         mc = MonteCarloConfig(
-            size_min=doc.get("size_min", 2), size_max=doc.get("size_max", 32),
-            initializations=doc.get("initializations", 10),
-            candidates=doc.get("candidates", 10),
-            classifier=_forest_config(doc.get("classifier"), ForestConfig(), "build config"),
-            regressor=_forest_config(doc.get("regressor"), regressor_config(), "build config"),
-            test_loss=doc.get("test_loss", "zero_one"), seed=seed)
+            **_present(doc, {"size_min": int, "size_max": int, "initializations": int,
+                             "candidates": int, "test_loss": str}, what),
+            classifier=_forest_config(doc.get("classifier"), ForestConfig(), what),
+            regressor=_forest_config(doc.get("regressor"), regressor_config(), what),
+            seed=seed)
     except ValueError as exc:
-        _fail(f"build config: {exc}")
+        _fail(f"{what}: {exc}")
 
-    output = Path(args.output or doc.get("output") or _fail("build config: missing 'output'"))
+    output = Path(args.output or doc.get("output") or _fail(f"{what}: missing 'output'"))
     _check_overwrite([output], args.force)
 
-    representative = doc.get("representative", {"cold_start": {}})
-    if "cold_start" in representative:
-        cold = representative["cold_start"] or {}
-        try:
-            cfg = ColdStartConfig(monte_carlo=mc, method=method,
-                                  n_train=cold.get("n_train", 1000),
-                                  n_test=cold.get("n_test", 1000),
-                                  separation=cold.get("separation", 2.0),
-                                  class0_fraction=cold.get("class0_fraction", 0.5))
-        except ValueError as exc:
-            _fail(f"build config: {exc}")
-        strategy, rows = build_cold_start_strategy(cfg, workers=args.workers,
-                                                   return_rows=True)
-    else:
-        dataset = _dataset_from_spec(representative, seed, "build config")
-        fraction = doc.get("test_fraction", 0.5)
-        try:
+    representative = _require(doc, "representative", dict, what, {"cold_start": {}})
+    try:
+        if "cold_start" in representative:
+            cold = representative["cold_start"] or {}
+            if not isinstance(cold, dict):
+                _fail(f"{what}: field 'cold_start' must be an object")
+            train, test = cold_start_data(seed, **_present(cold, {
+                "n_train": int, "n_test": int, "separation": float,
+                "class0_fraction": float}, what))
+        else:
+            dataset = _dataset_from_spec(representative, seed, what)
+            fraction = _require(doc, "test_fraction", float, what, 0.5)
             train, test = split(dataset, fraction, derive_seed(seed, "representative_split"))
-        except ValueError as exc:
-            _fail(f"build config: {exc}")
-        build = build_lal_independent if method == "independent" else build_lal_iterative
-        strategy, rows = build(mc, train, test, workers=args.workers, return_rows=True)
+    except ValueError as exc:
+        _fail(f"{what}: {exc}")
+    if mc.size_max >= len(train):
+        _fail(f"{what}: size_max ({mc.size_max}) must be smaller than the "
+              f"representative train set ({len(train)} rows)")
+    strategy, rows = build_lal(mc, train, test, method, workers=args.workers)
 
     save_strategy(strategy, output)
     if args.rows_out:
@@ -227,13 +242,13 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _require(doc, "seed", int, "run config")
     budget = args.budget if args.budget is not None else _require(doc, "budget", int, "run config")
     repetitions = (args.repetitions if args.repetitions is not None
-                   else doc.get("repetitions", 50))
+                   else _require(doc, "repetitions", int, "run config", 50))
     metric = doc.get("metric", "accuracy")
     if metric not in METRIC_IDS:
         _fail(f"run config: unknown metric {metric!r}")
     if budget < 0 or repetitions < 1:
         _fail("run config: budget must be >= 0 and repetitions >= 1")
-    test_fraction = doc.get("test_fraction", 0.5)
+    test_fraction = _require(doc, "test_fraction", float, "run config", 0.5)
     warm = doc.get("warm_start_size")
     if warm is not None and (not isinstance(warm, int) or warm < 2):
         _fail("run config: warm_start_size must be an integer >= 2")

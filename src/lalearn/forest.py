@@ -236,18 +236,6 @@ def gini_impurity(labels) -> float:
     return 1.0 - (n0 * n0 + n1 * n1) / (n * n)
 
 
-def variance_impurity(targets) -> float:
-    """Population variance of a target multiset."""
-    y = np.asarray(targets, dtype=np.float64)
-    n = float(len(y))
-    if n == 0:
-        raise ValueError("empty target multiset")
-    s = float(np.cumsum(y)[-1])
-    s2 = float(np.cumsum(y * y)[-1])
-    m = s / n
-    return s2 / n - m * m
-
-
 def best_split(feature_column, targets, criterion: str = "gini",
                min_leaf_size: int = 1):
     """Best threshold for one feature, or ``None`` when no split exists.
@@ -326,15 +314,13 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def bootstrap_matrix(seed: int, n_trees: int, n: int) -> np.ndarray:
-    """Per-tree bootstrap index multisets, shape (n_trees, n).
+def bootstrap_matrix(tree_seeds: np.ndarray, n: int) -> np.ndarray:
+    """Per-tree bootstrap index multisets, shape (len(tree_seeds), n).
 
     Draw ``j`` of tree ``t`` is a counted splitmix64 hash of the tree's
     derived seed, reduced mod ``n``: reproducible for any scheduling and
     cheap to generate in bulk.
     """
-    tree_seeds = np.array([derive_seed(seed, "tree", t) for t in range(n_trees)],
-                          dtype=np.uint64)
     counters = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
     z = _finalize(tree_seeds[:, None] + counters[None, :])
     return (z % np.uint64(n)).astype(np.int64)
@@ -385,11 +371,11 @@ def train_forest(features, targets, config: ForestConfig | None = None,
     min_leaf = config.min_leaf_size
     max_depth = math.inf if config.max_depth is None else config.max_depth
 
-    bootstrap = bootstrap_matrix(seed, T, n)
-    gx = X[bootstrap.reshape(-1)]
-    gy = y[bootstrap.reshape(-1)]
     tree_seeds = np.array([derive_seed(seed, "tree", t) for t in range(T)],
                           dtype=np.uint64)
+    bootstrap = bootstrap_matrix(tree_seeds, n)
+    gx = X[bootstrap.reshape(-1)]
+    gy = y[bootstrap.reshape(-1)]
 
     cap = max(64, 4 * T)
     g_feat = np.full(cap, -1, dtype=np.int64)
@@ -640,9 +626,16 @@ def forest_to_doc(model: ForestModel) -> dict:
 
 
 def forest_from_doc(doc: dict) -> ForestModel:
+    """Rebuild a forest from ``forest_to_doc`` output.
+
+    Raises ``ValueError`` for a malformed document, including feature
+    indices outside ``[0, n_features)``: the prediction walk indexes a
+    flattened matrix, so such a node would silently read the next row.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("forest document must be a JSON object")
     if doc.get("format") != FOREST_FORMAT:
         raise ValueError(f"unsupported forest format: {doc.get('format')!r}")
-    cfg = ForestConfig(**doc["config"])
     feature, threshold, left, right, value, count = [], [], [], [], [], []
     depths = []
 
@@ -656,38 +649,55 @@ def forest_from_doc(doc: dict) -> ForestModel:
         return len(feature) - 1
 
     roots = []
-    for tree in doc["trees"]:
-        depths.append(0)
-        root = add_placeholder()
-        roots.append(root)
-        # breadth-first allocation keeps siblings in adjacent slots
-        queue = [(tree, root, 0)]
-        while queue:
-            node, gid, depth = queue.pop(0)
-            count[gid] = int(node.get("count", 0))
-            if "value" in node:
-                value[gid] = float(node["value"])
-                depths[-1] = max(depths[-1], depth)
-                continue
-            feature[gid] = int(node["feature"])
-            threshold[gid] = float(node["threshold"])
-            left[gid] = add_placeholder()
-            right[gid] = add_placeholder()
-            queue.append((node["left"], left[gid], depth + 1))
-            queue.append((node["right"], right[gid], depth + 1))
+    try:
+        mode, cfg = doc["mode"], ForestConfig(**doc["config"])
+        n_features = int(doc["n_features"])
+        importances = np.asarray(doc["importances"], dtype=np.float64)
+        for tree in doc["trees"]:
+            depths.append(0)
+            root = add_placeholder()
+            roots.append(root)
+            # breadth-first allocation keeps siblings in adjacent slots
+            queue = [(tree, root, 0)]
+            while queue:
+                node, gid, depth = queue.pop(0)
+                count[gid] = int(node.get("count", 0))
+                if "value" in node:
+                    value[gid] = float(node["value"])
+                    depths[-1] = max(depths[-1], depth)
+                    continue
+                feature[gid] = int(node["feature"])
+                threshold[gid] = float(node["threshold"])
+                left[gid] = add_placeholder()
+                right[gid] = add_placeholder()
+                queue.append((node["left"], left[gid], depth + 1))
+                queue.append((node["right"], right[gid], depth + 1))
+    except KeyError as exc:
+        raise ValueError(f"forest document is missing field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed forest document: {exc}") from None
+
+    feature = np.asarray(feature, dtype=np.int64)
+    threshold = np.asarray(threshold, dtype=np.float64)
+    value = np.asarray(value, dtype=np.float64)
+    count = np.asarray(count, dtype=np.int64)
+    internal = np.asarray(left, dtype=np.int64) >= 0
+    if np.any((feature[internal] < 0) | (feature[internal] >= n_features)):
+        raise ValueError(f"forest node feature index outside [0, {n_features})")
+    if not (np.all(np.isfinite(threshold[internal]))
+            and np.all(np.isfinite(value[~internal]))):
+        raise ValueError("forest thresholds and leaf values must be finite")
+    if np.any(count < 0):
+        raise ValueError("forest node counts must be non-negative")
+    if importances.shape != (n_features,) or not np.all(np.isfinite(importances)):
+        raise ValueError(f"forest importances must be {n_features} finite values")
+    if len(roots) != cfg.n_trees:
+        raise ValueError(f"forest holds {len(roots)} trees, its config says {cfg.n_trees}")
     return ForestModel(
-        mode=doc["mode"], config=cfg, seed=int(doc.get("seed", 0)),
-        n_features=int(doc["n_features"]),
-        roots=np.asarray(roots, dtype=np.int64),
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=np.float64),
-        count=np.asarray(count, dtype=np.int64),
-        tree_depths=np.asarray(depths, dtype=np.int64),
-        importances_raw=np.asarray(doc["importances"], dtype=np.float64),
-        bootstrap=None, n_train=None)
+        mode=mode, config=cfg, seed=int(doc.get("seed", 0)),
+        n_features=n_features, roots=roots, feature=feature, threshold=threshold,
+        left=left, right=right, value=value, count=count, tree_depths=depths,
+        importances_raw=importances, bootstrap=None, n_train=None)
 
 
 def save_forest(model: ForestModel, path) -> None:

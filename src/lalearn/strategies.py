@@ -18,6 +18,9 @@ from .forest import ForestModel, forest_from_doc, forest_to_doc
 
 STRATEGY_FORMAT = 1
 
+# how a learned strategy's labeled subsets were assembled during its build
+BUILD_METHODS = ("independent", "iterative")
+
 
 def entropy(p):
     """Binary entropy in bits, with 0 log 0 = 0. Accepts scalars or arrays."""
@@ -28,30 +31,16 @@ def entropy(p):
     return float(h) if h.ndim == 0 else h
 
 
-def _argmax_candidate(candidates: np.ndarray, scores: np.ndarray,
-                      tie_break: str, rng) -> int:
-    if tie_break == "smallest":
-        # candidates are sorted, so the first maximum is the smallest index
-        return int(candidates[int(np.argmax(scores))])
-    if tie_break == "random":
-        if rng is None:
-            raise ValueError("random tie-breaking needs an rng")
-        ties = candidates[scores == scores.max()]
-        return int(rng.choice(ties))
-    raise ValueError(f"unknown tie_break {tie_break!r}")
-
-
-def select_uncertainty(model: ForestModel, pool: PoolState, dataset: Dataset,
-                       tie_break: str = "smallest", rng=None) -> int:
-    """Index of the unlabeled point with maximal predictive entropy."""
+def select_uncertainty(model: ForestModel, pool: PoolState, dataset: Dataset) -> int:
+    """Index of the unlabeled point with maximal entropy (ties: smallest index)."""
     if pool.n_unlabeled == 0:
         raise ValueError("unlabeled pool is empty")
     p = model.predict_proba_batch(dataset.features[pool.unlabeled])
-    return _argmax_candidate(pool.unlabeled, entropy(p), tie_break, rng)
+    return int(pool.unlabeled[int(np.argmax(entropy(p)))])
 
 
 def select_lal(regressor: ForestModel, model: ForestModel, pool: PoolState,
-               dataset: Dataset, tie_break: str = "smallest", rng=None) -> int:
+               dataset: Dataset) -> int:
     """Index of the unlabeled point with maximal predicted error reduction.
 
     Computes the classifier state once, scores every candidate with the
@@ -67,7 +56,7 @@ def select_lal(regressor: ForestModel, model: ForestModel, pool: PoolState,
     phi = _classifier_state(model, pool, dataset, pool_predictions)
     psis = pool_predictions.mean(axis=0)
     scores = regressor.predict_regression_batch(candidate_states(phi, psis))
-    return _argmax_candidate(pool.unlabeled, scores, tie_break, rng)
+    return int(pool.unlabeled[int(np.argmax(scores))])
 
 
 class Strategy:
@@ -101,11 +90,8 @@ class RandomStrategy(Strategy):
 class UncertaintyStrategy(Strategy):
     kind = "uncertainty"
 
-    def __init__(self, tie_break: str = "smallest"):
-        self.tie_break = tie_break
-
     def select(self, model, pool, dataset, rng=None):
-        return select_uncertainty(model, pool, dataset, self.tie_break, rng)
+        return select_uncertainty(model, pool, dataset)
 
 
 class LalStrategy(Strategy):
@@ -114,26 +100,27 @@ class LalStrategy(Strategy):
     kind = "lal"
 
     def __init__(self, regressor: ForestModel, feature_schema=FEATURE_NAMES,
-                 provenance: str = "independent", training_metadata: dict | None = None,
-                 tie_break: str = "smallest"):
+                 provenance: str = "independent", training_metadata: dict | None = None):
         if regressor.mode != "regression":
             raise ValueError("strategy regressor must be a regression forest")
+        if regressor.n_features != len(FEATURE_NAMES):
+            raise ValueError(f"strategy regressor takes {regressor.n_features} features, "
+                             f"the learning state has {len(FEATURE_NAMES)}")
         if tuple(feature_schema) != FEATURE_NAMES:
             raise ValueError(f"feature schema mismatch: {tuple(feature_schema)}")
-        if provenance not in ("independent", "iterative"):
+        if provenance not in BUILD_METHODS:
             raise ValueError(f"unknown provenance {provenance!r}")
         self.regressor = regressor
         self.feature_schema = tuple(feature_schema)
         self.provenance = provenance
         self.training_metadata = dict(training_metadata or {})
-        self.tie_break = tie_break
 
     @property
     def name(self) -> str:
         return f"lal_{self.provenance}"
 
     def select(self, model, pool, dataset, rng=None):
-        return select_lal(self.regressor, model, pool, dataset, self.tie_break, rng)
+        return select_lal(self.regressor, model, pool, dataset)
 
     def to_doc(self) -> dict:
         return {
@@ -147,6 +134,9 @@ class LalStrategy(Strategy):
 
 
 def strategy_from_doc(doc: dict) -> Strategy:
+    """Rebuild a strategy from ``to_doc`` output; ``ValueError`` when malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError("strategy document must be a JSON object")
     if doc.get("format") != STRATEGY_FORMAT:
         raise ValueError(f"unsupported strategy format: {doc.get('format')!r}")
     kind = doc.get("kind")
@@ -155,6 +145,10 @@ def strategy_from_doc(doc: dict) -> Strategy:
     if kind == "uncertainty":
         return UncertaintyStrategy()
     if kind == "lal":
+        missing = [key for key in ("regressor", "feature_schema", "provenance")
+                   if key not in doc]
+        if missing:
+            raise ValueError(f"lal strategy document is missing {', '.join(missing)}")
         regressor = forest_from_doc(doc["regressor"])
         return LalStrategy(regressor, doc["feature_schema"], doc["provenance"],
                            doc.get("training_metadata"))

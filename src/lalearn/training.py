@@ -6,8 +6,8 @@ the test loss drops when one more label is added.  Each measurement pairs
 a learning-state vector with its observed loss reduction; a regression
 forest fit on the collected pairs becomes the selection rule.
 
-Two builders differ in how labeled subsets are assembled: the independent
-builder always partitions at random, while the iterative builder grows
+The two build methods differ in how labeled subsets are assembled:
+``independent`` always partitions at random, while ``iterative`` grows
 each subset with the strategy learned from all smaller subsets, so the
 collected states reflect the selection bias a deployed strategy actually
 encounters.
@@ -25,7 +25,7 @@ from .forest import ForestConfig, ForestModel, regressor_config, train_forest
 from .metrics import METRIC_IDS, loss_from_metric
 from .parallel import parallel_map
 from .seeding import derive_seed, rng_for
-from .strategies import LalStrategy, select_lal
+from .strategies import BUILD_METHODS, LalStrategy, select_lal
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,6 @@ class RegressionSet:
                 fh.write(",".join(cells) + "\n")
 
 
-def random_split(dataset: Dataset, labeled_size: int, seed: int) -> PoolState:
-    """Random labeled/unlabeled partition with a two-class guarantee."""
-    return init_warm_start(dataset, labeled_size, seed)
-
-
 class StrategyGrownSplit:
     """Partition builder that grows the labeled set with a learned strategy.
 
@@ -184,111 +179,61 @@ def _run_cell(args) -> RegressionSet:
         test_loss=config.test_loss, init_tag=init_tag)
 
 
-def _stage_cells(config, train, test, split_fn, labeled_size, workers) -> list[RegressionSet]:
-    tasks = [(train, test, config, split_fn, labeled_size, q)
-             for q in range(config.initializations)]
-    return parallel_map(_run_cell, tasks, workers)
+def cold_start_data(seed: int, n_train: int = 1000, n_test: int = 1000,
+                    separation: float = 2.0,
+                    class0_fraction: float = 0.5) -> tuple[Dataset, Dataset]:
+    """Synthetic 2-D Gaussian clouds that stand in for representative data.
 
-
-def _fit_regressor(config: MonteCarloConfig, collected: RegressionSet,
-                   seed_tag, stage: bool = False) -> ForestModel:
-    regressor = config.regressor
-    if stage:
-        # early stages hold few rows; keep the leaf size at the same
-        # fraction of the data that the final regressor uses, or its
-        # surface degenerates to a near-constant and growth stalls
-        full = config.n_sizes * config.initializations * config.candidates
-        scaled = max(5, round(regressor.min_leaf_size * len(collected) / full))
-        regressor = replace(regressor, min_leaf_size=min(scaled, regressor.min_leaf_size))
-    return train_forest(collected.states, collected.deltas, regressor,
-                        derive_seed(config.seed, *seed_tag))
-
-
-def _metadata(config: MonteCarloConfig, collected: RegressionSet,
-              representative: Dataset) -> dict:
-    return {
-        "rows": len(collected),
-        "size_min": config.size_min,
-        "size_max": config.size_max,
-        "initializations": config.initializations,
-        "candidates": config.candidates,
-        "test_loss": config.test_loss,
-        "seed": config.seed,
-        "representative": representative.name,
-    }
-
-
-def build_lal_independent(config: MonteCarloConfig, representative: Dataset,
-                          test: Dataset, workers: int = 1,
-                          return_rows: bool = False):
-    """Learn a strategy from randomly partitioned labeled subsets."""
-    if config.size_max >= len(representative):
-        raise ValueError("size_max must be smaller than the representative set")
-    parts = []
-    for size in range(config.size_min, config.size_max + 1):
-        parts.extend(_stage_cells(config, representative, test, random_split, size, workers))
-    collected = RegressionSet.concatenate(parts)
-    regressor = _fit_regressor(config, collected, ("regressor",))
-    strategy = LalStrategy(regressor, FEATURE_NAMES, "independent",
-                           _metadata(config, collected, representative))
-    return (strategy, collected) if return_rows else strategy
-
-
-def build_lal_iterative(config: MonteCarloConfig, representative: Dataset,
-                        test: Dataset, workers: int = 1,
-                        return_rows: bool = False):
-    """Learn a strategy from labeled subsets grown by earlier strategies.
-
-    The first stage partitions at random; every later stage grows its
-    labeled subsets with the regressor fit on all rows collected so far.
-    With a single stage this coincides with the independent builder.
+    Returns ``(train, test)``: the simulation's labeled pool and the test
+    set whose loss it measures, each seeded from ``seed``.
     """
+    if n_train < 4 or n_test < 2:
+        raise ValueError("representative datasets are too small")
+    train = gen_gaussian_clouds(n_train, class0_fraction, separation, dim=2,
+                                seed=derive_seed(seed, "representative_train"))
+    test = gen_gaussian_clouds(n_test, class0_fraction, separation, dim=2,
+                               seed=derive_seed(seed, "representative_test"))
+    return train, test
+
+
+def build_lal(config: MonteCarloConfig, representative: Dataset, test: Dataset,
+              method: str, workers: int = 1) -> tuple[LalStrategy, RegressionSet]:
+    """Learn a strategy and return it with the regression rows it was fit on.
+
+    Every size simulates ``config.initializations`` labeled subsets.  Under
+    ``"independent"`` they are random partitions.  Under ``"iterative"``
+    only the first size partitions at random; every later size grows its
+    subsets with a stage regressor fit on all rows collected so far, so
+    with a single size both methods coincide.
+    """
+    if method not in BUILD_METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if config.size_max >= len(representative):
         raise ValueError("size_max must be smaller than the representative set")
+    leaf_size = config.regressor.min_leaf_size
+    full = config.n_sizes * config.initializations * config.candidates
     parts: list[RegressionSet] = []
-    split_fn = random_split
+    split_fn = init_warm_start
     for size in range(config.size_min, config.size_max + 1):
-        parts.extend(_stage_cells(config, representative, test, split_fn, size, workers))
-        if size < config.size_max:
-            stage_regressor = _fit_regressor(config, RegressionSet.concatenate(parts),
-                                             ("stage_regressor", size), stage=True)
+        tasks = [(representative, test, config, split_fn, size, q)
+                 for q in range(config.initializations)]
+        parts.extend(parallel_map(_run_cell, tasks, workers))
+        if method == "iterative" and size < config.size_max:
+            rows = RegressionSet.concatenate(parts)
+            # early stages hold few rows; keep the leaf size at the same
+            # fraction of the data that the final regressor uses, or its
+            # surface degenerates to a near-constant and growth stalls
+            scaled = max(5, round(leaf_size * len(rows) / full))
+            stage_config = replace(config.regressor, min_leaf_size=min(scaled, leaf_size))
+            stage_regressor = train_forest(rows.states, rows.deltas, stage_config,
+                                           derive_seed(config.seed, "stage_regressor", size))
             split_fn = StrategyGrownSplit(stage_regressor, config.classifier,
                                           config.size_min)
     collected = RegressionSet.concatenate(parts)
-    regressor = _fit_regressor(config, collected, ("regressor",))
-    strategy = LalStrategy(regressor, FEATURE_NAMES, "iterative",
-                           _metadata(config, collected, representative))
-    return (strategy, collected) if return_rows else strategy
-
-
-@dataclass(frozen=True)
-class ColdStartConfig:
-    """Cold-start build: the representative data is synthetic 2-D clouds."""
-
-    monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
-    method: str = "iterative"
-    n_train: int = 1000
-    n_test: int = 1000
-    separation: float = 2.0
-    class0_fraction: float = 0.5
-
-    def __post_init__(self):
-        if self.method not in ("independent", "iterative"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.n_train < 4 or self.n_test < 2:
-            raise ValueError("representative datasets are too small")
-
-
-def build_cold_start_strategy(config: ColdStartConfig, workers: int = 1,
-                              return_rows: bool = False):
-    """Generate synthetic representative data and build a strategy on it."""
-    seed = config.monte_carlo.seed
-    train = gen_gaussian_clouds(config.n_train, config.class0_fraction,
-                                config.separation, dim=2,
-                                seed=derive_seed(seed, "representative_train"))
-    test = gen_gaussian_clouds(config.n_test, config.class0_fraction,
-                               config.separation, dim=2,
-                               seed=derive_seed(seed, "representative_test"))
-    build = (build_lal_independent if config.method == "independent"
-             else build_lal_iterative)
-    return build(config.monte_carlo, train, test, workers, return_rows)
+    regressor = train_forest(collected.states, collected.deltas, config.regressor,
+                             derive_seed(config.seed, "regressor"))
+    metadata = {"rows": len(collected), "size_min": config.size_min,
+                "size_max": config.size_max, "initializations": config.initializations,
+                "candidates": config.candidates, "test_loss": config.test_loss,
+                "seed": config.seed, "representative": representative.name}
+    return LalStrategy(regressor, FEATURE_NAMES, method, metadata), collected

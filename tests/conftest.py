@@ -3,7 +3,7 @@
 import pytest
 
 from lalearn.forest import ForestConfig, regressor_config
-from lalearn.training import ColdStartConfig, MonteCarloConfig, build_cold_start_strategy
+from lalearn.training import MonteCarloConfig, build_lal, cold_start_data
 
 ACCEPTANCE_SEED = 20260808
 
@@ -26,10 +26,9 @@ WORKERS = 2
 
 
 def _build(method):
-    return build_cold_start_strategy(
-        ColdStartConfig(monte_carlo=ACCEPTANCE_MC, method=method,
-                        n_train=1000, n_test=2000),
-        workers=WORKERS)
+    train, test = cold_start_data(ACCEPTANCE_MC.seed, n_train=1000, n_test=2000)
+    strategy, _ = build_lal(ACCEPTANCE_MC, train, test, method, workers=WORKERS)
+    return strategy
 
 
 @pytest.fixture(scope="session")

@@ -282,7 +282,7 @@ def test_criterion_7_worker_determinism(tmp_path):
 
 
 def test_criterion_8_bookkeeping_invariants():
-    from lalearn.training import MonteCarloConfig, build_lal_independent
+    from lalearn.training import MonteCarloConfig, build_lal
     from lalearn.forest import regressor_config
 
     train = gen_gaussian_clouds(150, 0.5, 2.0, 2, seed=808)
@@ -290,7 +290,7 @@ def test_criterion_8_bookkeeping_invariants():
     config = MonteCarloConfig(size_min=2, size_max=6, initializations=3,
                               candidates=4, classifier=ForestConfig(n_trees=10),
                               regressor=regressor_config(n_trees=10), seed=810)
-    _, rows = build_lal_independent(config, train, test, return_rows=True)
+    _, rows = build_lal(config, train, test, "independent")
     expected_rows = config.n_sizes * 3 * 4
     rows_ok = len(rows) == expected_rows
     tags_ok = len({tuple(t) for t in rows.tags}) == len(rows)

@@ -2,8 +2,13 @@
 
 import json
 
+import numpy as np
+import pytest
+
 from lalearn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lalearn.data import gen_gaussian_clouds, save_csv
+from lalearn.forest import regressor_config, train_forest
+from lalearn.strategies import LalStrategy
 
 
 def _write(path, doc):
@@ -162,6 +167,24 @@ class TestRun:
                           warm_start_size=10, budget=2)
         assert main(["run", run]) == EXIT_OK
 
+    @pytest.mark.parametrize("field", ["feature", "regressor", "provenance"])
+    def test_corrupt_strategy_file_is_config_error(self, tmp_path, capsys, field):
+        states = np.random.default_rng(0).random((30, 7))
+        regressor = train_forest(states, states[:, 6],
+                                 regressor_config(n_trees=2, min_leaf_size=1), seed=1)
+        doc = LalStrategy(regressor).to_doc()
+        if field == "feature":
+            # one past the last feature: the walk would read the next row
+            doc["regressor"]["trees"][0]["feature"] = 7
+        else:
+            del doc[field]
+        path = tmp_path / "lal.json"
+        path.write_text(json.dumps(doc))
+        run = _run_config(tmp_path, strategies=["random", str(path)])
+        assert main(["run", run]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
     def test_svg_emission(self, tmp_path):
         run = _run_config(tmp_path)
         assert main(["run", run, "--svg"]) == EXIT_OK
@@ -255,6 +278,22 @@ class TestConfigFormat:
                           test_fraction=0.5)
         assert main(["run", run]) == EXIT_RUNTIME
         assert "error: runtime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, overrides, field", [
+        ("run", {"dataset": {"generator": "gaussian_clouds", "n": 120, "dim": "x"}},
+         "dim"),
+        ("run", {"test_fraction": "x"}, "test_fraction"),
+        ("run", {"repetitions": "2"}, "repetitions"),
+        ("build-strategy", {"representative": {"generator": "banana", "n": 120},
+                            "test_fraction": "x"}, "test_fraction"),
+        ("build-strategy", {"size_max": 60}, "size_max"),
+    ])
+    def test_invalid_field_is_config_error_naming_it(self, tmp_path, capsys, command,
+                                                     overrides, field):
+        write = _run_config if command == "run" else _build_config
+        assert main([command, write(tmp_path, **overrides)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and field in err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.json"

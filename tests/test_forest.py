@@ -524,6 +524,29 @@ class TestSerialization:
         with pytest.raises(ValueError):
             forest_from_doc(doc)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda d: d["trees"][0].update(feature=2), "feature index"),
+        (lambda d: d["trees"][0].update(feature=-1), "feature index"),
+        (lambda d: d["trees"][0].update(threshold=float("nan")), "finite"),
+        (lambda d: d["trees"][0]["left"].update(value=float("inf")), "finite"),
+        (lambda d: d["trees"][0]["right"].update(count=-1), "non-negative"),
+        (lambda d: d.update(importances=[0.0]), "importances"),
+        (lambda d: d.update(trees=d["trees"][:1]), "trees"),
+        (lambda d: d["trees"][0].pop("left"), "missing field"),
+    ], ids=["feature_too_large", "feature_negative", "nan_threshold", "inf_leaf",
+            "negative_count", "importances_length", "tree_count", "missing_child"])
+    def test_malformed_document_rejected(self, corrupt, message):
+        def doc():
+            stump = {"feature": 1, "threshold": 0.5, "count": 2,
+                     "left": _leaf(0.0), "right": _leaf(1.0)}
+            return _forest_doc([stump, _leaf(0.5)])
+
+        forest_from_doc(doc())
+        bad = doc()
+        corrupt(bad)
+        with pytest.raises(ValueError, match=message):
+            forest_from_doc(bad)
+
     def test_doc_fields(self):
         data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=20)
         model = train_forest(data.features, data.labels, ForestConfig(n_trees=3),

@@ -176,15 +176,6 @@ class TestSelectInterface:
             with pytest.raises(ValueError):
                 strategy.select(model, empty, data, rng_for(0))
 
-    def test_random_tie_break_mode(self):
-        data, pool, model = _toy_problem(seed=22)
-        constant = train_forest(np.random.default_rng(1).random((30, 7)),
-                                np.zeros(30), regressor_config(n_trees=1), seed=2)
-        picks = {select_lal(constant, model, pool, data, tie_break="random",
-                            rng=rng_for(0, "t", k)) for k in range(30)}
-        assert len(picks) > 1
-        assert picks <= set(pool.unlabeled.tolist())
-
 
 class TestPersistence:
     def test_random_strategy_serializes_to_one_line(self, tmp_path):
@@ -219,6 +210,12 @@ class TestPersistence:
         with pytest.raises(ValueError, match="regression"):
             strategy_from_doc(doc)
 
+    def test_regressor_must_take_the_learning_state(self):
+        states = np.random.default_rng(28).random((40, 6))
+        six = train_forest(states, states[:, 5], regressor_config(n_trees=1), seed=29)
+        with pytest.raises(ValueError, match="features"):
+            LalStrategy(six)
+
     def test_schema_mismatch_rejected(self):
         regressor = _identity_regressor(seed=26)
         schema = list(FEATURE_NAMES)
@@ -229,6 +226,13 @@ class TestPersistence:
             "regressor": forest_to_doc(regressor),
         }
         with pytest.raises(ValueError, match="schema"):
+            strategy_from_doc(doc)
+
+    @pytest.mark.parametrize("field", ["regressor", "feature_schema", "provenance"])
+    def test_missing_field_is_named(self, field):
+        doc = LalStrategy(_identity_regressor(seed=27)).to_doc()
+        del doc[field]
+        with pytest.raises(ValueError, match=field):
             strategy_from_doc(doc)
 
     def test_version_and_corruption_errors(self, tmp_path):

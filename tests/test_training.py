@@ -1,4 +1,4 @@
-"""Monte-Carlo strategy learning: simulation, bookkeeping, both builders."""
+"""Monte-Carlo strategy learning: simulation, bookkeeping, both build methods."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from lalearn.data import gen_gaussian_clouds, init_warm_start
 from lalearn.forest import ForestConfig, regressor_config
 from lalearn.seeding import derive_seed
-from lalearn.training import (ColdStartConfig, MonteCarloConfig, RegressionSet,
-                              StrategyGrownSplit, build_cold_start_strategy,
-                              build_lal_independent, build_lal_iterative,
-                              data_monte_carlo, random_split)
+from lalearn.training import (MonteCarloConfig, RegressionSet, StrategyGrownSplit,
+                              build_lal, cold_start_data, data_monte_carlo)
 
 FAST_CLF = ForestConfig(n_trees=10)
 FAST_REG = regressor_config(n_trees=10)
@@ -68,7 +66,7 @@ class TestRegressionSet:
 class TestDataMonteCarlo:
     def test_row_exhaustion_when_candidates_exceed_pool(self, small_sets):
         train, test = small_sets
-        rs = data_monte_carlo(train, test, FAST_CLF, random_split,
+        rs = data_monte_carlo(train, test, FAST_CLF, init_warm_start,
                               labeled_size=len(train) - 3, n_candidates=50, seed=1)
         assert len(rs) == 3
 
@@ -78,13 +76,13 @@ class TestDataMonteCarlo:
         # label leaves the 0/1 test loss (and therefore delta) at zero
         train = gen_gaussian_clouds(60, 0.5, 40.0, 2, seed=52)
         test = gen_gaussian_clouds(80, 0.5, 40.0, 2, seed=53)
-        rs = data_monte_carlo(train, test, FAST_CLF, random_split,
+        rs = data_monte_carlo(train, test, FAST_CLF, init_warm_start,
                               labeled_size=20, n_candidates=6, seed=2)
         assert np.all(rs.deltas == 0.0)
 
     def test_tags_and_state_shape(self, small_sets):
         train, test = small_sets
-        rs = data_monte_carlo(train, test, FAST_CLF, random_split,
+        rs = data_monte_carlo(train, test, FAST_CLF, init_warm_start,
                               labeled_size=5, n_candidates=4, seed=3, init_tag=9)
         assert rs.states.shape == (4, 7)
         assert np.all(rs.tags[:, 0] == 5)
@@ -93,7 +91,7 @@ class TestDataMonteCarlo:
 
     def test_zero_one_deltas_bounded(self, small_sets):
         train, test = small_sets
-        rs = data_monte_carlo(train, test, FAST_CLF, random_split,
+        rs = data_monte_carlo(train, test, FAST_CLF, init_warm_start,
                               labeled_size=3, n_candidates=10, seed=4)
         assert np.all(rs.deltas >= -1.0) and np.all(rs.deltas <= 1.0)
 
@@ -106,7 +104,7 @@ class TestDataMonteCarlo:
         parts = []
         for q in range(8):
             parts.append(data_monte_carlo(
-                train, test, ForestConfig(n_trees=20), random_split,
+                train, test, ForestConfig(n_trees=20), init_warm_start,
                 labeled_size=2, n_candidates=298,
                 seed=derive_seed(60, "cell", q), init_tag=q))
         rs = RegressionSet.concatenate(parts)
@@ -119,10 +117,10 @@ class TestDataMonteCarlo:
     def test_rejects_bad_sizes(self, small_sets):
         train, test = small_sets
         with pytest.raises(ValueError):
-            data_monte_carlo(train, test, FAST_CLF, random_split,
+            data_monte_carlo(train, test, FAST_CLF, init_warm_start,
                              labeled_size=len(train), n_candidates=2, seed=0)
         with pytest.raises(ValueError):
-            data_monte_carlo(train, test, FAST_CLF, random_split,
+            data_monte_carlo(train, test, FAST_CLF, init_warm_start,
                              labeled_size=1, n_candidates=2, seed=0)
 
 
@@ -131,7 +129,7 @@ class TestIndependentBuilder:
         train, test = small_sets
         config = _fast_config(size_min=2, size_max=2, initializations=1,
                               candidates=1, seed=5)
-        strategy, rows = build_lal_independent(config, train, test, return_rows=True)
+        strategy, rows = build_lal(config, train, test, "independent")
         assert len(rows) == 1
         assert strategy.provenance == "independent"
         grid = np.random.default_rng(0).random((5, 7))
@@ -142,23 +140,21 @@ class TestIndependentBuilder:
         train, test = small_sets
         config = _fast_config(size_min=2, size_max=5, initializations=3,
                               candidates=4, seed=6)
-        _, rows = build_lal_independent(config, train, test, return_rows=True)
+        _, rows = build_lal(config, train, test, "independent")
         assert len(rows) == config.n_sizes * 3 * 4
 
     def test_provenance_tags_are_unique(self, small_sets):
         train, test = small_sets
         config = _fast_config(seed=7)
-        _, rows = build_lal_independent(config, train, test, return_rows=True)
+        _, rows = build_lal(config, train, test, "independent")
         triples = {tuple(tag) for tag in rows.tags}
         assert len(triples) == len(rows)
 
     def test_deterministic_and_worker_independent(self, small_sets):
         train, test = small_sets
         config = _fast_config(seed=8)
-        a, rows_a = build_lal_independent(config, train, test, workers=1,
-                                          return_rows=True)
-        b, rows_b = build_lal_independent(config, train, test, workers=2,
-                                          return_rows=True)
+        a, rows_a = build_lal(config, train, test, "independent", workers=1)
+        b, rows_b = build_lal(config, train, test, "independent", workers=2)
         assert np.array_equal(rows_a.states, rows_b.states)
         assert np.array_equal(rows_a.deltas, rows_b.deltas)
         grid = np.random.default_rng(1).random((20, 7))
@@ -169,7 +165,7 @@ class TestIndependentBuilder:
         train, test = small_sets
         config = _fast_config(size_min=2, size_max=len(train), seed=9)
         with pytest.raises(ValueError):
-            build_lal_independent(config, train, test)
+            build_lal(config, train, test, "independent")
 
 
 class TestIterativeBuilder:
@@ -177,8 +173,8 @@ class TestIterativeBuilder:
         train, test = small_sets
         config = _fast_config(size_min=4, size_max=4, initializations=3,
                               candidates=3, seed=10)
-        ind, rows_i = build_lal_independent(config, train, test, return_rows=True)
-        itr, rows_j = build_lal_iterative(config, train, test, return_rows=True)
+        ind, rows_i = build_lal(config, train, test, "independent")
+        itr, rows_j = build_lal(config, train, test, "iterative")
         assert np.array_equal(rows_i.states, rows_j.states)
         assert np.array_equal(rows_i.deltas, rows_j.deltas)
         grid = np.random.default_rng(2).random((20, 7))
@@ -190,7 +186,7 @@ class TestIterativeBuilder:
         train, test = small_sets
         config = _fast_config(size_min=3, size_max=3, initializations=2,
                               candidates=2, seed=11)
-        strategy = build_lal_iterative(config, train, test)
+        strategy, _ = build_lal(config, train, test, "iterative")
         grower = StrategyGrownSplit(strategy.regressor, FAST_CLF, start_size=3)
         pool = grower(train, 4, seed=12)
         assert pool.n_labeled == 4
@@ -203,10 +199,8 @@ class TestIterativeBuilder:
         train, test = small_sets
         config = _fast_config(size_min=2, size_max=4, initializations=2,
                               candidates=2, seed=13)
-        a, rows_a = build_lal_iterative(config, train, test, workers=1,
-                                        return_rows=True)
-        b, rows_b = build_lal_iterative(config, train, test, workers=2,
-                                        return_rows=True)
+        a, rows_a = build_lal(config, train, test, "iterative", workers=1)
+        b, rows_b = build_lal(config, train, test, "iterative", workers=2)
         assert len(rows_a) == config.n_sizes * 2 * 2
         assert np.array_equal(rows_a.states, rows_b.states)
         assert np.array_equal(rows_a.deltas, rows_b.deltas)
@@ -215,11 +209,9 @@ class TestIterativeBuilder:
 class TestColdStart:
     def test_builds_and_is_deterministic(self, tmp_path):
         from lalearn.strategies import load_strategy, save_strategy
-        config = ColdStartConfig(
-            monte_carlo=_fast_config(seed=14), method="independent",
-            n_train=80, n_test=60)
-        a = build_cold_start_strategy(config)
-        b = build_cold_start_strategy(config)
+        config = _fast_config(seed=14)
+        a, _ = build_lal(config, *cold_start_data(14, n_train=80, n_test=60), "independent")
+        b, _ = build_lal(config, *cold_start_data(14, n_train=80, n_test=60), "independent")
         path = tmp_path / "s.json"
         save_strategy(a, path)
         loaded = load_strategy(path)
@@ -230,5 +222,8 @@ class TestColdStart:
                               a.regressor.predict_regression_batch(grid))
 
     def test_method_validation(self):
-        with pytest.raises(ValueError):
-            ColdStartConfig(method="magic")
+        train, test = cold_start_data(0, n_train=40, n_test=20)
+        with pytest.raises(ValueError, match="method"):
+            build_lal(_fast_config(), train, test, "magic")
+        with pytest.raises(ValueError, match="too small"):
+            cold_start_data(0, n_train=3)
