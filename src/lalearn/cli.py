@@ -94,6 +94,9 @@ def _forest_config(doc: dict | None, base: ForestConfig, what: str) -> ForestCon
     unknown = set(doc) - allowed
     if unknown:
         _fail(f"{what}: unknown forest config keys {sorted(unknown)}")
+    for key, value in doc.items():
+        if value is not None or key not in ("max_depth", "features_per_split"):
+            _require(doc, key, int, what)
     try:
         return ForestConfig(mode=base.mode, **{**{
             "n_trees": base.n_trees, "max_depth": base.max_depth,
@@ -151,6 +154,8 @@ def _output_dir(doc_value, flag_value) -> Path:
     chosen = flag_value or env or doc_value
     if chosen is None:
         _fail("no output directory configured")
+    if not isinstance(chosen, str):
+        _fail("run config: field 'output_dir' must be a string")
     out = Path(chosen)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -216,6 +221,8 @@ def cmd_build_strategy(args) -> int:
 def _resolve_strategies(specs, what: str) -> list[Strategy]:
     strategies: list[Strategy] = []
     for spec in specs:
+        if not isinstance(spec, str):
+            _fail(f"{what}: field 'strategies' must list names or files, got {spec!r}")
         if spec == "random":
             strategies.append(RandomStrategy())
         elif spec == "uncertainty":
@@ -249,6 +256,8 @@ def cmd_run(args) -> int:
     if budget < 0 or repetitions < 1:
         _fail("run config: budget must be >= 0 and repetitions >= 1")
     test_fraction = _require(doc, "test_fraction", float, "run config", 0.5)
+    if not 0.0 < test_fraction < 1.0:
+        _fail("run config: test_fraction must lie strictly between 0 and 1")
     warm = doc.get("warm_start_size")
     if warm is not None and (not isinstance(warm, int) or warm < 2):
         _fail("run config: warm_start_size must be an integer >= 2")

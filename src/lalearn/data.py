@@ -70,12 +70,11 @@ class PoolState:
 
     ``labeled`` preserves acquisition order; ``unlabeled`` is kept sorted so
     that sweeps over candidates (and therefore tie-breaking) are
-    deterministic.  ``iteration`` counts acquisitions made so far.
+    deterministic.
     """
 
     labeled: list[int]
     unlabeled: np.ndarray
-    iteration: int = 0
 
     def __post_init__(self):
         self.labeled = [int(i) for i in self.labeled]
@@ -96,10 +95,6 @@ class PoolState:
             raise ValueError(f"index {index} is not in the unlabeled pool")
         self.unlabeled = np.delete(self.unlabeled, pos)
         self.labeled.append(int(index))
-        self.iteration += 1
-
-    def copy(self) -> "PoolState":
-        return PoolState(list(self.labeled), self.unlabeled.copy(), self.iteration)
 
     def check_partition(self, n_total: int) -> None:
         """Raise unless labeled and unlabeled exactly partition ``range(n_total)``."""

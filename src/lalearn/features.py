@@ -22,12 +22,21 @@ FEATURE_NAMES = (
     "predicted_probability_class0",
 )
 
-N_CLASSIFIER_FEATURES = 6
-N_CANDIDATE_FEATURES = 1
 
+def classifier_state(model: ForestModel, pool: PoolState, dataset: Dataset,
+                     pool_tree_predictions: np.ndarray) -> np.ndarray:
+    """Classifier-state features for the current labeled/unlabeled split.
 
-def _classifier_state(model: ForestModel, pool: PoolState, dataset: Dataset,
-                      pool_tree_predictions: np.ndarray) -> np.ndarray:
+    Returns, in order: class-0 proportion of the labeled set, out-of-bag
+    accuracy, population variance of the feature-importance vector, mean
+    over the unlabeled pool of the across-tree prediction variance,
+    average tree depth, and labeled-set size.  The model must be the one
+    trained on the current labeled set (sorted by dataset index), and
+    ``pool_tree_predictions`` its per-tree predictions on the unlabeled
+    pool, ``model.tree_predictions_batch(dataset.features[pool.unlabeled])``.
+    """
+    if pool.n_unlabeled == 0:
+        raise ValueError("unlabeled pool is empty; stop the active learning loop")
     labeled = sorted(pool.labeled)
     labels = dataset.labels[labeled]
     proportion0 = float(np.mean(labels == 0))
@@ -39,35 +48,6 @@ def _classifier_state(model: ForestModel, pool: PoolState, dataset: Dataset,
     if not np.all(np.isfinite(phi)):
         raise ValueError("non-finite classifier state")
     return phi
-
-
-def classifier_state(model: ForestModel, pool: PoolState, dataset: Dataset) -> np.ndarray:
-    """Classifier-state features for the current labeled/unlabeled split.
-
-    Returns, in order: class-0 proportion of the labeled set, out-of-bag
-    accuracy, population variance of the feature-importance vector, mean
-    over the unlabeled pool of the across-tree prediction variance,
-    average tree depth, and labeled-set size.  The model must be the one
-    trained on the current labeled set (sorted by dataset index).
-    """
-    if pool.n_unlabeled == 0:
-        raise ValueError("unlabeled pool is empty; stop the active learning loop")
-    pool_predictions = model.tree_predictions_batch(dataset.features[pool.unlabeled])
-    return _classifier_state(model, pool, dataset, pool_predictions)
-
-
-def datapoint_features(model: ForestModel, x) -> np.ndarray:
-    """Candidate features: the predicted class-0 probability."""
-    return np.array([model.predict_proba(x)])
-
-
-def assemble_state(phi, psi) -> np.ndarray:
-    """Concatenate classifier and candidate features in the frozen order."""
-    phi = np.asarray(phi, dtype=np.float64)
-    psi = np.asarray(psi, dtype=np.float64)
-    if phi.shape != (N_CLASSIFIER_FEATURES,) or psi.shape != (N_CANDIDATE_FEATURES,):
-        raise ValueError("unexpected feature vector lengths")
-    return np.concatenate([phi, psi])
 
 
 def candidate_states(phi, psis) -> np.ndarray:

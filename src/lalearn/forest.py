@@ -28,7 +28,6 @@ Split semantics, shared by every code path:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -82,13 +81,13 @@ class ForestModel:
 
     Nodes of all trees live in shared flat arrays; ``roots[i]`` is the node
     index of tree ``i``.  ``feature[j] == -1`` marks a leaf.  Sibling nodes
-    occupy adjacent slots (``right == left + 1``), which the prediction walk
-    relies on.  Models are immutable after training and safe to share
-    between processes.
+    occupy adjacent slots: the right child of node ``j`` is ``left[j] + 1``.
+    Models are immutable after training and safe to share between
+    processes.
     """
 
     def __init__(self, *, mode, config, seed, n_features, roots, feature,
-                 threshold, left, right, value, count, tree_depths,
+                 threshold, left, value, count, tree_depths,
                  importances_raw, bootstrap=None, n_train=None):
         self.mode = mode
         self.config = config
@@ -98,16 +97,12 @@ class ForestModel:
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.float64)
         self.count = np.asarray(count, dtype=np.int64)
         self.tree_depths = np.asarray(tree_depths, dtype=np.int64)
         self.importances_raw = np.asarray(importances_raw, dtype=np.float64)
         self.bootstrap = bootstrap
         self.n_train = n_train
-        internal = self.feature >= 0
-        if not np.array_equal(self.right[internal], self.left[internal] + 1):
-            raise ValueError("sibling nodes must occupy adjacent slots")
 
     @property
     def n_trees(self) -> int:
@@ -153,18 +148,11 @@ class ForestModel:
         """Per-tree predictions for a batch of rows, shape (n_trees, N)."""
         return self._leaf_values(X)
 
-    def tree_predictions(self, x) -> np.ndarray:
-        """Per-tree predictions for a single point, shape (n_trees,)."""
-        return self._leaf_values(np.asarray(x, dtype=np.float64)[None, :])[:, 0]
-
     def predict_proba_batch(self, X) -> np.ndarray:
         """Class-0 probability (mean of leaf class-0 frequencies) per row."""
         if self.mode != "classification":
             raise ValueError("predict_proba requires a classification forest")
         return self._leaf_values(X).mean(axis=0)
-
-    def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_regression_batch(self, X) -> np.ndarray:
         """Mean of leaf target means per row."""
@@ -172,19 +160,16 @@ class ForestModel:
             raise ValueError("predict_regression requires a regression forest")
         return self._leaf_values(X).mean(axis=0)
 
-    def predict_regression(self, x) -> float:
-        return float(self.predict_regression_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
-
     # ---- introspection ----------------------------------------------
 
-    def oob_accuracy(self, features, targets, fallback: float = 1.0) -> float:
+    def oob_accuracy(self, features, targets) -> float:
         """Out-of-bag accuracy on the training set.
 
         Each sample is voted on by the trees whose bootstrap excludes it
         (one hard vote per tree, ties toward class 0).  Samples in every
         bootstrap are skipped; when no sample has an excluding tree the
-        declared ``fallback`` is returned so the learning-state feature
-        stays finite on tiny labeled sets.
+        accuracy is 1.0, so the learning-state feature stays finite on
+        tiny labeled sets.
         """
         if self.mode != "classification":
             raise ValueError("oob_accuracy requires a classification forest")
@@ -203,7 +188,7 @@ class ForestModel:
         votes_class1 = ((leaf < 0.5) & excluding).sum(axis=0)
         covered = n_votes > 0
         if not covered.any():
-            return float(fallback)
+            return 1.0
         predicted = np.where(votes_class1 * 2 > n_votes, 1, 0)
         return float(np.mean(predicted[covered] == targets[covered]))
 
@@ -222,18 +207,7 @@ class ForestModel:
         return float(self.tree_depths.mean())
 
 
-# ---- impurity helpers ------------------------------------------------
-
-
-def gini_impurity(labels) -> float:
-    """Gini impurity of a 0/1 label multiset."""
-    y = np.asarray(labels, dtype=np.float64)
-    n = float(len(y))
-    if n == 0:
-        raise ValueError("empty label multiset")
-    n1 = float(y.sum())
-    n0 = n - n1
-    return 1.0 - (n0 * n0 + n1 * n1) / (n * n)
+# ---- split scan --------------------------------------------------------
 
 
 def best_split(feature_column, targets, criterion: str = "gini",
@@ -381,7 +355,6 @@ def train_forest(features, targets, config: ForestConfig | None = None,
     g_feat = np.full(cap, -1, dtype=np.int64)
     g_thr = np.full(cap, np.nan)
     g_left = np.full(cap, -1, dtype=np.int64)
-    g_right = np.full(cap, -1, dtype=np.int64)
     g_val = np.full(cap, np.nan)
     g_cnt = np.zeros(cap, dtype=np.int64)
     n_nodes = T
@@ -518,7 +491,6 @@ def train_forest(features, targets, config: ForestConfig | None = None,
             g_feat = _grow(g_feat, need, -1)
             g_thr = _grow(g_thr, need, np.nan)
             g_left = _grow(g_left, need, -1)
-            g_right = _grow(g_right, need, -1)
             g_val = _grow(g_val, need, np.nan)
             g_cnt = _grow(g_cnt, need, 0)
             child_gid = np.arange(n_nodes, need)
@@ -527,7 +499,6 @@ def train_forest(features, targets, config: ForestConfig | None = None,
             g_feat[split_gid] = pfeat
             g_thr[split_gid] = pthr
             g_left[split_gid] = child_gid[0::2]
-            g_right[split_gid] = child_gid[1::2]
 
             # within-tree creation indices for the children: sequential per
             # tree, in split processing order
@@ -550,17 +521,15 @@ def train_forest(features, targets, config: ForestConfig | None = None,
             route_thr = np.full(P, np.nan)
             route_feat = np.zeros(P, dtype=np.int64)
             route_left = np.full(P, -1, dtype=np.int64)
-            route_right = np.full(P, -1, dtype=np.int64)
             route_thr[split_ord] = pthr
             route_feat[split_ord] = pfeat
             route_left[split_ord] = 2 * np.arange(S)
-            route_right[split_ord] = 2 * np.arange(S) + 1
 
             in_split = split_mask[o]
             srows = rows[in_split]
             so = o[in_split]
             xv = gx[srows, route_feat[so]]
-            row_ord[srows] = np.where(xv <= route_thr[so], route_left[so], route_right[so])
+            row_ord[srows] = route_left[so] + (xv > route_thr[so])
             row_ord[rows[~in_split]] = -1
             leaf_trees = open_tree[~split_mask]
             if len(leaf_trees):
@@ -580,7 +549,7 @@ def train_forest(features, targets, config: ForestConfig | None = None,
         mode=config.mode, config=config, seed=int(seed), n_features=d,
         roots=np.arange(T, dtype=np.int64),
         feature=g_feat[:n_nodes].copy(), threshold=g_thr[:n_nodes].copy(),
-        left=g_left[:n_nodes].copy(), right=g_right[:n_nodes].copy(),
+        left=g_left[:n_nodes].copy(),
         value=g_val[:n_nodes].copy(), count=g_cnt[:n_nodes].copy(),
         tree_depths=tree_depths, importances_raw=imp_raw,
         bootstrap=bootstrap, n_train=n)
@@ -597,7 +566,7 @@ def _node_doc(model: ForestModel, gid: int) -> dict:
         "threshold": float(model.threshold[gid]),
         "count": int(model.count[gid]),
         "left": _node_doc(model, int(model.left[gid])),
-        "right": _node_doc(model, int(model.right[gid])),
+        "right": _node_doc(model, int(model.left[gid]) + 1),
     }
 
 
@@ -636,14 +605,13 @@ def forest_from_doc(doc: dict) -> ForestModel:
         raise ValueError("forest document must be a JSON object")
     if doc.get("format") != FOREST_FORMAT:
         raise ValueError(f"unsupported forest format: {doc.get('format')!r}")
-    feature, threshold, left, right, value, count = [], [], [], [], [], []
+    feature, threshold, left, value, count = [], [], [], [], []
     depths = []
 
     def add_placeholder() -> int:
         feature.append(-1)
         threshold.append(np.nan)
         left.append(-1)
-        right.append(-1)
         value.append(np.nan)
         count.append(0)
         return len(feature) - 1
@@ -657,7 +625,8 @@ def forest_from_doc(doc: dict) -> ForestModel:
             depths.append(0)
             root = add_placeholder()
             roots.append(root)
-            # breadth-first allocation keeps siblings in adjacent slots
+            # breadth-first allocation puts each right child one slot
+            # after its left sibling
             queue = [(tree, root, 0)]
             while queue:
                 node, gid, depth = queue.pop(0)
@@ -669,9 +638,9 @@ def forest_from_doc(doc: dict) -> ForestModel:
                 feature[gid] = int(node["feature"])
                 threshold[gid] = float(node["threshold"])
                 left[gid] = add_placeholder()
-                right[gid] = add_placeholder()
+                add_placeholder()
                 queue.append((node["left"], left[gid], depth + 1))
-                queue.append((node["right"], right[gid], depth + 1))
+                queue.append((node["right"], left[gid] + 1, depth + 1))
     except KeyError as exc:
         raise ValueError(f"forest document is missing field {exc}") from None
     except (TypeError, AttributeError) as exc:
@@ -696,15 +665,6 @@ def forest_from_doc(doc: dict) -> ForestModel:
     return ForestModel(
         mode=mode, config=cfg, seed=int(doc.get("seed", 0)),
         n_features=n_features, roots=roots, feature=feature, threshold=threshold,
-        left=left, right=right, value=value, count=count, tree_depths=depths,
+        left=left, value=value, count=count, tree_depths=depths,
         importances_raw=importances, bootstrap=None, n_train=None)
 
-
-def save_forest(model: ForestModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(forest_to_doc(model), fh, sort_keys=True)
-
-
-def load_forest(path) -> ForestModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return forest_from_doc(json.load(fh))

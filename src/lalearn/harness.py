@@ -113,7 +113,7 @@ def run_al(train: Dataset, test: Dataset, strategy: Strategy, budget: int,
         if t < budget:
             index = strategy.select(model, pool, train, rng_for(seed, "select", t))
             chosen.append(index)
-            probabilities.append(model.predict_proba(train.features[index]))
+            probabilities.append(model.predict_proba_batch(train.features[[index]])[0])
             pool.acquire(index)
     return trace, SelectionTrace(np.arange(budget), chosen, probabilities)
 

@@ -1,28 +1,15 @@
 """Logistic regression trained by full-batch gradient descent.
 
 Used by the error-reduction study on two-cloud data, where thousands of
-classifiers must be fit on two- and three-point training sets.  A batched
-trainer fits many such models simultaneously; it matches the single-model
-path numerically.
+classifiers must be fit on two- and three-point training sets.  One
+batched trainer fits many such models simultaneously; a single model is
+the batch of one.  Weights put the bias last:
+p(y=1 | x) = sigmoid(w . [x, 1]).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class LogisticModel:
-    """Linear weights, bias last: p(y=1 | x) = sigmoid(w . [x, 1])."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
 
 
 def sigmoid(z):
@@ -48,28 +35,6 @@ def logistic_gradient(weights, features, targets) -> np.ndarray:
     y = np.asarray(targets, dtype=np.float64)
     p = sigmoid(x1 @ np.asarray(weights, dtype=np.float64))
     return x1.T @ (p - y) / len(y)
-
-
-def train_logistic(features, targets, learn_rate: float = 0.5,
-                   iterations: int = 200) -> LogisticModel:
-    """Fit from zero weights with ``iterations`` full-batch steps."""
-    x1 = _augment(features)
-    y = np.asarray(targets, dtype=np.float64)
-    if x1.shape[0] != len(y) or len(y) == 0:
-        raise ValueError("features and targets must be non-empty and aligned")
-    w = np.zeros(x1.shape[1])
-    for _ in range(iterations):
-        w = w - learn_rate * (x1.T @ (sigmoid(x1 @ w) - y) / len(y))
-    return LogisticModel(w)
-
-
-def predict_logistic(model: LogisticModel, x) -> float:
-    """Probability of class 1 at a single point."""
-    return float(sigmoid(_augment(np.asarray(x))[0] @ model.weights))
-
-
-def predict_logistic_batch(model: LogisticModel, X) -> np.ndarray:
-    return sigmoid(_augment(X) @ model.weights)
 
 
 def train_logistic_batch(features, targets, sample_mask, learn_rate: float = 0.5,

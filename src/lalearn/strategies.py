@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .data import Dataset, PoolState
-from .features import FEATURE_NAMES, _classifier_state, candidate_states
+from .features import FEATURE_NAMES, candidate_states, classifier_state
 from .forest import ForestModel, forest_from_doc, forest_to_doc
 
 STRATEGY_FORMAT = 1
@@ -53,7 +53,7 @@ def select_lal(regressor: ForestModel, model: ForestModel, pool: PoolState,
     if regressor.n_features != len(FEATURE_NAMES):
         raise ValueError("regressor feature schema does not match the learning state")
     pool_predictions = model.tree_predictions_batch(dataset.features[pool.unlabeled])
-    phi = _classifier_state(model, pool, dataset, pool_predictions)
+    phi = classifier_state(model, pool, dataset, pool_predictions)
     psis = pool_predictions.mean(axis=0)
     scores = regressor.predict_regression_batch(candidate_states(phi, psis))
     return int(pool.unlabeled[int(np.argmax(scores))])

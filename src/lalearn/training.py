@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, PoolState, gen_gaussian_clouds, init_warm_start
-from .features import FEATURE_NAMES, classifier_state
+from .features import FEATURE_NAMES, candidate_states, classifier_state
 from .forest import ForestConfig, ForestModel, regressor_config, train_forest
 from .metrics import METRIC_IDS, loss_from_metric
 from .parallel import parallel_map
@@ -150,13 +150,14 @@ def data_monte_carlo(train: Dataset, test: Dataset, classifier_config: ForestCon
                         classifier_config, derive_seed(seed, "base"))
     base_loss = loss_from_metric(test_loss, base.predict_proba_batch(test.features),
                                  test.labels)
-    phi = classifier_state(base, pool, train)
+    phi = classifier_state(base, pool, train,
+                           base.tree_predictions_batch(train.features[pool.unlabeled]))
 
     n_draws = min(n_candidates, pool.n_unlabeled)
     drawn = rng_for(seed, "draw").choice(pool.unlabeled, size=n_draws, replace=False)
-    psis = base.predict_proba_batch(train.features[drawn])
-
-    states = np.empty((n_draws, len(FEATURE_NAMES)))
+    # p0 from a walk over the drawn rows alone, not from the pool walk: a
+    # forest's mean over trees depends on the batch size
+    states = candidate_states(phi, base.predict_proba_batch(train.features[drawn]))
     deltas = np.empty(n_draws)
     tags = np.empty((n_draws, 3), dtype=np.int64)
     for m, candidate in enumerate(drawn):
@@ -165,7 +166,6 @@ def data_monte_carlo(train: Dataset, test: Dataset, classifier_config: ForestCon
                              classifier_config, derive_seed(seed, "candidate", m))
         loss = loss_from_metric(test_loss, grown.predict_proba_batch(test.features),
                                 test.labels)
-        states[m] = np.concatenate([phi, [psis[m]]])
         deltas[m] = base_loss - loss
         tags[m] = (labeled_size, init_tag, m)
     return RegressionSet(states, deltas, tags)

@@ -287,6 +287,11 @@ class TestConfigFormat:
         ("build-strategy", {"representative": {"generator": "banana", "n": 120},
                             "test_fraction": "x"}, "test_fraction"),
         ("build-strategy", {"size_max": 60}, "size_max"),
+        ("run", {"strategies": [1]}, "strategies"),
+        ("run", {"output_dir": 5}, "output_dir"),
+        ("run", {"test_fraction": 2.0}, "test_fraction"),
+        ("run", {"classifier": {"n_trees": "x"}}, "n_trees"),
+        ("build-strategy", {"regressor": {"max_depth": 2.5}}, "max_depth"),
     ])
     def test_invalid_field_is_config_error_naming_it(self, tmp_path, capsys, command,
                                                      overrides, field):

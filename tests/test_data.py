@@ -7,7 +7,7 @@ from lalearn.data import (Dataset, PoolState, checkerboard_label, gen_banana,
                           gen_checkerboard, gen_gaussian_clouds, init_cold_start,
                           init_warm_start, load_csv, merge, save_csv, split)
 from lalearn.forest import ForestConfig, train_forest
-from lalearn.logistic import predict_logistic_batch, train_logistic
+from lalearn.logistic import sigmoid, train_logistic_batch
 
 
 class TestDataset:
@@ -32,7 +32,6 @@ class TestPoolState:
         pool.acquire(2)
         assert pool.labeled == [0, 3, 2]
         assert np.array_equal(pool.unlabeled, [1, 4])
-        assert pool.iteration == 1
 
     def test_acquire_rejects_unknown_index(self):
         pool = PoolState([0], np.array([1, 2]))
@@ -121,9 +120,11 @@ class TestBanana:
         # plateaus below what a forest reaches
         data = gen_banana(1000, noise=0.15, seed=8)
         train, test = split(data, 0.5, seed=1)
-        logistic = train_logistic(train.features, train.labels,
-                                  learn_rate=0.5, iterations=500)
-        linear_pred = (predict_logistic_batch(logistic, test.features) > 0.5).astype(int)
+        weights = train_logistic_batch(train.features[None], train.labels[None],
+                                       np.ones((1, len(train))), learn_rate=0.5,
+                                       iterations=500)[0]
+        test_x1 = np.hstack([test.features, np.ones((len(test), 1))])
+        linear_pred = (sigmoid(test_x1 @ weights) > 0.5).astype(int)
         linear_acc = float(np.mean(linear_pred == test.labels))
         forest = train_forest(train.features, train.labels, ForestConfig(n_trees=50),
                               seed=2)

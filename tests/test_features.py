@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from lalearn.data import PoolState, gen_gaussian_clouds, init_cold_start
-from lalearn.features import (FEATURE_NAMES, assemble_state, candidate_states,
-                              classifier_state, datapoint_features)
+from lalearn.features import FEATURE_NAMES, candidate_states, classifier_state
 from lalearn.forest import ForestConfig, train_forest
+
+
+def _state(model, pool, data):
+    return classifier_state(model, pool, data,
+                            model.tree_predictions_batch(data.features[pool.unlabeled]))
 
 
 def _trained_state(n=40, n_labeled=6, seed=0, n_trees=10):
@@ -30,13 +34,13 @@ class TestClassifierState:
         pool = init_cold_start(data, seed=3)
         labeled = sorted(pool.labeled)
         model = train_forest(data.features[labeled], data.labels[labeled], seed=4)
-        phi = classifier_state(model, pool, data)
+        phi = _state(model, pool, data)
         assert phi[0] == 0.5  # one labeled point per class
         assert phi[5] == 2.0
 
     def test_single_tree_forest_has_zero_variance_on_pool(self):
         data, pool, model = _trained_state(n_trees=1)
-        phi = classifier_state(model, pool, data)
+        phi = _state(model, pool, data)
         assert phi[3] == 0.0
 
     def test_importance_variance_for_single_informative_feature(self):
@@ -50,56 +54,40 @@ class TestClassifierState:
         model = train_forest(X[:19], y[:19],
                              ForestConfig(n_trees=5, features_per_split=2), seed=1)
         assert np.array_equal(model.feature_importances(), [1.0, 0.0])
-        phi = classifier_state(model, pool, data)
+        phi = _state(model, pool, data)
         assert phi[2] == 0.25
 
     def test_empty_pool_rejected(self):
         data, pool, model = _trained_state()
         full = PoolState(list(range(len(data))), [])
         with pytest.raises(ValueError, match="stop"):
-            classifier_state(model, full, data)
+            _state(model, full, data)
 
     def test_state_is_reproducible(self):
         data, pool, model = _trained_state(seed=6)
-        a = classifier_state(model, pool, data)
-        b = classifier_state(model, pool, data)
+        a = _state(model, pool, data)
+        b = _state(model, pool, data)
         assert np.array_equal(a, b)
 
     def test_state_is_finite_on_reachable_pools(self):
         for seed in range(5):
             data, pool, model = _trained_state(n=30, n_labeled=2 + seed, seed=seed)
-            assert np.all(np.isfinite(classifier_state(model, pool, data)))
-
-
-class TestDatapointFeatures:
-    def test_matches_forest_probability(self):
-        data, pool, model = _trained_state(seed=7)
-        for x in data.features[:5]:
-            psi = datapoint_features(model, x)
-            assert psi.shape == (1,)
-            assert psi[0] == model.predict_proba(x)
-            assert 0.0 <= psi[0] <= 1.0
+            assert np.all(np.isfinite(_state(model, pool, data)))
 
 
 class TestAssembly:
     def test_candidate_feature_is_last(self):
         phi = np.arange(6, dtype=float)
-        xi = assemble_state(phi, [0.77])
-        assert xi.shape == (7,)
-        assert xi[6] == 0.77
-        assert np.array_equal(xi[:6], phi)
+        xi = candidate_states(phi, [0.77])
+        assert xi.shape == (1, 7)
+        assert xi[0, 6] == 0.77
+        assert np.array_equal(xi[0, :6], phi)
 
     def test_round_trips_through_json(self):
         import json
-        xi = assemble_state(np.linspace(0, 1, 6), [0.3])
+        xi = candidate_states(np.linspace(0, 1, 6), [0.3])[0]
         back = np.asarray(json.loads(json.dumps(list(xi))))
         assert np.array_equal(back, xi)
-
-    def test_wrong_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_state(np.zeros(5), [0.1])
-        with pytest.raises(ValueError):
-            assemble_state(np.zeros(6), [0.1, 0.2])
 
     def test_batch_assembly_matches_scalar(self):
         phi = np.linspace(0, 1, 6)
@@ -107,15 +95,15 @@ class TestAssembly:
         batch = candidate_states(phi, psis)
         assert batch.shape == (3, 7)
         for i, psi in enumerate(psis):
-            assert np.array_equal(batch[i], assemble_state(phi, [psi]))
+            assert np.array_equal(batch[i], np.concatenate([phi, [psi]]))
 
 
 def test_phi_reuse_equals_recomputation():
     # computing the classifier state once per iteration and pairing it with
     # every candidate must equal recomputing it per candidate
     data, pool, model = _trained_state(seed=8)
-    phi_once = classifier_state(model, pool, data)
+    phi_once = _state(model, pool, data)
     for x in data.features[pool.unlabeled[:4]]:
-        xi = assemble_state(classifier_state(model, pool, data),
-                            datapoint_features(model, x))
-        assert np.array_equal(xi[:6], phi_once)
+        xi = candidate_states(_state(model, pool, data),
+                              model.predict_proba_batch(x[None, :]))
+        assert np.array_equal(xi[0, :6], phi_once)

@@ -8,8 +8,7 @@ import pytest
 
 from lalearn.data import gen_gaussian_clouds, split
 from lalearn.forest import (ForestConfig, best_split, forest_from_doc,
-                            forest_to_doc, gini_impurity, load_forest,
-                            regressor_config, save_forest, train_forest)
+                            forest_to_doc, regressor_config, train_forest)
 from lalearn.seeding import derive_seed
 
 
@@ -163,7 +162,7 @@ def _assert_tree_equal(model, tree_index, ref_nodes, mode):
         else:
             assert model.threshold[gid] == ref["threshold"]
             stack.append((int(model.left[gid]), ref["left"]))
-            stack.append((int(model.right[gid]), ref["right"]))
+            stack.append((int(model.left[gid]) + 1, ref["right"]))
     return compared
 
 
@@ -320,17 +319,17 @@ class TestPrediction:
         data = gen_gaussian_clouds(80, 0.5, 2.0, 2, seed=12)
         model = train_forest(data.features, data.labels, ForestConfig(n_trees=13),
                              seed=5)
-        x = np.array([0.3, -0.2])
-        per_tree = model.tree_predictions(x)
-        assert len(per_tree) == 13
-        assert model.predict_proba(x) == per_tree.mean()
+        x = np.array([[0.3, -0.2]])
+        per_tree = model.tree_predictions_batch(x)
+        assert per_tree.shape == (13, 1)
+        assert model.predict_proba_batch(x)[0] == per_tree[:, 0].mean()
 
     def test_batch_equals_single(self):
         data = gen_gaussian_clouds(60, 0.5, 2.0, 2, seed=13)
         model = train_forest(data.features, data.labels, seed=6)
         grid = np.random.default_rng(3).normal(size=(25, 2))
         batch = model.predict_proba_batch(grid)
-        singles = np.array([model.predict_proba(x) for x in grid])
+        singles = np.array([model.predict_proba_batch(x[None, :])[0] for x in grid])
         assert np.array_equal(batch, singles)
 
     def test_regression_constant_target(self):
@@ -354,11 +353,11 @@ class TestPrediction:
         data = gen_gaussian_clouds(20, 0.5, 2.0, 2, seed=1)
         clf = train_forest(data.features, data.labels, seed=0)
         with pytest.raises(ValueError):
-            clf.predict_regression(np.zeros(2))
+            clf.predict_regression_batch(np.zeros((1, 2)))
         reg = train_forest(data.features, data.labels.astype(float),
                            regressor_config(n_trees=3), seed=0)
         with pytest.raises(ValueError):
-            reg.predict_proba(np.zeros(2))
+            reg.predict_proba_batch(np.zeros((1, 2)))
 
 
 class TestIntrospection:
@@ -422,11 +421,6 @@ class TestIntrospection:
         model = train_forest(X, y, ForestConfig(n_trees=8, max_depth=1), seed=6)
         assert model.avg_tree_depth() == 1.0
 
-    def test_gini_invariants(self):
-        assert gini_impurity([0, 0, 1, 1]) == 0.5
-        assert gini_impurity([1, 1, 1]) == 0.0
-        assert gini_impurity([0]) == 0.0
-
 
 def _leaf(value, count=1):
     return {"value": value, "count": count}
@@ -444,13 +438,13 @@ def _forest_doc(trees, mode="classification", n_features=2):
 class TestHandBuiltForests:
     def test_probability_is_mean_of_leaf_values(self):
         model = forest_from_doc(_forest_doc([_leaf(0.2), _leaf(0.6)]))
-        assert model.predict_proba(np.zeros(2)) == 0.4
+        assert model.predict_proba_batch(np.zeros((1, 2)))[0] == 0.4
 
     def test_adding_confident_tree_never_decreases_probability(self):
         two = forest_from_doc(_forest_doc([_leaf(0.2), _leaf(0.6)]))
         three = forest_from_doc(_forest_doc([_leaf(0.2), _leaf(0.6), _leaf(1.0)]))
-        x = np.zeros(2)
-        assert three.predict_proba(x) >= two.predict_proba(x)
+        x = np.zeros((1, 2))
+        assert three.predict_proba_batch(x)[0] >= two.predict_proba_batch(x)[0]
 
     def test_avg_depth_mixes_tree_depths(self):
         def chain(depth):
@@ -487,13 +481,15 @@ class TestHandBuiltForests:
                 assert np.array_equal(batch[t], expected)
 
 
+def _json_round_trip(model):
+    return forest_from_doc(json.loads(json.dumps(forest_to_doc(model))))
+
+
 class TestSerialization:
-    def test_round_trip_preserves_predictions(self, tmp_path):
+    def test_round_trip_preserves_predictions(self):
         data = gen_gaussian_clouds(80, 0.5, 2.0, 2, seed=17)
         model = train_forest(data.features, data.labels, seed=11)
-        path = tmp_path / "forest.json"
-        save_forest(model, path)
-        loaded = load_forest(path)
+        loaded = _json_round_trip(model)
         grid = np.random.default_rng(7).normal(size=(40, 2))
         assert np.array_equal(model.predict_proba_batch(grid),
                               loaded.predict_proba_batch(grid))
@@ -501,23 +497,20 @@ class TestSerialization:
                               loaded.feature_importances())
         assert loaded.avg_tree_depth() == model.avg_tree_depth()
 
-    def test_round_trip_is_stable_bytes(self, tmp_path):
+    def test_round_trip_is_stable_bytes(self):
         data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=18)
         model = train_forest(data.features, data.labels, ForestConfig(n_trees=4),
                              seed=12)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_forest(model, a)
-        save_forest(load_forest(a), b)
-        assert a.read_bytes() == b.read_bytes()
+        a = json.dumps(forest_to_doc(model), sort_keys=True)
+        b = json.dumps(forest_to_doc(_json_round_trip(model)), sort_keys=True)
+        assert a == b
 
-    def test_loaded_model_has_no_oob(self, tmp_path):
+    def test_loaded_model_has_no_oob(self):
         data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=19)
         model = train_forest(data.features, data.labels, ForestConfig(n_trees=4),
                              seed=13)
-        path = tmp_path / "forest.json"
-        save_forest(model, path)
         with pytest.raises(ValueError):
-            load_forest(path).oob_accuracy(data.features, data.labels)
+            _json_round_trip(model).oob_accuracy(data.features, data.labels)
 
     def test_version_check(self, tmp_path):
         doc = {"format": 99}

@@ -112,10 +112,12 @@ class TestLalSelection:
         data, pool, model = _toy_problem(seed=10)
         regressor = _identity_regressor()
         chosen = select_lal(regressor, model, pool, data)
+        pool_predictions = model.tree_predictions_batch(data.features[pool.unlabeled])
+        phi = classifier_state(model, pool, data, pool_predictions)
         p = model.predict_proba_batch(data.features[pool.unlabeled])
         scores = np.array([
-            regressor.predict_regression(np.concatenate([
-                classifier_state(model, pool, data), [pi]])) for pi in p])
+            regressor.predict_regression_batch(np.concatenate([phi, [pi]])[None, :])[0]
+            for pi in p])
         assert chosen == int(pool.unlabeled[int(np.argmax(scores))])
 
     def test_selection_invariant_under_monotone_leaf_transform(self):
@@ -137,8 +139,8 @@ class TestLalSelection:
         regressor = _identity_regressor(seed=15)
         state_calls = []
         batch_rows = []
-        original_state = strategies_module._classifier_state
-        monkeypatch.setattr(strategies_module, "_classifier_state",
+        original_state = strategies_module.classifier_state
+        monkeypatch.setattr(strategies_module, "classifier_state",
                             lambda *a, **k: state_calls.append(1) or original_state(*a, **k))
         original_batch = type(regressor).predict_regression_batch
         monkeypatch.setattr(type(regressor), "predict_regression_batch",
