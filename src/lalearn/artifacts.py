@@ -78,20 +78,31 @@ def selection_traces_to_csv(traces: list[SelectionTrace], path) -> None:
 
 
 def selection_traces_from_csv(path) -> list[SelectionTrace]:
+    """Traces written by ``selection_traces_to_csv``; errors name the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != "repetition,iteration,index,p0":
             raise ValueError(f"{path}: not a selection trace file")
         rows: dict[int, list[tuple[int, int, float]]] = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            rep, it, idx, p = line.rstrip("\n").split(",")
-            rows.setdefault(int(rep), []).append((int(it), int(idx), float(p)))
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != 4:
+                raise ValueError(f"{path} line {lineno}: expected 4 cells, got {len(cells)}")
+            try:
+                rep, it, idx, p = int(cells[0]), int(cells[1]), int(cells[2]), float(cells[3])
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: non-numeric cell in "
+                                 f"{line.strip()!r}") from None
+            rows.setdefault(rep, []).append((it, idx, p))
     traces = []
     for rep in sorted(rows):
         its, idxs, ps = zip(*rows[rep])
-        traces.append(SelectionTrace(np.asarray(its), np.asarray(idxs), np.asarray(ps)))
+        try:
+            traces.append(SelectionTrace(np.asarray(its), np.asarray(idxs), np.asarray(ps)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: repetition {rep}: {exc}") from None
     return traces
 
 

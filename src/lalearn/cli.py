@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -269,6 +270,9 @@ def cmd_run(args) -> int:
     classifier = _forest_config(doc.get("classifier"), ForestConfig(), "run config")
 
     n_train = len(dataset) - int(round(len(dataset) * test_fraction))
+    if warm is not None and warm >= n_train:
+        _fail(f"run config: warm_start_size ({warm}) must be smaller than the "
+              f"train split ({n_train} rows)")
     initial = warm if warm is not None else 2
     if budget > n_train - initial:
         _fail(f"run config: budget {budget} exceeds the unlabeled pool "
@@ -312,6 +316,12 @@ def cmd_motivate(args) -> int:
         _fail("motivate: --repetitions must be at least 1")
     if args.bins < 2:
         _fail("motivate: --bins must be at least 2")
+    if args.pool_size < 3:
+        _fail("motivate: --pool-size must be at least 3 (two seed labels and a candidate)")
+    if args.test_size < 2:
+        _fail("motivate: --test-size must be at least 2")
+    if not 0.0 < args.separation < math.inf:
+        _fail("motivate: --separation must be a positive number")
     out = Path(args.out)
     targets = [out] + ([Path(args.svg)] if args.svg else [])
     _check_overwrite(targets, args.force)
@@ -337,6 +347,8 @@ def cmd_motivate(args) -> int:
 def cmd_analyze(args) -> int:
     if not args.strategy and not args.traces:
         _fail("analyze: provide --strategy and/or --traces")
+    if args.bins < 1:
+        _fail("analyze: --bins must be at least 1")
     if args.strategy:
         if not Path(args.strategy).exists():
             _fail(f"analyze: strategy file not found: {args.strategy}")

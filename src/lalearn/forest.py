@@ -14,6 +14,14 @@ learning experiment needs cheap.  Per-tree seeds are derived from the
 master seed and the tree index, so results are reproducible and
 independent of any scheduling.
 
+A trained forest's node table is level-ordered.  Nodes ``[0, T)`` are
+the roots of the ``T`` trees in tree order; each later level holds the
+children of the previous level's splits, in split order, left child then
+right child.  So a level's nodes have consecutive ids, training builds
+each level's table as its own arrays, and the forest's table is their
+concatenation.  (``forest_from_doc`` lays nodes out tree by tree;
+prediction relies only on the right child sitting after the left.)
+
 Split semantics, shared by every code path:
 
 * candidate thresholds are midpoints of consecutive distinct sorted values;
@@ -270,14 +278,6 @@ def best_split(feature_column, targets, criterion: str = "gini",
 # ---- training --------------------------------------------------------
 
 
-def _grow(arr, need, fill):
-    if len(arr) >= need:
-        return arr
-    new = np.full(max(need, 2 * len(arr)), fill, dtype=arr.dtype)
-    new[:len(arr)] = arr
-    return new
-
-
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _WEYL = np.uint64(0xB5297A4D3F84D5B9)
 
@@ -351,25 +351,20 @@ def train_forest(features, targets, config: ForestConfig | None = None,
     gx = X[bootstrap.reshape(-1)]
     gy = y[bootstrap.reshape(-1)]
 
-    cap = max(64, 4 * T)
-    g_feat = np.full(cap, -1, dtype=np.int64)
-    g_thr = np.full(cap, np.nan)
-    g_left = np.full(cap, -1, dtype=np.int64)
-    g_val = np.full(cap, np.nan)
-    g_cnt = np.zeros(cap, dtype=np.int64)
-    n_nodes = T
+    levels = []   # per level: feature, threshold, left, value, count
+    n_nodes = 0
     tree_depths = np.zeros(T, dtype=np.int64)
     imp_raw = np.zeros(d)
 
-    open_gid = np.arange(T)
     open_tree = np.arange(T)
     open_pt = np.zeros(T, dtype=np.int64)   # within-tree creation index
     tree_next_pt = np.ones(T, dtype=np.int64)
-    row_ord = np.repeat(np.arange(T), n)
+    row_ord = np.repeat(np.arange(T), n)    # open-node ordinal of each row, -1 once in a leaf
     depth = 0
 
-    while len(open_gid):
-        P = len(open_gid)
+    while len(open_tree):
+        P = len(open_tree)
+        n_nodes += P   # this level's nodes are [n_nodes - P, n_nodes)
         rows = np.flatnonzero(row_ord >= 0)
         o = row_ord[rows]
         rows_g = rows[np.argsort(o, kind="stable")]
@@ -392,34 +387,28 @@ def train_forest(features, targets, config: ForestConfig | None = None,
             mn = np.minimum.reduceat(y_g, starts)
             pure = mn == np.maximum.reduceat(y_g, starts)
             value = np.where(pure, mn, value)  # exact constant, no float dust
-        g_val[open_gid] = value
-        g_cnt[open_gid] = sizes
 
+        # best split of each eligible node; it stays a leaf when no split
+        # has a positive gain.  A level without eligible nodes skips the
+        # scan, which would run on empty arrays to the same result
         eligible = ~pure & (sizes >= 2 * min_leaf) & (depth < max_depth)
-        split_mask = np.zeros(P, dtype=bool)
-        pick_data = None
-        elig = np.flatnonzero(eligible)
-        if len(elig):
+        feat_l = np.full(P, -1, dtype=np.int64)
+        thr_l = np.full(P, np.nan)
+        if eligible.any():
+            elig = np.flatnonzero(eligible)
             es = sizes[elig]
             eb = np.cumsum(es) - es
-            total_e = int(es.sum())
-            pos_in_node = np.arange(total_e) - np.repeat(eb, es)
-            erows = rows_g[np.repeat(starts[elig], es) + pos_in_node]
+            erows = rows_g[np.repeat(eligible, sizes)]
+            # k == d draws every feature, in index order
+            subs = feature_subsets(tree_seeds[open_tree[elig]], open_pt[elig], d, k)
 
-            if k < d:
-                subs = feature_subsets(tree_seeds[open_tree[elig]],
-                                       open_pt[elig], d, k)
-            else:
-                subs = np.broadcast_to(np.arange(d), (len(elig), d))
-            kk = subs.shape[1]
-
-            seg_sizes = np.repeat(es, kk)
+            seg_sizes = np.repeat(es, k)
             seg_starts = np.cumsum(seg_sizes) - seg_sizes
             total_occ = int(seg_sizes.sum())
-            occ_seg = np.repeat(np.arange(len(elig) * kk), seg_sizes)
+            occ_seg = np.repeat(np.arange(len(elig) * k), seg_sizes)
             occ_off = np.repeat(seg_starts, seg_sizes)
             occ_pos = np.arange(total_occ) - occ_off
-            occ_node = occ_seg // kk
+            occ_node = occ_seg // k
             occ_rows = erows[eb[occ_node] + occ_pos]
             occ_feat = subs.reshape(-1)[occ_seg]
             vals = gx[occ_rows, occ_feat]
@@ -455,102 +444,65 @@ def train_forest(features, targets, config: ForestConfig | None = None,
                     gr = (etot2[occ_node] - l2) / nr - mean_r * mean_r
                 gain = parent_imp[elig][occ_node] - (nl * gl + nr * gr) / nn
 
-            next_differs = np.empty(total_occ, dtype=bool)
+            next_differs = np.zeros(total_occ, dtype=bool)
             next_differs[:-1] = sv[1:] > sv[:-1]
-            next_differs[-1] = False
             valid = ((occ_pos < nn_i - 1) & next_differs
                      & (nl >= min_leaf) & (nr >= min_leaf))
             gain = np.where(valid, gain, -np.inf)
-            node_max = np.maximum.reduceat(gain, seg_starts[np.arange(len(elig)) * kk])
-            has = node_max > 0.0
-            if has.any():
-                cand = valid & has[occ_node] & (gain == node_max[occ_node])
-                ci = np.flatnonzero(cand)
-                cn = occ_node[ci]
-                cthr = (sv[ci] + sv[ci + 1]) * 0.5
-                cft = occ_feat[ci]
-                psel = np.lexsort((cft, cthr, cn))
-                first = np.ones(len(psel), dtype=bool)
-                first[1:] = cn[psel][1:] != cn[psel][:-1]
-                pick = psel[first]
-                pn = cn[pick]
-                pocc = ci[pick]
-                pthr = cthr[pick]
-                pfeat = cft[pick]
-                np.add.at(imp_raw, pfeat,
-                          nn[pocc] * parent_imp[elig][pn]
-                          - (nl[pocc] * gl[pocc] + nr[pocc] * gr[pocc]))
-                split_ord = elig[pn]
-                split_mask[split_ord] = True
-                pick_data = (split_ord, pfeat, pthr)
+            node_max = np.maximum.reduceat(gain, seg_starts[np.arange(len(elig)) * k])
+            cand = valid & (node_max[occ_node] > 0.0) & (gain == node_max[occ_node])
+            ci = np.flatnonzero(cand)
+            cn = occ_node[ci]
+            cthr = (sv[ci] + sv[ci + 1]) * 0.5
+            cft = occ_feat[ci]
+            psel = np.lexsort((cft, cthr, cn))
+            first = np.ones(len(psel), dtype=bool)
+            first[1:] = cn[psel][1:] != cn[psel][:-1]
+            pick = psel[first]
+            pn = cn[pick]
+            pocc = ci[pick]
+            np.add.at(imp_raw, cft[pick],
+                      nn[pocc] * parent_imp[elig][pn]
+                      - (nl[pocc] * gl[pocc] + nr[pocc] * gr[pocc]))
+            feat_l[elig[pn]] = cft[pick]
+            thr_l[elig[pn]] = cthr[pick]
 
-        if pick_data is not None:
-            split_ord, pfeat, pthr = pick_data
-            S = len(split_ord)
-            need = n_nodes + 2 * S
-            g_feat = _grow(g_feat, need, -1)
-            g_thr = _grow(g_thr, need, np.nan)
-            g_left = _grow(g_left, need, -1)
-            g_val = _grow(g_val, need, np.nan)
-            g_cnt = _grow(g_cnt, need, 0)
-            child_gid = np.arange(n_nodes, need)
-            n_nodes = need
-            split_gid = open_gid[split_ord]
-            g_feat[split_gid] = pfeat
-            g_thr[split_gid] = pthr
-            g_left[split_gid] = child_gid[0::2]
+        # this level's node table; the children of its S splits are the
+        # next level, numbered in split order from n_nodes
+        is_split = feat_l >= 0
+        split_ord = np.flatnonzero(is_split)
+        S = len(split_ord)
+        left_l = np.full(P, -1, dtype=np.int64)
+        left_l[split_ord] = n_nodes + 2 * np.arange(S)
+        levels.append((feat_l, thr_l, left_l, value, sizes))
 
-            # within-tree creation indices for the children: sequential per
-            # tree, in split processing order
-            split_tree = open_tree[split_ord]
-            tree_counts = np.bincount(split_tree, minlength=T)
-            by_tree = np.argsort(split_tree, kind="stable")
-            sorted_tree = split_tree[by_tree]
-            group_start = np.concatenate(
-                [[0], np.flatnonzero(sorted_tree[1:] != sorted_tree[:-1]) + 1])
-            group_sizes = np.diff(np.append(group_start, S))
-            within = np.arange(S) - np.repeat(group_start, group_sizes)
-            rank = np.empty(S, dtype=np.int64)
-            rank[by_tree] = within
-            left_pt = tree_next_pt[split_tree] + 2 * rank
-            child_pt = np.empty(2 * S, dtype=np.int64)
-            child_pt[0::2] = left_pt
-            child_pt[1::2] = left_pt + 1
-            tree_next_pt += 2 * tree_counts
+        # within-tree creation indices for the children: sequential per
+        # tree, in split order.  open_tree is non-decreasing at every level
+        # (roots in tree order; split_ord is ascending and children follow
+        # their parents), so each tree's splits are adjacent and
+        # searchsorted finds the first one
+        split_tree = open_tree[split_ord]
+        rank = np.arange(S) - np.searchsorted(split_tree, split_tree)
+        left_pt = tree_next_pt[split_tree] + 2 * rank
+        tree_next_pt += 2 * np.bincount(split_tree, minlength=T)
 
-            route_thr = np.full(P, np.nan)
-            route_feat = np.zeros(P, dtype=np.int64)
-            route_left = np.full(P, -1, dtype=np.int64)
-            route_thr[split_ord] = pthr
-            route_feat[split_ord] = pfeat
-            route_left[split_ord] = 2 * np.arange(S)
-
-            in_split = split_mask[o]
-            srows = rows[in_split]
-            so = o[in_split]
-            xv = gx[srows, route_feat[so]]
-            row_ord[srows] = route_left[so] + (xv > route_thr[so])
-            row_ord[rows[~in_split]] = -1
-            leaf_trees = open_tree[~split_mask]
-            if len(leaf_trees):
-                np.maximum.at(tree_depths, leaf_trees, depth)
-            open_gid = child_gid
-            open_tree = np.repeat(open_tree[split_ord], 2)
-            open_pt = child_pt
-        else:
-            row_ord[rows] = -1
-            np.maximum.at(tree_depths, open_tree, depth)
-            open_gid = np.empty(0, dtype=np.int64)
-            open_tree = np.empty(0, dtype=np.int64)
-            open_pt = np.empty(0, dtype=np.int64)
+        # rows of a split node move to their child's ordinal on the next
+        # level, rows of a leaf leave
+        split = is_split[o]
+        srows = rows[split]
+        so = o[split]
+        row_ord[srows] = left_l[so] - n_nodes + (gx[srows, feat_l[so]] > thr_l[so])
+        row_ord[rows[~split]] = -1
+        np.maximum.at(tree_depths, open_tree[~is_split], depth)
+        open_tree = np.repeat(split_tree, 2)
+        open_pt = (left_pt[:, None] + np.arange(2)).reshape(-1)
         depth += 1
 
+    feature, threshold, left, value, count = map(np.concatenate, zip(*levels))
     return ForestModel(
         mode=config.mode, config=config, seed=int(seed), n_features=d,
-        roots=np.arange(T, dtype=np.int64),
-        feature=g_feat[:n_nodes].copy(), threshold=g_thr[:n_nodes].copy(),
-        left=g_left[:n_nodes].copy(),
-        value=g_val[:n_nodes].copy(), count=g_cnt[:n_nodes].copy(),
+        roots=np.arange(T, dtype=np.int64), feature=feature, threshold=threshold,
+        left=left, value=value, count=count,
         tree_depths=tree_depths, importances_raw=imp_raw,
         bootstrap=bootstrap, n_train=n)
 

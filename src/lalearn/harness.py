@@ -21,6 +21,8 @@ from .seeding import derive_seed, rng_for
 from .strategies import LalStrategy, Strategy
 
 MOTIVATION_CHUNK = 64
+MOTIVATION_LEARN_RATE = 0.1   # logistic fits of the motivation experiment
+MOTIVATION_ITERATIONS = 50
 
 
 @dataclass
@@ -180,8 +182,7 @@ class MotivationCurve:
 
 
 def _motivation_chunk(args):
-    (seed, rep_lo, rep_hi, fraction, n_pool, n_test, separation, n_bins,
-     learn_rate, iterations) = args
+    seed, rep_lo, rep_hi, fraction, n_pool, n_test, separation, n_bins = args
     from .data import gen_gaussian_clouds  # local import keeps workers cheap
 
     sums = np.zeros(n_bins)
@@ -205,7 +206,8 @@ def _motivation_chunk(args):
         batch_x[1:, 2] = data.features[candidates]
         batch_y[1:, 2] = data.labels[candidates]
         mask[0, 2] = 0.0
-        weights = train_logistic_batch(batch_x, batch_y, mask, learn_rate, iterations)
+        weights = train_logistic_batch(batch_x, batch_y, mask, MOTIVATION_LEARN_RATE,
+                                       MOTIVATION_ITERATIONS)
 
         cand_x1 = np.hstack([data.features[candidates], np.ones((n_cand, 1))])
         p0 = 1.0 - sigmoid(cand_x1 @ weights[0])
@@ -224,7 +226,6 @@ def _motivation_chunk(args):
 def motivation_experiment(balanced: bool, repetitions: int = 10000,
                           n_bins: int = 20, seed: int = 0, n_pool: int = 100,
                           n_test: int = 5000, separation: float = 2.0,
-                          learn_rate: float = 0.1, iterations: int = 50,
                           workers: int = 1) -> MotivationCurve:
     """Loss reduction vs. predicted probability on two-cloud data.
 
@@ -238,8 +239,7 @@ def motivation_experiment(balanced: bool, repetitions: int = 10000,
         raise ValueError("need at least 1 repetition and 2 bins")
     fraction = 0.5 if balanced else 2.0 / 3.0
     edges = list(range(0, repetitions, MOTIVATION_CHUNK)) + [repetitions]
-    tasks = [(seed, lo, hi, fraction, n_pool, n_test, separation, n_bins,
-              learn_rate, iterations)
+    tasks = [(seed, lo, hi, fraction, n_pool, n_test, separation, n_bins)
              for lo, hi in zip(edges[:-1], edges[1:])]
     results = parallel_map(_motivation_chunk, tasks, workers)
     sums = np.zeros(n_bins)

@@ -1,6 +1,7 @@
 """Output file formats: exact round-trips and stable bytes."""
 
 import numpy as np
+import pytest
 
 from lalearn.artifacts import (curve_from_json, curve_to_csv, curve_to_json,
                                histogram_to_csv, motivation_to_csv,
@@ -43,6 +44,16 @@ def test_selection_trace_round_trip(tmp_path):
     assert len(loaded) == 2
     assert np.array_equal(loaded[0].indices, traces[0].indices)
     assert np.array_equal(loaded[1].probabilities, traces[1].probabilities)
+
+    # a malformed row names the file and its line
+    header = "repetition,iteration,index,p0\n"
+    for body, problem in [("0,0,4,0.5\n0,1,9\n", "line 3: expected 4 cells, got 3"),
+                          ("0,0,4,0.5\n0,1,x,0.1\n", "line 3: non-numeric cell"),
+                          ("0,0,4,0.5\n0,1,4,0.1\n", "repetition 0: an index was queried")]:
+        path.write_text(header + body)
+        with pytest.raises(ValueError) as err:
+            selection_traces_from_csv(path)
+        assert f"{path} {problem}" in str(err.value) or f"{path}: {problem}" in str(err.value)
 
 
 def test_motivation_csv(tmp_path):

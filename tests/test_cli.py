@@ -211,9 +211,19 @@ class TestMotivate:
         assert main(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_flags(self, tmp_path):
-        assert main(["motivate", "--balanced", "--repetitions", "0", "--seed",
-                     "1", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    @pytest.mark.parametrize("flags, flag", [
+        (["--repetitions", "0"], "--repetitions"),
+        (["--pool-size", "1"], "--pool-size"),
+        (["--pool-size", "2"], "--pool-size"),
+        (["--test-size", "0"], "--test-size"),
+        (["--separation", "-1"], "--separation"),
+    ])
+    def test_bad_flags(self, tmp_path, capsys, flags, flag):
+        assert main(["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
+                     "--out", str(tmp_path / "x.csv")] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and flag in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestAnalyze:
@@ -241,6 +251,16 @@ class TestAnalyze:
         assert lines[0] == "bin_left,bin_right,count"
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 2 * 3  # repetitions x budget selections
+
+    def test_zero_bins_is_config_error_naming_the_flag(self, tmp_path, capsys):
+        traces = tmp_path / "sel.csv"
+        traces.write_text("repetition,iteration,index,p0\n0,0,4,0.5\n")
+        code = main(["analyze", "--traces", str(traces), "--bins", "0",
+                     "--histogram-out", str(tmp_path / "hist.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and "--bins" in err
+        assert not (tmp_path / "hist.csv").exists()
 
     def test_missing_inputs_are_config_errors(self, tmp_path):
         assert main(["analyze"]) == EXIT_CONFIG
@@ -292,6 +312,10 @@ class TestConfigFormat:
         ("run", {"test_fraction": 2.0}, "test_fraction"),
         ("run", {"classifier": {"n_trees": "x"}}, "n_trees"),
         ("build-strategy", {"regressor": {"max_depth": 2.5}}, "max_depth"),
+        ("run", {"dataset": {"generator": "checkerboard", "n": 40}, "test_fraction": 0.5,
+                 "warm_start_size": 20, "budget": 0}, "warm_start_size"),
+        ("run", {"dataset": {"generator": "checkerboard", "n": 40}, "test_fraction": 0.5,
+                 "warm_start_size": 30}, "warm_start_size"),
     ])
     def test_invalid_field_is_config_error_naming_it(self, tmp_path, capsys, command,
                                                      overrides, field):

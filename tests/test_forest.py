@@ -278,6 +278,25 @@ class TestTraining:
         model1 = train_forest(X, np.ones(10), ForestConfig(n_trees=9), seed=1)
         assert np.all(model1.predict_proba_batch(X) == 0.0)
 
+    @pytest.mark.parametrize("mode", ["classification", "regression"])
+    def test_eligible_nodes_without_positive_gain_become_leaves(self, mode):
+        # constant features: every root is impure and large enough to split,
+        # yet no threshold exists, so each tree stays a single leaf
+        n = 20
+        X = np.full((n, 3), 1.5)
+        y = np.arange(n) % 2 if mode == "classification" else np.linspace(0.0, 1.0, n)
+        model = train_forest(X, y, ForestConfig(n_trees=6, mode=mode), seed=4)
+        boot_y = y[model.bootstrap].astype(float)
+        assert np.all(boot_y.min(axis=1) < boot_y.max(axis=1))
+        assert len(model.feature) == model.n_trees
+        assert np.all(model.feature == -1) and np.all(model.left == -1)
+        assert np.all(model.tree_depths == 0)
+        assert np.all(model.count == n)
+        assert np.all(model.importances_raw == 0.0)
+        expected = ((boot_y == 0).mean(axis=1) if mode == "classification"
+                    else boot_y.mean(axis=1))
+        np.testing.assert_allclose(model.value, expected, rtol=1e-12)
+
     def test_two_point_cold_start_memorizes(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1])
