@@ -450,6 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            _fail(f"{args.command}: --workers must be at least 1")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

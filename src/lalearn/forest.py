@@ -157,13 +157,19 @@ class ForestModel:
         return self._leaf_values(X)
 
     def predict_proba_batch(self, X) -> np.ndarray:
-        """Class-0 probability (mean of leaf class-0 frequencies) per row."""
+        """Class-0 probability (mean of leaf class-0 frequencies) per row.
+
+        For a batch of two or more rows the mean sums each row's leaf values
+        in tree order, so a row gets the same bits in any such batch.  A
+        one-row call sums pairwise and can differ in the last bit.
+        """
         if self.mode != "classification":
             raise ValueError("predict_proba requires a classification forest")
         return self._leaf_values(X).mean(axis=0)
 
     def predict_regression_batch(self, X) -> np.ndarray:
-        """Mean of leaf target means per row."""
+        """Mean of leaf target means per row; sums in tree order as in
+        ``predict_proba_batch`` (a one-row call can differ in the last bit)."""
         if self.mode != "regression":
             raise ValueError("predict_regression requires a regression forest")
         return self._leaf_values(X).mean(axis=0)

@@ -43,8 +43,14 @@ def select_lal(regressor: ForestModel, model: ForestModel, pool: PoolState,
                dataset: Dataset) -> int:
     """Index of the unlabeled point with maximal predicted error reduction.
 
-    Computes the classifier state once, scores every candidate with the
-    regressor, and returns the argmax (ties toward the smallest index).
+    Computes the classifier state once and scores each distinct candidate
+    state once with the regressor: candidates differ only in p0, and a
+    forest fitted on few labels gives few distinct p0 values.  This is
+    exact, because equal states reach equal leaves, and for two or more
+    rows the mean over trees sums each row in tree order whatever the
+    batch size.  A single distinct state may score differently in the last
+    bit, but then every candidate ties.  Returns the argmax (ties toward
+    the smallest index).
     """
     if pool.n_unlabeled == 0:
         raise ValueError("unlabeled pool is empty")
@@ -54,9 +60,9 @@ def select_lal(regressor: ForestModel, model: ForestModel, pool: PoolState,
         raise ValueError("regressor feature schema does not match the learning state")
     pool_predictions = model.tree_predictions_batch(dataset.features[pool.unlabeled])
     phi = classifier_state(model, pool, dataset, pool_predictions)
-    psis = pool_predictions.mean(axis=0)
-    scores = regressor.predict_regression_batch(candidate_states(phi, psis))
-    return int(pool.unlabeled[int(np.argmax(scores))])
+    distinct, inverse = np.unique(pool_predictions.mean(axis=0), return_inverse=True)
+    scores = regressor.predict_regression_batch(candidate_states(phi, distinct))
+    return int(pool.unlabeled[int(np.argmax(scores[inverse]))])
 
 
 class Strategy:

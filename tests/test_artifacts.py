@@ -49,7 +49,9 @@ def test_selection_trace_round_trip(tmp_path):
     header = "repetition,iteration,index,p0\n"
     for body, problem in [("0,0,4,0.5\n0,1,9\n", "line 3: expected 4 cells, got 3"),
                           ("0,0,4,0.5\n0,1,x,0.1\n", "line 3: non-numeric cell"),
-                          ("0,0,4,0.5\n0,1,4,0.1\n", "repetition 0: an index was queried")]:
+                          ("0,0,4,0.5\n0,1,4,0.1\n", "repetition 0: an index was queried"),
+                          ("0,0,4,1.5\n0,1,9,0.1\n", "line 2: p0 '1.5' is not in [0, 1]"),
+                          ("0,0,4,0.5\n0,1,9,nan\n", "line 3: p0 'nan' is not in [0, 1]")]:
         path.write_text(header + body)
         with pytest.raises(ValueError) as err:
             selection_traces_from_csv(path)

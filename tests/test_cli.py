@@ -262,6 +262,16 @@ class TestAnalyze:
         assert err.startswith("error: config") and "--bins" in err
         assert not (tmp_path / "hist.csv").exists()
 
+    def test_probability_outside_unit_interval_is_config_error(self, tmp_path, capsys):
+        traces = tmp_path / "sel.csv"
+        traces.write_text("repetition,iteration,index,p0\n0,0,4,1.5\n0,1,9,0.5\n")
+        code = main(["analyze", "--traces", str(traces),
+                     "--histogram-out", str(tmp_path / "hist.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and f"{traces} line 2" in err
+        assert not (tmp_path / "hist.csv").exists()
+
     def test_missing_inputs_are_config_errors(self, tmp_path):
         assert main(["analyze"]) == EXIT_CONFIG
         assert main(["analyze", "--strategy", "nope.json",
@@ -323,6 +333,20 @@ class TestConfigFormat:
         assert main([command, write(tmp_path, **overrides)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: config") and field in err
+
+    @pytest.mark.parametrize("command, workers", [
+        ("build-strategy", "0"), ("run", "-3"), ("motivate", "-3")])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys, command, workers):
+        if command == "motivate":
+            args = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
+                    "--out", str(tmp_path / "x.csv")]
+        else:
+            write = _run_config if command == "run" else _build_config
+            args = [command, write(tmp_path)]
+        assert main(args + ["--workers", workers]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and "--workers" in err
+        assert {path.name for path in tmp_path.iterdir()} <= {"build.json", "run.json"}
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lalearn.data import Dataset, PoolState, gen_gaussian_clouds
-from lalearn.features import FEATURE_NAMES, classifier_state
+from lalearn.features import FEATURE_NAMES, candidate_states, classifier_state
 from lalearn.forest import ForestConfig, forest_to_doc, regressor_config, train_forest
 from lalearn.seeding import rng_for
 from lalearn.strategies import (LalStrategy, RandomStrategy, UncertaintyStrategy,
@@ -147,7 +147,44 @@ class TestLalSelection:
                             lambda self, X: batch_rows.append(len(X)) or original_batch(self, X))
         select_lal(regressor, model, pool, data)
         assert state_calls == [1]
-        assert batch_rows == [pool.n_unlabeled]
+        p = model.predict_proba_batch(data.features[pool.unlabeled])
+        assert batch_rows == [len(np.unique(p))]
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 7])
+    def test_distinct_states_scored_once(self, n_rows):
+        # a pool of repeated feature rows repeats p0; scoring each distinct
+        # state once must pick what a full-pool sweep picks, bit for bit
+        data = gen_gaussian_clouds(50, 0.5, 0.5, 2, seed=20)
+        rng = np.random.default_rng(21)
+        n_labeled = 8
+        labeled = np.concatenate([np.flatnonzero(data.labels == c)[:n_labeled // 2]
+                                  for c in (0, 1)])
+        candidates = rng.choice(np.setdiff1d(np.arange(50), labeled), n_rows,
+                                replace=False)
+        copies = rng.integers(0, n_rows, 60)
+        features = np.vstack([data.features[labeled], data.features[candidates][copies]])
+        labels = np.concatenate([data.labels[labeled], data.labels[candidates][copies]])
+        repeated = Dataset(features, labels)
+        pool = PoolState(list(range(n_labeled)), np.arange(n_labeled, len(features)))
+        model = train_forest(features[:n_labeled], labels[:n_labeled],
+                             ForestConfig(n_trees=15), seed=22)
+        states = rng.random((600, 7))
+        regressor = train_forest(states, rng.random(600),
+                                 regressor_config(n_trees=50, min_leaf_size=5), seed=23)
+        pool_predictions = model.tree_predictions_batch(features[pool.unlabeled])
+        phi = classifier_state(model, pool, repeated, pool_predictions)
+        p = model.predict_proba_batch(features[pool.unlabeled])
+        full = regressor.predict_regression_batch(candidate_states(phi, p))
+        chosen = select_lal(regressor, model, pool, repeated)
+        assert chosen == int(pool.unlabeled[int(np.argmax(full))])
+        distinct, inverse = np.unique(p, return_inverse=True)
+        if n_rows == 1:
+            assert len(distinct) == 1
+            assert chosen == int(pool.unlabeled[0])
+        else:
+            assert len(distinct) >= 2
+            scores = regressor.predict_regression_batch(candidate_states(phi, distinct))
+            assert np.array_equal(scores[inverse], full)
 
 
 class TestSelectInterface:
