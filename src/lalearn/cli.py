@@ -86,15 +86,19 @@ def _present(doc: dict, kinds: dict, what: str) -> dict:
     return {key: _require(doc, key, kind, what) for key, kind in kinds.items() if key in doc}
 
 
+def _known_keys(doc: dict, allowed, what: str, label: str) -> None:
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        _fail(f"{what}: unknown {label} keys {sorted(unknown)}")
+
+
 def _forest_config(doc: dict | None, base: ForestConfig, what: str) -> ForestConfig:
     if doc is None:
         return base
     if not isinstance(doc, dict):
         _fail(f"{what}: forest config must be an object")
-    allowed = {"n_trees", "max_depth", "min_leaf_size", "features_per_split"}
-    unknown = set(doc) - allowed
-    if unknown:
-        _fail(f"{what}: unknown forest config keys {sorted(unknown)}")
+    _known_keys(doc, ("n_trees", "max_depth", "min_leaf_size", "features_per_split"),
+                what, "forest config")
     for key, value in doc.items():
         if value is not None or key not in ("max_depth", "features_per_split"):
             _require(doc, key, int, what)
@@ -191,9 +195,10 @@ def cmd_build_strategy(args) -> int:
             cold = representative["cold_start"] or {}
             if not isinstance(cold, dict):
                 _fail(f"{what}: field 'cold_start' must be an object")
-            train, test = cold_start_data(seed, **_present(cold, {
-                "n_train": int, "n_test": int, "separation": float,
-                "class0_fraction": float}, what))
+            kinds = {"n_train": int, "n_test": int, "separation": float,
+                     "class0_fraction": float}
+            _known_keys(cold, kinds, what, "cold_start")
+            train, test = cold_start_data(seed, **_present(cold, kinds, what))
         else:
             dataset = _dataset_from_spec(representative, seed, what)
             fraction = _require(doc, "test_fraction", float, what, 0.5)
@@ -220,6 +225,8 @@ def cmd_build_strategy(args) -> int:
 
 
 def _resolve_strategies(specs, what: str) -> list[Strategy]:
+    if not specs:
+        _fail(f"{what}: field 'strategies' must name at least one strategy")
     strategies: list[Strategy] = []
     for spec in specs:
         if not isinstance(spec, str):
@@ -268,8 +275,12 @@ def cmd_run(args) -> int:
     dataset = _dataset_from_spec(_require(doc, "dataset", dict, "run config"),
                                  seed, "run config")
     classifier = _forest_config(doc.get("classifier"), ForestConfig(), "run config")
+    try:
+        train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
+    except ValueError as exc:
+        _fail(f"run config: test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
 
-    n_train = len(dataset) - int(round(len(dataset) * test_fraction))
+    n_train = len(train)
     if warm is not None and warm >= n_train:
         _fail(f"run config: warm_start_size ({warm}) must be smaller than the "
               f"train split ({n_train} rows)")
@@ -287,7 +298,6 @@ def cmd_run(args) -> int:
         targets.append(out / "curves.svg")
     _check_overwrite(targets, args.force)
 
-    train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
     curves, traces = run_repeated(train, test, strategies, budget, metric,
                                   repetitions, seed, classifier,
                                   warm_start_size=warm, workers=args.workers)

@@ -8,6 +8,7 @@ learning run.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -68,16 +69,16 @@ class Dataset:
 class PoolState:
     """Partition of a dataset into labeled indices and an unlabeled pool.
 
-    ``labeled`` preserves acquisition order; ``unlabeled`` is kept sorted so
-    that sweeps over candidates (and therefore tie-breaking) are
-    deterministic.
+    Both are kept sorted by dataset index, so training sets and sweeps over
+    candidates (and therefore tie-breaking) are deterministic.  The order
+    of acquisition is the caller's to record.
     """
 
     labeled: list[int]
     unlabeled: np.ndarray
 
     def __post_init__(self):
-        self.labeled = [int(i) for i in self.labeled]
+        self.labeled = sorted(int(i) for i in self.labeled)
         self.unlabeled = np.sort(np.asarray(self.unlabeled, dtype=np.int64))
 
     @property
@@ -94,7 +95,7 @@ class PoolState:
         if pos >= len(self.unlabeled) or self.unlabeled[pos] != index:
             raise ValueError(f"index {index} is not in the unlabeled pool")
         self.unlabeled = np.delete(self.unlabeled, pos)
-        self.labeled.append(int(index))
+        bisect.insort(self.labeled, int(index))
 
     def check_partition(self, n_total: int) -> None:
         """Raise unless labeled and unlabeled exactly partition ``range(n_total)``."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset, PoolState
-from .forest import ForestModel
+from .forest import ForestModel, tree_mean
 
 FEATURE_NAMES = (
     "proportion_class0_in_labeled",
@@ -23,31 +23,31 @@ FEATURE_NAMES = (
 )
 
 
-def classifier_state(model: ForestModel, pool: PoolState, dataset: Dataset,
-                     pool_tree_predictions: np.ndarray) -> np.ndarray:
-    """Classifier-state features for the current labeled/unlabeled split.
+def classifier_state(model: ForestModel, pool: PoolState,
+                     dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Classifier state and every candidate's p0, from one walk over the pool.
 
-    Returns, in order: class-0 proportion of the labeled set, out-of-bag
-    accuracy, population variance of the feature-importance vector, mean
-    over the unlabeled pool of the across-tree prediction variance,
-    average tree depth, and labeled-set size.  The model must be the one
-    trained on the current labeled set (sorted by dataset index), and
-    ``pool_tree_predictions`` its per-tree predictions on the unlabeled
-    pool, ``model.tree_predictions_batch(dataset.features[pool.unlabeled])``.
+    Returns ``(phi, p0)``.  ``phi`` holds, in order: class-0 proportion of
+    the labeled set, out-of-bag accuracy, population variance of the
+    feature-importance vector, mean over the unlabeled pool of the
+    across-tree prediction variance, average tree depth, and labeled-set
+    size.  ``p0[i]`` is the class-0 probability of ``pool.unlabeled[i]``,
+    bit for bit what ``model.predict_proba_batch`` gives that row.  The
+    model must be the one trained on the current labeled set.
     """
     if pool.n_unlabeled == 0:
         raise ValueError("unlabeled pool is empty; stop the active learning loop")
-    labeled = sorted(pool.labeled)
-    labels = dataset.labels[labeled]
+    labels = dataset.labels[pool.labeled]
     proportion0 = float(np.mean(labels == 0))
-    oob = model.oob_accuracy(dataset.features[labeled], labels)
+    oob = model.oob_accuracy(dataset.features[pool.labeled], labels)
     importance_var = float(model.feature_importances().var())
-    forest_var = float(pool_tree_predictions.var(axis=0).mean())
+    leaf = model.tree_predictions_batch(dataset.features[pool.unlabeled])
+    forest_var = float(leaf.var(axis=0).mean())
     phi = np.array([proportion0, oob, importance_var, forest_var,
                     model.avg_tree_depth(), float(pool.n_labeled)])
     if not np.all(np.isfinite(phi)):
         raise ValueError("non-finite classifier state")
-    return phi
+    return phi, tree_mean(leaf)
 
 
 def candidate_states(phi, psis) -> np.ndarray:

@@ -14,13 +14,12 @@ learning experiment needs cheap.  Per-tree seeds are derived from the
 master seed and the tree index, so results are reproducible and
 independent of any scheduling.
 
-A trained forest's node table is level-ordered.  Nodes ``[0, T)`` are
-the roots of the ``T`` trees in tree order; each later level holds the
-children of the previous level's splits, in split order, left child then
-right child.  So a level's nodes have consecutive ids, training builds
-each level's table as its own arrays, and the forest's table is their
-concatenation.  (``forest_from_doc`` lays nodes out tree by tree;
-prediction relies only on the right child sitting after the left.)
+A forest's node table is level-ordered, whether trained or loaded.
+Nodes ``[0, T)`` are the roots of the ``T`` trees in tree order; each
+later level holds the children of the previous level's splits, in split
+order, left child then right child.  So a level's nodes have consecutive
+ids, training builds each level's table as its own arrays, and the
+forest's table is their concatenation.
 
 Split semantics, shared by every code path:
 
@@ -87,21 +86,20 @@ def regressor_config(n_trees: int = 100, min_leaf_size: int = 80, **kwargs) -> F
 class ForestModel:
     """A trained forest.
 
-    Nodes of all trees live in shared flat arrays; ``roots[i]`` is the node
-    index of tree ``i``.  ``feature[j] == -1`` marks a leaf.  Sibling nodes
+    Nodes of all trees live in shared flat arrays; node ``i < n_trees`` is
+    the root of tree ``i``.  ``feature[j] == -1`` marks a leaf.  Sibling nodes
     occupy adjacent slots: the right child of node ``j`` is ``left[j] + 1``.
     Models are immutable after training and safe to share between
     processes.
     """
 
-    def __init__(self, *, mode, config, seed, n_features, roots, feature,
+    def __init__(self, *, mode, config, seed, n_features, feature,
                  threshold, left, value, count, tree_depths,
                  importances_raw, bootstrap=None, n_train=None):
         self.mode = mode
         self.config = config
         self.seed = seed
         self.n_features = n_features
-        self.roots = np.asarray(roots, dtype=np.int64)
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.int64)
@@ -114,7 +112,7 @@ class ForestModel:
 
     @property
     def n_trees(self) -> int:
-        return len(self.roots)
+        return self.config.n_trees
 
     # ---- prediction -------------------------------------------------
 
@@ -130,7 +128,7 @@ class ForestModel:
         # pairs that already reached a leaf; x > threshold steps to the
         # right sibling, which sits one slot after the left child
         flat = np.ascontiguousarray(X).reshape(-1)
-        node = np.repeat(self.roots, n)
+        node = np.repeat(np.arange(self.n_trees), n)
         alive = np.flatnonzero(self.feature[node] >= 0)
         current = node[alive]
         rows = (alive % n) * d
@@ -157,22 +155,16 @@ class ForestModel:
         return self._leaf_values(X)
 
     def predict_proba_batch(self, X) -> np.ndarray:
-        """Class-0 probability (mean of leaf class-0 frequencies) per row.
-
-        For a batch of two or more rows the mean sums each row's leaf values
-        in tree order, so a row gets the same bits in any such batch.  A
-        one-row call sums pairwise and can differ in the last bit.
-        """
+        """Class-0 probability (mean of leaf class-0 frequencies) per row."""
         if self.mode != "classification":
             raise ValueError("predict_proba requires a classification forest")
-        return self._leaf_values(X).mean(axis=0)
+        return tree_mean(self._leaf_values(X))
 
     def predict_regression_batch(self, X) -> np.ndarray:
-        """Mean of leaf target means per row; sums in tree order as in
-        ``predict_proba_batch`` (a one-row call can differ in the last bit)."""
+        """Mean of leaf target means per row."""
         if self.mode != "regression":
             raise ValueError("predict_regression requires a regression forest")
-        return self._leaf_values(X).mean(axis=0)
+        return tree_mean(self._leaf_values(X))
 
     # ---- introspection ----------------------------------------------
 
@@ -219,6 +211,19 @@ class ForestModel:
     def avg_tree_depth(self) -> float:
         """Mean over trees of the maximum leaf depth."""
         return float(self.tree_depths.mean())
+
+
+def tree_mean(leaf: np.ndarray) -> np.ndarray:
+    """Mean over trees of a (n_trees, N) leaf matrix, summed in tree order.
+
+    A row gets the same bits whatever the batch size.  numpy sums a
+    (T, N >= 2) matrix down axis 0 one tree at a time but a single column
+    pairwise, so that column takes ``cumsum``, which always adds in order;
+    wide batches keep ``sum``, which is ~10x cheaper than ``cumsum`` there.
+    """
+    if leaf.shape[1] == 1:
+        return np.cumsum(leaf, axis=0)[-1] / leaf.shape[0]
+    return leaf.sum(axis=0) / leaf.shape[0]
 
 
 # ---- split scan --------------------------------------------------------
@@ -507,8 +512,7 @@ def train_forest(features, targets, config: ForestConfig | None = None,
     feature, threshold, left, value, count = map(np.concatenate, zip(*levels))
     return ForestModel(
         mode=config.mode, config=config, seed=int(seed), n_features=d,
-        roots=np.arange(T, dtype=np.int64), feature=feature, threshold=threshold,
-        left=left, value=value, count=count,
+        feature=feature, threshold=threshold, left=left, value=value, count=count,
         tree_depths=tree_depths, importances_raw=imp_raw,
         bootstrap=bootstrap, n_train=n)
 
@@ -548,7 +552,7 @@ def forest_to_doc(model: ForestModel) -> dict:
         "seed": int(model.seed),
         "n_features": int(model.n_features),
         "importances": [float(v) for v in model.importances_raw],
-        "trees": [_node_doc(model, int(r)) for r in model.roots],
+        "trees": [_node_doc(model, t) for t in range(model.n_trees)],
     }
 
 
@@ -564,41 +568,30 @@ def forest_from_doc(doc: dict) -> ForestModel:
     if doc.get("format") != FOREST_FORMAT:
         raise ValueError(f"unsupported forest format: {doc.get('format')!r}")
     feature, threshold, left, value, count = [], [], [], [], []
-    depths = []
-
-    def add_placeholder() -> int:
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        value.append(np.nan)
-        count.append(0)
-        return len(feature) - 1
-
-    roots = []
     try:
         mode, cfg = doc["mode"], ForestConfig(**doc["config"])
         n_features = int(doc["n_features"])
         importances = np.asarray(doc["importances"], dtype=np.float64)
-        for tree in doc["trees"]:
-            depths.append(0)
-            root = add_placeholder()
-            roots.append(root)
-            # breadth-first allocation puts each right child one slot
-            # after its left sibling
-            queue = [(tree, root, 0)]
-            while queue:
-                node, gid, depth = queue.pop(0)
-                count[gid] = int(node.get("count", 0))
-                if "value" in node:
-                    value[gid] = float(node["value"])
-                    depths[-1] = max(depths[-1], depth)
-                    continue
-                feature[gid] = int(node["feature"])
-                threshold[gid] = float(node["threshold"])
-                left[gid] = add_placeholder()
-                add_placeholder()
-                queue.append((node["left"], left[gid], depth + 1))
-                queue.append((node["right"], left[gid] + 1, depth + 1))
+        queue = [(tree, t, 0) for t, tree in enumerate(doc["trees"])]
+        depths = [0] * len(queue)
+        # one FIFO over all trees numbers the nodes in the level order
+        # train_forest builds: node i is queue[i], so the roots come first
+        # and each right child sits one slot after its left sibling
+        for node, t, depth in queue:
+            count.append(int(node.get("count", 0)))
+            if "value" in node:
+                feature.append(-1)
+                threshold.append(np.nan)
+                left.append(-1)
+                value.append(float(node["value"]))
+                depths[t] = max(depths[t], depth)
+                continue
+            feature.append(int(node["feature"]))
+            threshold.append(float(node["threshold"]))
+            left.append(len(queue))
+            value.append(np.nan)
+            queue.append((node["left"], t, depth + 1))
+            queue.append((node["right"], t, depth + 1))
     except KeyError as exc:
         raise ValueError(f"forest document is missing field {exc}") from None
     except (TypeError, AttributeError) as exc:
@@ -618,11 +611,11 @@ def forest_from_doc(doc: dict) -> ForestModel:
         raise ValueError("forest node counts must be non-negative")
     if importances.shape != (n_features,) or not np.all(np.isfinite(importances)):
         raise ValueError(f"forest importances must be {n_features} finite values")
-    if len(roots) != cfg.n_trees:
-        raise ValueError(f"forest holds {len(roots)} trees, its config says {cfg.n_trees}")
+    if len(depths) != cfg.n_trees:
+        raise ValueError(f"forest holds {len(depths)} trees, its config says {cfg.n_trees}")
     return ForestModel(
         mode=mode, config=cfg, seed=int(doc.get("seed", 0)),
-        n_features=n_features, roots=roots, feature=feature, threshold=threshold,
+        n_features=n_features, feature=feature, threshold=threshold,
         left=left, value=value, count=count, tree_depths=depths,
         importances_raw=importances, bootstrap=None, n_train=None)
 

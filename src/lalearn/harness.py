@@ -107,8 +107,7 @@ def run_al(train: Dataset, test: Dataset, strategy: Strategy, budget: int,
     trace = np.empty(budget + 1)
     chosen, probabilities = [], []
     for t in range(budget + 1):
-        labeled = sorted(pool.labeled)
-        model = train_forest(train.features[labeled], train.labels[labeled],
+        model = train_forest(train.features[pool.labeled], train.labels[pool.labeled],
                              classifier_config, derive_seed(seed, "train", t))
         trace[t] = evaluate_probability_metric(
             metric, model.predict_proba_batch(test.features), test.labels)
@@ -193,7 +192,7 @@ def _motivation_chunk(args):
         test = gen_gaussian_clouds(n_test, fraction, separation, 2,
                                    derive_seed(seed, "rep", r, "test"))
         pool = init_cold_start(data, derive_seed(seed, "rep", r, "init"))
-        base = np.asarray(sorted(pool.labeled))
+        base = np.asarray(pool.labeled)
         candidates = pool.unlabeled
         n_cand = len(candidates)
 

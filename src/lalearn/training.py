@@ -123,8 +123,7 @@ class StrategyGrownSplit:
             raise ValueError("labeled_size is below the random start size")
         pool = init_warm_start(dataset, self.start_size, derive_seed(seed, "start"))
         for step in range(labeled_size - self.start_size):
-            labeled = sorted(pool.labeled)
-            model = train_forest(dataset.features[labeled], dataset.labels[labeled],
+            model = train_forest(dataset.features[pool.labeled], dataset.labels[pool.labeled],
                                  self.classifier, derive_seed(seed, "grow", step))
             pool.acquire(select_lal(self.regressor, model, pool, dataset))
         return pool
@@ -145,23 +144,20 @@ def data_monte_carlo(train: Dataset, test: Dataset, classifier_config: ForestCon
     if not 2 <= labeled_size < len(train):
         raise ValueError(f"labeled_size must be in [2, {len(train) - 1}]")
     pool = split_fn(train, labeled_size, derive_seed(seed, "split"))
-    labeled = sorted(pool.labeled)
-    base = train_forest(train.features[labeled], train.labels[labeled],
+    base = train_forest(train.features[pool.labeled], train.labels[pool.labeled],
                         classifier_config, derive_seed(seed, "base"))
     base_loss = loss_from_metric(test_loss, base.predict_proba_batch(test.features),
                                  test.labels)
-    phi = classifier_state(base, pool, train,
-                           base.tree_predictions_batch(train.features[pool.unlabeled]))
+    phi, p0 = classifier_state(base, pool, train)
 
     n_draws = min(n_candidates, pool.n_unlabeled)
-    drawn = rng_for(seed, "draw").choice(pool.unlabeled, size=n_draws, replace=False)
-    # p0 from a walk over the drawn rows alone, not from the pool walk: a
-    # forest's mean over trees depends on the batch size
-    states = candidate_states(phi, base.predict_proba_batch(train.features[drawn]))
+    pos = rng_for(seed, "draw").choice(pool.n_unlabeled, size=n_draws, replace=False)
+    drawn = pool.unlabeled[pos]
+    states = candidate_states(phi, p0[pos])
     deltas = np.empty(n_draws)
     tags = np.empty((n_draws, 3), dtype=np.int64)
     for m, candidate in enumerate(drawn):
-        extended = sorted(labeled + [int(candidate)])
+        extended = sorted(pool.labeled + [int(candidate)])
         grown = train_forest(train.features[extended], train.labels[extended],
                              classifier_config, derive_seed(seed, "candidate", m))
         loss = loss_from_metric(test_loss, grown.predict_proba_batch(test.features),

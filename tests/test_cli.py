@@ -298,16 +298,28 @@ class TestConfigFormat:
         run = _run_config(tmp_path, dataset={"csv": str(csv)})
         assert main(["run", run]) == EXIT_CONFIG
 
-    def test_runtime_failure_exits_3(self, tmp_path, capsys):
-        # validates fine, then the benchmark split leaves a single-class
-        # part at run time
+    def test_runtime_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a failure after the config validated is a runtime error
+        def fail(*args, **kwargs):
+            raise RuntimeError("benchmark failed")
+
+        monkeypatch.setattr("lalearn.cli.run_repeated", fail)
+        assert main(["run", _run_config(tmp_path)]) == EXIT_RUNTIME
+        assert "error: runtime: benchmark failed" in capsys.readouterr().err
+
+    def test_single_class_split_is_config_error(self, tmp_path, capsys):
+        # one class-1 row: whichever part it lands in, the other part has
+        # a single class
         csv = tmp_path / "skewed.csv"
         rows = ["f0,f1,label"] + [f"{i}.0,0.0,0" for i in range(40)] + ["99.0,1.0,1"]
         csv.write_text("\n".join(rows) + "\n")
         run = _run_config(tmp_path, dataset={"csv": str(csv)}, budget=2,
                           test_fraction=0.5)
-        assert main(["run", run]) == EXIT_RUNTIME
-        assert "error: runtime" in capsys.readouterr().err
+        assert main(["run", run]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config")
+        assert "test_fraction" in err and "skewed.csv" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, overrides, field", [
         ("run", {"dataset": {"generator": "gaussian_clouds", "n": 120, "dim": "x"}},
@@ -326,6 +338,8 @@ class TestConfigFormat:
                  "warm_start_size": 20, "budget": 0}, "warm_start_size"),
         ("run", {"dataset": {"generator": "checkerboard", "n": 40}, "test_fraction": 0.5,
                  "warm_start_size": 30}, "warm_start_size"),
+        ("run", {"strategies": []}, "strategies"),
+        ("build-strategy", {"representative": {"cold_start": {"n_trian": 50}}}, "n_trian"),
     ])
     def test_invalid_field_is_config_error_naming_it(self, tmp_path, capsys, command,
                                                      overrides, field):

@@ -28,9 +28,10 @@ class TestDataset:
 
 class TestPoolState:
     def test_acquire_moves_exactly_one_index(self):
-        pool = PoolState([0, 3], np.array([1, 2, 4]))
+        pool = PoolState([3, 0], np.array([1, 2, 4]))
+        assert pool.labeled == [0, 3]
         pool.acquire(2)
-        assert pool.labeled == [0, 3, 2]
+        assert pool.labeled == [0, 2, 3]
         assert np.array_equal(pool.unlabeled, [1, 4])
 
     def test_acquire_rejects_unknown_index(self):

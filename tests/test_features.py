@@ -9,15 +9,13 @@ from lalearn.forest import ForestConfig, train_forest
 
 
 def _state(model, pool, data):
-    return classifier_state(model, pool, data,
-                            model.tree_predictions_batch(data.features[pool.unlabeled]))
+    return classifier_state(model, pool, data)[0]
 
 
 def _trained_state(n=40, n_labeled=6, seed=0, n_trees=10):
     data = gen_gaussian_clouds(n, 0.5, 2.0, 2, seed=seed)
     pool = PoolState(list(range(n_labeled)), np.arange(n_labeled, n))
-    labeled = sorted(pool.labeled)
-    model = train_forest(data.features[labeled], data.labels[labeled],
+    model = train_forest(data.features[pool.labeled], data.labels[pool.labeled],
                          ForestConfig(n_trees=n_trees), seed=seed + 1)
     return data, pool, model
 
@@ -32,8 +30,7 @@ class TestClassifierState:
     def test_cold_start_proportion_and_size(self):
         data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=2)
         pool = init_cold_start(data, seed=3)
-        labeled = sorted(pool.labeled)
-        model = train_forest(data.features[labeled], data.labels[labeled], seed=4)
+        model = train_forest(data.features[pool.labeled], data.labels[pool.labeled], seed=4)
         phi = _state(model, pool, data)
         assert phi[0] == 0.5  # one labeled point per class
         assert phi[5] == 2.0

@@ -144,7 +144,7 @@ def _reference_tree(X, y, config, seed, tree_index):
 def _assert_tree_equal(model, tree_index, ref_nodes, mode):
     """Lockstep walk from the roots; subtrees under ambiguous splits are
     implementation-defined and not descended into."""
-    stack = [(int(model.roots[tree_index]), 0)]
+    stack = [(tree_index, 0)]
     compared = 0
     while stack:
         gid, ref_id = stack.pop()
@@ -344,12 +344,20 @@ class TestPrediction:
         assert model.predict_proba_batch(x)[0] == per_tree[:, 0].mean()
 
     def test_batch_equals_single(self):
-        data = gen_gaussian_clouds(60, 0.5, 2.0, 2, seed=13)
-        model = train_forest(data.features, data.labels, seed=6)
-        grid = np.random.default_rng(3).normal(size=(25, 2))
-        batch = model.predict_proba_batch(grid)
-        singles = np.array([model.predict_proba_batch(x[None, :])[0] for x in grid])
-        assert np.array_equal(batch, singles)
+        # a row's mean over trees must not depend on the batch size; impure
+        # leaves make the summation order visible in the last bit
+        rng = np.random.default_rng(3)
+        data = gen_gaussian_clouds(200, 0.5, 1.0, 2, seed=13)
+        classifier = train_forest(data.features, data.labels,
+                                  ForestConfig(n_trees=100, max_depth=2), seed=6)
+        states = rng.random((2400, 7))
+        regressor = train_forest(states, rng.random(2400),
+                                 regressor_config(n_trees=100, min_leaf_size=10), seed=7)
+        for predict, X in ((classifier.predict_proba_batch, rng.normal(size=(300, 2))),
+                           (regressor.predict_regression_batch, rng.random((300, 7)))):
+            batch = predict(X)
+            singles = np.array([predict(X[[i]])[0] for i in range(len(X))])
+            assert np.array_equal(batch, singles)
 
     def test_regression_constant_target(self):
         X = np.random.default_rng(4).normal(size=(20, 2))
@@ -515,6 +523,22 @@ class TestSerialization:
         assert np.array_equal(model.feature_importances(),
                               loaded.feature_importances())
         assert loaded.avg_tree_depth() == model.avg_tree_depth()
+
+    @pytest.mark.parametrize("mode", ["classification", "regression"])
+    def test_round_trip_keeps_the_level_ordered_layout(self, mode):
+        data = gen_gaussian_clouds(60, 0.5, 1.0, 3, seed=21)
+        targets = (data.labels if mode == "classification"
+                   else np.random.default_rng(22).random(60))
+        config = (ForestConfig(n_trees=6) if mode == "classification"
+                  else regressor_config(n_trees=6, min_leaf_size=3))
+        model = train_forest(data.features, targets, config, seed=15)
+        loaded = _json_round_trip(model)
+        assert np.array_equal(loaded.feature, model.feature)
+        assert np.array_equal(loaded.threshold, model.threshold, equal_nan=True)
+        assert np.array_equal(loaded.left, model.left)
+        assert np.array_equal(loaded.count, model.count)
+        leaf = model.feature < 0
+        assert np.array_equal(loaded.value[leaf], model.value[leaf])
 
     def test_round_trip_is_stable_bytes(self):
         data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=18)

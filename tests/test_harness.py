@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lalearn.data import gen_gaussian_clouds, split
+from lalearn.features import classifier_state
 from lalearn.forest import ForestConfig, regressor_config, train_forest
 from lalearn.harness import (LearningCurve, SelectionTrace, motivation_experiment,
                              probability_histogram, regressor_importance_report,
@@ -76,6 +77,31 @@ class TestRunAl:
         trace, _ = run_al(train, test, RandomStrategy(), budget=3,
                           classifier_config=FAST, seed=8, warm_start_size=30)
         assert trace.shape == (4,)
+
+    def test_recorded_p0_equals_the_pool_walk_p0(self, gaussian_task, monkeypatch):
+        # the trace walks the chosen row alone; its p0 must match the pool
+        # walk's bit for bit, and impure leaves make the summation order show
+        import lalearn.strategies as strategies_module
+        train, test = gaussian_task
+        walks = []
+
+        def recording_state(model, pool, dataset):
+            phi, p0 = classifier_state(model, pool, dataset)
+            walks.append((pool.unlabeled.copy(), p0))
+            return phi, p0
+
+        monkeypatch.setattr(strategies_module, "classifier_state", recording_state)
+        # a regressor that prefers p0 near 0.5, where leaves are impure
+        states = np.random.default_rng(10).random((400, 7))
+        regressor = train_forest(states, -np.abs(states[:, 6] - 0.5),
+                                 regressor_config(n_trees=5, min_leaf_size=5), seed=11)
+        _, selections = run_al(train, test, LalStrategy(regressor), budget=10,
+                               classifier_config=ForestConfig(n_trees=100, max_depth=2),
+                               seed=9)
+        walked = [p0[np.searchsorted(unlabeled, index)]
+                  for (unlabeled, p0), index in zip(walks, selections.indices)]
+        assert len(walked) == 10
+        assert np.array_equal(selections.probabilities, walked)
 
     def test_selection_trace_rejects_duplicates(self):
         with pytest.raises(ValueError):
