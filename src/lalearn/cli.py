@@ -22,8 +22,8 @@ from pathlib import Path
 from . import artifacts, svg
 from .data import Dataset, gen_banana, gen_checkerboard, gen_gaussian_clouds, load_csv, split
 from .forest import ForestConfig, regressor_config
-from .harness import motivation_experiment, probability_histogram, \
-    regressor_importance_report, run_repeated
+from .harness import check_repetition_splits, motivation_experiment, \
+    probability_histogram, regressor_importance_report, run_repeated
 from .metrics import METRIC_IDS
 from .seeding import derive_seed
 from .strategies import BUILD_METHODS, LalStrategy, RandomStrategy, Strategy, \
@@ -111,9 +111,20 @@ def _forest_config(doc: dict | None, base: ForestConfig, what: str) -> ForestCon
         _fail(f"{what}: {exc}")
 
 
+_DATASET_KEYS = {
+    "csv": ("csv", "label_column"),
+    "gaussian_clouds": ("generator", "seed", "n", "class0_fraction", "separation", "dim"),
+    "checkerboard": ("generator", "seed", "k", "n", "label_noise"),
+    "banana": ("generator", "seed", "n", "noise"),
+}
+
+
 def _dataset_from_spec(spec, seed: int, what: str) -> Dataset:
     if not isinstance(spec, dict):
         _fail(f"{what}: dataset spec must be an object")
+    kind = "csv" if "csv" in spec else spec.get("generator")
+    if isinstance(kind, str) and kind in _DATASET_KEYS:
+        _known_keys(spec, _DATASET_KEYS[kind], what, "dataset")
 
     def field(key, kind, default):
         return _require(spec, key, kind, what, default)
@@ -277,6 +288,7 @@ def cmd_run(args) -> int:
     classifier = _forest_config(doc.get("classifier"), ForestConfig(), "run config")
     try:
         train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
+        check_repetition_splits(train, test, repetitions, seed)
     except ValueError as exc:
         _fail(f"run config: test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
 

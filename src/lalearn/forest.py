@@ -21,6 +21,20 @@ order, left child then right child.  So a level's nodes have consecutive
 ids, training builds each level's table as its own arrays, and the
 forest's table is their concatenation.
 
+Prediction walks one row per cell of the forest's threshold grid.  A
+row's cell is its rank, on every feature some node splits on, among the
+sorted distinct thresholds of that feature (``searchsorted`` with
+``side="left"`` counts the thresholds strictly below the value).  Two rows
+of one cell answer every ``x > threshold`` test alike, so they reach the
+same leaf in every tree: the walk visits one representative per cell and
+each row takes its cell's leaf values.  A forest fitted on a few dozen
+labels has few thresholds, so a thousand rows often fall into a few dozen
+cells.  Predictions keep their bits: ``tree_mean`` sums a row's leaf
+values in tree order at any batch size, so averaging the distinct columns
+and indexing the result gives what averaging every row would.  Rows must
+be finite: a NaN would rank above every threshold but fail every ``>``
+test.
+
 Split semantics, shared by every code path:
 
 * candidate thresholds are midpoints of consecutive distinct sorted values;
@@ -37,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,7 +105,8 @@ class ForestModel:
     the root of tree ``i``.  ``feature[j] == -1`` marks a leaf.  Sibling nodes
     occupy adjacent slots: the right child of node ``j`` is ``left[j] + 1``.
     Models are immutable after training and safe to share between
-    processes.
+    processes; the per-feature thresholds that prediction ranks rows by
+    are computed on the first prediction and kept.
     """
 
     def __init__(self, *, mode, config, seed, n_features, feature,
@@ -116,14 +132,44 @@ class ForestModel:
 
     # ---- prediction -------------------------------------------------
 
-    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value reached in every tree for every row: shape (n_trees, N)."""
+    @cached_property
+    def _cuts(self) -> list[tuple[int, np.ndarray]]:
+        """``(feature, sorted distinct thresholds)`` of every feature that splits."""
+        return [(f, np.unique(self.threshold[self.feature == f]))
+                for f in np.unique(self.feature[self.feature >= 0]).tolist()]
+
+    def _leaf_values(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf values of the threshold cells that the rows of ``X`` fall in.
+
+        Returns ``(leaf, cell)``: ``leaf`` has shape (n_trees, C), one
+        column per distinct cell, and row ``i`` reaches ``leaf[:, cell[i]]``.
+        The cell id combines the row's ranks feature by feature (see the
+        module docstring).  Rows with equal ranks on every split feature
+        answer every ``x > threshold`` test alike, so the walk takes the
+        first row of each cell and its leaves are exactly those of every
+        row in the cell.  Raises ``ValueError`` naming non-finite rows.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
+        if not np.isfinite(X).all():
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+            raise ValueError(f"{len(bad)} prediction rows hold non-finite values, "
+                             f"first rows {bad[:5].tolist()}")
+        if len(X) == 0:
+            return np.empty((self.n_trees, 0)), np.empty(0, dtype=np.int64)
+        # densifying the key after every feature keeps it below len(X), so
+        # the mixed-radix step cannot overflow
+        first = np.zeros(1, dtype=np.int64)
+        cell = np.zeros(len(X), dtype=np.int64)
+        for f, cuts in self._cuts:
+            key = cell * (len(cuts) + 1) + np.searchsorted(cuts, X[:, f], side="left")
+            _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+        return self._walk(X[first]), cell
+
+    def _walk(self, X: np.ndarray) -> np.ndarray:
+        """Leaf value reached in every tree for every row: shape (n_trees, N)."""
         n, d = X.shape
-        if n == 0:
-            return np.empty((self.n_trees, 0))
         # walk all (tree, sample) pairs level by level, compacting away the
         # pairs that already reached a leaf; x > threshold steps to the
         # right sibling, which sits one slot after the left child
@@ -151,20 +197,23 @@ class ForestModel:
         return self.value[node].reshape(self.n_trees, n)
 
     def tree_predictions_batch(self, X) -> np.ndarray:
-        """Per-tree predictions for a batch of rows, shape (n_trees, N)."""
-        return self._leaf_values(X)
+        """Per-tree predictions for a batch of rows, a C-contiguous (n_trees, N) matrix."""
+        leaf, cell = self._leaf_values(X)
+        return np.take(leaf, cell, axis=1)
 
     def predict_proba_batch(self, X) -> np.ndarray:
         """Class-0 probability (mean of leaf class-0 frequencies) per row."""
         if self.mode != "classification":
             raise ValueError("predict_proba requires a classification forest")
-        return tree_mean(self._leaf_values(X))
+        leaf, cell = self._leaf_values(X)
+        return tree_mean(leaf)[cell]
 
     def predict_regression_batch(self, X) -> np.ndarray:
         """Mean of leaf target means per row."""
         if self.mode != "regression":
             raise ValueError("predict_regression requires a regression forest")
-        return tree_mean(self._leaf_values(X))
+        leaf, cell = self._leaf_values(X)
+        return tree_mean(leaf)[cell]
 
     # ---- introspection ----------------------------------------------
 
@@ -186,12 +235,13 @@ class ForestModel:
         n = features.shape[0]
         if n != self.n_train or n != len(targets):
             raise ValueError("oob_accuracy expects the exact training set")
-        leaf = self._leaf_values(features)
+        leaf, cell = self._leaf_values(features)
+        votes = np.take(leaf < 0.5, cell, axis=1)
         included = np.zeros((self.n_trees, n), dtype=bool)
         included[np.arange(self.n_trees)[:, None], self.bootstrap] = True
         excluding = ~included
         n_votes = excluding.sum(axis=0)
-        votes_class1 = ((leaf < 0.5) & excluding).sum(axis=0)
+        votes_class1 = (votes & excluding).sum(axis=0)
         covered = n_votes > 0
         if not covered.any():
             return 1.0

@@ -119,15 +119,34 @@ def run_al(train: Dataset, test: Dataset, strategy: Strategy, budget: int,
     return trace, SelectionTrace(np.arange(budget), chosen, probabilities)
 
 
+def _resplit(pooled: Dataset, test_fraction: float, rep_seed: int) -> tuple[Dataset, Dataset]:
+    return split(pooled, test_fraction, derive_seed(rep_seed, "split"))
+
+
 def _repetition(args):
     (pooled, test_fraction, strategies, budget, metric, rep_seed,
      classifier_config, warm_start_size) = args
-    train_r, test_r = split(pooled, test_fraction, derive_seed(rep_seed, "split"))
+    train_r, test_r = _resplit(pooled, test_fraction, rep_seed)
     out = []
     for strategy in strategies:
         out.append(run_al(train_r, test_r, strategy, budget, metric, rep_seed,
                           classifier_config, warm_start_size))
     return out
+
+
+def check_repetition_splits(train: Dataset, test: Dataset, repetitions: int,
+                            master_seed: int) -> None:
+    """Make every re-split ``run_repeated`` would make, before any work.
+
+    Raises ``ValueError`` naming the first repetition whose split fails,
+    e.g. one that leaves a single-class part.
+    """
+    pooled = merge(train, test)
+    for r in range(repetitions):
+        try:
+            _resplit(pooled, len(test) / len(pooled), derive_seed(master_seed, "rep", r))
+        except ValueError as exc:
+            raise ValueError(f"repetition {r}: {exc}") from None
 
 
 def run_repeated(train: Dataset, test: Dataset, strategies: list[Strategy],

@@ -321,6 +321,21 @@ class TestConfigFormat:
         assert "test_fraction" in err and "skewed.csv" in err
         assert not (tmp_path / "out").exists()
 
+    def test_single_class_repetition_split_is_config_error(self, tmp_path, capsys):
+        # two class-1 rows: the benchmark split at seed 1 keeps one in each
+        # part, but repetition 0's re-split puts both in the same part
+        csv = tmp_path / "skewed.csv"
+        rows = (["f0,f1,label"] + [f"{i}.0,0.0,0" for i in range(40)]
+                + ["98.0,1.0,1", "99.0,1.0,1"])
+        csv.write_text("\n".join(rows) + "\n")
+        run = _run_config(tmp_path, dataset={"csv": str(csv)}, budget=2,
+                          test_fraction=0.5, repetitions=5, seed=1)
+        assert main(["run", run]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config")
+        assert "test_fraction" in err and "repetition 0" in err and "skewed.csv" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, overrides, field", [
         ("run", {"dataset": {"generator": "gaussian_clouds", "n": 120, "dim": "x"}},
          "dim"),
@@ -340,6 +355,8 @@ class TestConfigFormat:
                  "warm_start_size": 30}, "warm_start_size"),
         ("run", {"strategies": []}, "strategies"),
         ("build-strategy", {"representative": {"cold_start": {"n_trian": 50}}}, "n_trian"),
+        ("run", {"dataset": {"generator": "gaussian_clouds", "nn": 60}}, "nn"),
+        ("build-strategy", {"representative": {"csv": "pool.csv", "label": "y"}}, "label"),
     ])
     def test_invalid_field_is_config_error_naming_it(self, tmp_path, capsys, command,
                                                      overrides, field):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lalearn.data import gen_gaussian_clouds, split
-from lalearn.forest import (ForestConfig, best_split, forest_from_doc,
+from lalearn.forest import (ForestConfig, ForestModel, best_split, forest_from_doc,
                             forest_to_doc, regressor_config, train_forest)
 from lalearn.seeding import derive_seed
 
@@ -333,6 +333,17 @@ class TestTraining:
             train_forest(np.array([[np.inf, 1.0]]), np.array([0]))
 
 
+def _threshold_grid_rows(model, rng, n):
+    """Rows whose every value is a threshold of the model or its float neighbour."""
+    columns = []
+    for f in range(model.n_features):
+        cuts = np.unique(model.threshold[model.feature == f])
+        values = np.concatenate([cuts, np.nextafter(cuts, -np.inf),
+                                 np.nextafter(cuts, np.inf), [0.0]])
+        columns.append(rng.choice(values, n))
+    return np.column_stack(columns)
+
+
 class TestPrediction:
     def test_proba_is_mean_of_tree_predictions(self):
         data = gen_gaussian_clouds(80, 0.5, 2.0, 2, seed=12)
@@ -358,6 +369,72 @@ class TestPrediction:
             batch = predict(X)
             singles = np.array([predict(X[[i]])[0] for i in range(len(X))])
             assert np.array_equal(batch, singles)
+
+    def test_cell_walk_matches_one_row_calls(self):
+        # rows on, just below and just above the forests' own thresholds,
+        # many duplicates, and a batch that lies in a single cell
+        rng = np.random.default_rng(31)
+        data = gen_gaussian_clouds(16, 0.5, 1.0, 2, seed=32)
+        classifier = train_forest(data.features, data.labels,
+                                  ForestConfig(n_trees=50, features_per_split=1), seed=33)
+        states = rng.random((600, 7))
+        regressor = train_forest(states, rng.random(600),
+                                 regressor_config(n_trees=100, min_leaf_size=10), seed=34)
+        for model, predict in ((classifier, classifier.predict_proba_batch),
+                               (regressor, regressor.predict_regression_batch)):
+            grid = _threshold_grid_rows(model, rng, 150)
+            duplicated = np.repeat(grid[:10], 15, axis=0)
+            mixed = np.concatenate([grid, duplicated])[rng.permutation(300)]
+            top = max(model.threshold[model.feature >= 0]) + 1.0
+            single_cell = top + rng.random((40, model.n_features))
+            for X in (mixed, single_cell):
+                per_tree = model.tree_predictions_batch(X)
+                assert per_tree.flags.c_contiguous
+                assert np.array_equal(per_tree, model._walk(X))
+                one_row = np.hstack([model.tree_predictions_batch(X[[i]])
+                                     for i in range(len(X))])
+                assert np.array_equal(per_tree, one_row)
+                assert np.array_equal(predict(X),
+                                      [predict(X[[i]])[0] for i in range(len(X))])
+
+    def test_walks_one_row_per_cell(self, monkeypatch):
+        walked = []
+        walk = ForestModel._walk
+
+        def counting_walk(model, X):
+            walked.append(len(X))
+            return walk(model, X)
+
+        monkeypatch.setattr(ForestModel, "_walk", counting_walk)
+        # stumps that all split feature 0 at 0.5 leave two cells
+        stumps = forest_from_doc(_forest_doc([
+            {"feature": 0, "threshold": 0.5, "count": 2,
+             "left": _leaf(v), "right": _leaf(1.0 - v)} for v in (0.25, 0.5, 1.0)]))
+        X = np.random.default_rng(35).random((1000, 2))
+        p0 = stumps.predict_proba_batch(X)
+        assert walked == [2]
+        assert np.array_equal(p0, np.where(X[:, 0] > 0.5, 1.25 / 3, 1.75 / 3))
+
+        # a trained forest walks one row per distinct rank vector
+        data = gen_gaussian_clouds(12, 0.5, 1.0, 2, seed=36)
+        model = train_forest(data.features, data.labels, ForestConfig(n_trees=50), seed=37)
+        ranks = np.column_stack([
+            np.searchsorted(np.unique(model.threshold[model.feature == f]), X[:, f])
+            for f in range(2)])
+        walked.clear()
+        model.tree_predictions_batch(X)
+        assert walked == [len(np.unique(ranks, axis=0))]
+        assert walked[0] < 100
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_rejected(self, bad):
+        data = gen_gaussian_clouds(20, 0.5, 2.0, 2, seed=38)
+        model = train_forest(data.features, data.labels, ForestConfig(n_trees=5), seed=0)
+        X = np.zeros((6, 2))
+        X[3, 1] = bad
+        for predict in (model.predict_proba_batch, model.tree_predictions_batch):
+            with pytest.raises(ValueError, match=r"non-finite values, first rows \[3\]"):
+                predict(X)
 
     def test_regression_constant_target(self):
         X = np.random.default_rng(4).normal(size=(20, 2))
@@ -502,7 +579,7 @@ class TestHandBuiltForests:
             model = train_forest(data.features, targets, config, seed=25)
             doc = forest_to_doc(model)
             grid = rng.normal(size=(30, 3))
-            batch = model._leaf_values(grid)
+            batch = model.tree_predictions_batch(grid)
             for t, tree in enumerate(doc["trees"]):
                 expected = np.array([walk(tree, x) for x in grid])
                 assert np.array_equal(batch[t], expected)
