@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import artifacts, svg
@@ -45,7 +46,8 @@ def _fail(message: str) -> None:
     raise ConfigError(message)
 
 
-def _load_config(path) -> dict:
+def _load_config(path, **flags) -> dict:
+    """The config object at ``path``, with the flags that are set overriding its fields."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -57,106 +59,98 @@ def _load_config(path) -> dict:
         _fail(f"config file {path} must contain a JSON object")
     if doc.get("config_format") != CONFIG_FORMAT:
         _fail(f"config_format must be {CONFIG_FORMAT}, got {doc.get('config_format')!r}")
-    return doc
+    return {**doc, **{key: value for key, value in flags.items() if value is not None}}
 
 
 _REQUIRED = object()
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
                dict: "an object"}
 
+# key -> (kind, default); _REQUIRED marks a key without a default
+_RUN_CONFIG = {
+    "config_format": (int, _REQUIRED), "seed": (int, _REQUIRED),
+    "budget": (int, _REQUIRED), "repetitions": (int, 50), "metric": (str, "accuracy"),
+    "test_fraction": (float, 0.5), "warm_start_size": (int, None),
+    "strategies": (list, _REQUIRED), "dataset": (dict, _REQUIRED),
+    "classifier": (dict, None), "output_dir": (str, None),
+}
+_MONTE_CARLO = {"size_min": (int, 2), "size_max": (int, 32), "initializations": (int, 10),
+                "candidates": (int, 10), "test_loss": (str, "zero_one")}
+_BUILD_CONFIG = {
+    "config_format": (int, _REQUIRED), "seed": (int, _REQUIRED), "method": (str, _REQUIRED),
+    "output": (str, None), **_MONTE_CARLO, "classifier": (dict, None),
+    "regressor": (dict, None), "representative": (dict, {"cold_start": None}),
+    "test_fraction": (float, 0.5),
+}
+_COLD_START_REPRESENTATIVE = {"cold_start": (dict, None)}
+_COLD_START = {"n_train": (int, 1000), "n_test": (int, 1000), "separation": (float, 2.0),
+               "class0_fraction": (float, 0.5)}
+_CSV_SPEC = {"csv": (str, _REQUIRED), "label_column": (str, "label")}
+# each generator's spec also takes "generator" and "seed"; the generator
+# function gen_<name> is looked up at call time
+_GENERATOR_SPECS = {
+    "gaussian_clouds": {"n": (int, 2000), "class0_fraction": (float, 0.5),
+                        "separation": (float, 2.0), "dim": (int, 2)},
+    "checkerboard": {"k": (int, 2), "n": (int, 2000), "label_noise": (float, 0.0)},
+    "banana": {"n": (int, 2000), "noise": (float, 0.2)},
+}
+_FOREST_KEYS = ("n_trees", "max_depth", "min_leaf_size", "features_per_split")
 
-def _require(doc: dict, key: str, kind, what: str, default=_REQUIRED):
-    """``doc[key]`` checked to be of ``kind``; ``default`` when absent, if given.
 
-    A ``float`` field accepts integers too; no field accepts a boolean.
+def _fields(doc, schema: dict, what: str, label: str) -> dict:
+    """``doc`` checked against ``schema`` (key -> (kind, default)), defaults filled in.
+
+    A ``float`` field accepts integers too; no field accepts a boolean, and
+    only a field whose default is ``None`` accepts null.
     """
-    if key not in doc:
-        if default is _REQUIRED:
-            _fail(f"{what}: missing required field {key!r}")
-        return default
-    value = doc[key]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        _fail(f"{what}: field {key!r} must be {_KIND_NAMES[kind]}")
-    return value
-
-
-def _present(doc: dict, kinds: dict, what: str) -> dict:
-    """The fields of ``kinds`` that ``doc`` sets, each checked by ``_require``."""
-    return {key: _require(doc, key, kind, what) for key, kind in kinds.items() if key in doc}
-
-
-def _known_keys(doc: dict, allowed, what: str, label: str) -> None:
-    unknown = set(doc) - set(allowed)
+    if not isinstance(doc, dict):
+        _fail(f"{what}: {label} must be an object")
+    unknown = set(doc) - set(schema)
     if unknown:
         _fail(f"{what}: unknown {label} keys {sorted(unknown)}")
+    for key, (kind, default) in schema.items():
+        if key not in doc:
+            if default is _REQUIRED:
+                _fail(f"{what}: missing required field {key!r}")
+            continue
+        value = doc[key]
+        if value is None and default is None:
+            continue
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            _fail(f"{what}: field {key!r} must be {_KIND_NAMES[kind]}")
+    return {key: doc.get(key, default) for key, (_, default) in schema.items()}
 
 
 def _forest_config(doc: dict | None, base: ForestConfig, what: str) -> ForestConfig:
-    if doc is None:
-        return base
-    if not isinstance(doc, dict):
-        _fail(f"{what}: forest config must be an object")
-    _known_keys(doc, ("n_trees", "max_depth", "min_leaf_size", "features_per_split"),
-                what, "forest config")
-    for key, value in doc.items():
-        if value is not None or key not in ("max_depth", "features_per_split"):
-            _require(doc, key, int, what)
+    schema = {key: (int, getattr(base, key)) for key in _FOREST_KEYS}
     try:
-        return ForestConfig(mode=base.mode, **{**{
-            "n_trees": base.n_trees, "max_depth": base.max_depth,
-            "min_leaf_size": base.min_leaf_size,
-            "features_per_split": base.features_per_split}, **doc})
-    except (TypeError, ValueError) as exc:
+        return replace(base, **_fields(doc or {}, schema, what, "forest config"))
+    except ValueError as exc:
         _fail(f"{what}: {exc}")
 
 
-_DATASET_KEYS = {
-    "csv": ("csv", "label_column"),
-    "gaussian_clouds": ("generator", "seed", "n", "class0_fraction", "separation", "dim"),
-    "checkerboard": ("generator", "seed", "k", "n", "label_noise"),
-    "banana": ("generator", "seed", "n", "noise"),
-}
-
-
-def _dataset_from_spec(spec, seed: int, what: str) -> Dataset:
-    if not isinstance(spec, dict):
-        _fail(f"{what}: dataset spec must be an object")
-    kind = "csv" if "csv" in spec else spec.get("generator")
-    if isinstance(kind, str) and kind in _DATASET_KEYS:
-        _known_keys(spec, _DATASET_KEYS[kind], what, "dataset")
-
-    def field(key, kind, default):
-        return _require(spec, key, kind, what, default)
-
+def _dataset_from_spec(spec: dict, seed: int, what: str) -> Dataset:
     if "csv" in spec:
-        path = field("csv", str, None)
-        if not Path(path).exists():
-            _fail(f"{what}: dataset file not found: {path}")
+        spec = _fields(spec, _CSV_SPEC, what, "dataset")
+        if not Path(spec["csv"]).exists():
+            _fail(f"{what}: dataset file not found: {spec['csv']}")
         try:
-            return load_csv(path, field("label_column", str, "label"))
+            return load_csv(spec["csv"], spec["label_column"])
         except ValueError as exc:
             _fail(f"{what}: {exc}")
     generator = spec.get("generator")
-    gen_seed = field("seed", int, derive_seed(seed, "dataset"))
+    if not isinstance(generator, str) or generator not in _GENERATOR_SPECS:
+        _fail(f"{what}: dataset spec with keys {sorted(spec)} needs 'csv' or a known "
+              f"'generator' ({' | '.join(_GENERATOR_SPECS)})")
+    schema = {"generator": (str, _REQUIRED), "seed": (int, derive_seed(seed, "dataset")),
+              **_GENERATOR_SPECS[generator]}
+    kwargs = _fields(spec, schema, what, "dataset")
+    del kwargs["generator"]
     try:
-        if generator == "gaussian_clouds":
-            return gen_gaussian_clouds(
-                n=field("n", int, 2000),
-                class0_fraction=field("class0_fraction", float, 0.5),
-                separation=field("separation", float, 2.0),
-                dim=field("dim", int, 2), seed=gen_seed)
-        if generator == "checkerboard":
-            return gen_checkerboard(k=field("k", int, 2), n=field("n", int, 2000),
-                                    seed=gen_seed,
-                                    label_noise=field("label_noise", float, 0.0))
-        if generator == "banana":
-            return gen_banana(n=field("n", int, 2000), noise=field("noise", float, 0.2),
-                              seed=gen_seed)
+        return globals()[f"gen_{generator}"](**kwargs)
     except ValueError as exc:
         _fail(f"{what}: {exc}")
-    _fail(f"{what}: dataset spec needs 'csv' or a known 'generator' "
-          f"(gaussian_clouds | checkerboard | banana)")
 
 
 def _check_overwrite(paths: list[Path], force: bool) -> None:
@@ -170,8 +164,6 @@ def _output_dir(doc_value, flag_value) -> Path:
     chosen = flag_value or env or doc_value
     if chosen is None:
         _fail("no output directory configured")
-    if not isinstance(chosen, str):
-        _fail("run config: field 'output_dir' must be a string")
     out = Path(chosen)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -182,38 +174,37 @@ def _output_dir(doc_value, flag_value) -> Path:
 
 def cmd_build_strategy(args) -> int:
     what = "build config"
-    doc = _load_config(args.config)
-    seed = args.seed if args.seed is not None else _require(doc, "seed", int, what)
-    method = _require(doc, "method", str, what)
+    doc = _load_config(args.config, seed=args.seed, output=args.output)
+    config = _fields(doc, _BUILD_CONFIG, what, "config")
+    seed, method = config["seed"], config["method"]
     if method not in BUILD_METHODS:
         _fail(f"{what}: method must be independent or iterative, got {method!r}")
     try:
         mc = MonteCarloConfig(
-            **_present(doc, {"size_min": int, "size_max": int, "initializations": int,
-                             "candidates": int, "test_loss": str}, what),
-            classifier=_forest_config(doc.get("classifier"), ForestConfig(), what),
-            regressor=_forest_config(doc.get("regressor"), regressor_config(), what),
+            **{key: config[key] for key in _MONTE_CARLO},
+            classifier=_forest_config(config["classifier"], ForestConfig(), what),
+            regressor=_forest_config(config["regressor"], regressor_config(), what),
             seed=seed)
     except ValueError as exc:
         _fail(f"{what}: {exc}")
 
-    output = Path(args.output or doc.get("output") or _fail(f"{what}: missing 'output'"))
+    output = Path(config["output"] or _fail(f"{what}: missing 'output'"))
     _check_overwrite([output], args.force)
 
-    representative = _require(doc, "representative", dict, what, {"cold_start": {}})
+    representative = config["representative"]
     try:
         if "cold_start" in representative:
-            cold = representative["cold_start"] or {}
-            if not isinstance(cold, dict):
-                _fail(f"{what}: field 'cold_start' must be an object")
-            kinds = {"n_train": int, "n_test": int, "separation": float,
-                     "class0_fraction": float}
-            _known_keys(cold, kinds, what, "cold_start")
-            train, test = cold_start_data(seed, **_present(cold, kinds, what))
+            cold = _fields(representative, _COLD_START_REPRESENTATIVE, what,
+                           "representative")["cold_start"]
+            if "test_fraction" in doc:
+                _fail(f"{what}: field 'test_fraction' needs a dataset representative, "
+                      f"not cold_start")
+            train, test = cold_start_data(
+                seed, **_fields(cold or {}, _COLD_START, what, "cold_start"))
         else:
             dataset = _dataset_from_spec(representative, seed, what)
-            fraction = _require(doc, "test_fraction", float, what, 0.5)
-            train, test = split(dataset, fraction, derive_seed(seed, "representative_split"))
+            train, test = split(dataset, config["test_fraction"],
+                                derive_seed(seed, "representative_split"))
     except ValueError as exc:
         _fail(f"{what}: {exc}")
     if mc.size_max >= len(train):
@@ -264,28 +255,25 @@ def _resolve_strategies(specs, what: str) -> list[Strategy]:
 
 
 def cmd_run(args) -> int:
-    doc = _load_config(args.config)
-    seed = args.seed if args.seed is not None else _require(doc, "seed", int, "run config")
-    budget = args.budget if args.budget is not None else _require(doc, "budget", int, "run config")
-    repetitions = (args.repetitions if args.repetitions is not None
-                   else _require(doc, "repetitions", int, "run config", 50))
-    metric = doc.get("metric", "accuracy")
+    config = _fields(_load_config(args.config, seed=args.seed, budget=args.budget,
+                                  repetitions=args.repetitions),
+                     _RUN_CONFIG, "run config", "config")
+    seed, budget, repetitions = config["seed"], config["budget"], config["repetitions"]
+    metric = config["metric"]
     if metric not in METRIC_IDS:
         _fail(f"run config: unknown metric {metric!r}")
     if budget < 0 or repetitions < 1:
         _fail("run config: budget must be >= 0 and repetitions >= 1")
-    test_fraction = _require(doc, "test_fraction", float, "run config", 0.5)
+    test_fraction = config["test_fraction"]
     if not 0.0 < test_fraction < 1.0:
         _fail("run config: test_fraction must lie strictly between 0 and 1")
-    warm = doc.get("warm_start_size")
-    if warm is not None and (not isinstance(warm, int) or warm < 2):
-        _fail("run config: warm_start_size must be an integer >= 2")
+    warm = config["warm_start_size"]
+    if warm is not None and warm < 2:
+        _fail("run config: warm_start_size must be at least 2")
 
-    strategies = _resolve_strategies(
-        _require(doc, "strategies", list, "run config"), "run config")
-    dataset = _dataset_from_spec(_require(doc, "dataset", dict, "run config"),
-                                 seed, "run config")
-    classifier = _forest_config(doc.get("classifier"), ForestConfig(), "run config")
+    strategies = _resolve_strategies(config["strategies"], "run config")
+    dataset = _dataset_from_spec(config["dataset"], seed, "run config")
+    classifier = _forest_config(config["classifier"], ForestConfig(), "run config")
     try:
         train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
         check_repetition_splits(train, test, repetitions, seed)
@@ -301,7 +289,7 @@ def cmd_run(args) -> int:
         _fail(f"run config: budget {budget} exceeds the unlabeled pool "
               f"({n_train - initial} after initialization)")
 
-    out = _output_dir(doc.get("output_dir"), args.output_dir)
+    out = _output_dir(config["output_dir"], args.output_dir)
     targets = [out / "summary.csv"]
     for s in strategies:
         targets += [out / f"{s.name}_curve.csv", out / f"{s.name}_curve.json",

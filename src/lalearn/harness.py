@@ -201,7 +201,7 @@ class MotivationCurve:
 
 def _motivation_chunk(args):
     seed, rep_lo, rep_hi, fraction, n_pool, n_test, separation, n_bins = args
-    from .data import gen_gaussian_clouds  # local import keeps workers cheap
+    from .data import gen_gaussian_clouds  # per-call lookup: perfbench/layers.py traces it
 
     sums = np.zeros(n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)

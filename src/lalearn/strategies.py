@@ -152,9 +152,13 @@ def strategy_from_doc(doc: dict) -> Strategy:
                    if key not in doc]
         if missing:
             raise ValueError(f"lal strategy document is missing {', '.join(missing)}")
-        regressor = forest_from_doc(doc["regressor"])
-        return LalStrategy(regressor, doc["feature_schema"], doc["provenance"],
-                           doc.get("training_metadata"))
+        schema, metadata = doc["feature_schema"], doc.get("training_metadata", {})
+        if not isinstance(schema, list) or not all(isinstance(name, str) for name in schema):
+            raise ValueError("lal strategy field 'feature_schema' must be a list of strings")
+        if not isinstance(metadata, dict):
+            raise ValueError("lal strategy field 'training_metadata' must be an object")
+        return LalStrategy(forest_from_doc(doc["regressor"]), schema, doc["provenance"],
+                           metadata)
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 

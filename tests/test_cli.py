@@ -1,6 +1,7 @@
 """Command-line interface: configs, artifacts, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,7 +168,8 @@ class TestRun:
                           warm_start_size=10, budget=2)
         assert main(["run", run]) == EXIT_OK
 
-    @pytest.mark.parametrize("field", ["feature", "regressor", "provenance"])
+    @pytest.mark.parametrize("field", ["feature", "regressor", "provenance",
+                                       "feature_schema", "training_metadata"])
     def test_corrupt_strategy_file_is_config_error(self, tmp_path, capsys, field):
         states = np.random.default_rng(0).random((30, 7))
         regressor = train_forest(states, states[:, 6],
@@ -176,6 +178,10 @@ class TestRun:
         if field == "feature":
             # one past the last feature: the walk would read the next row
             doc["regressor"]["trees"][0]["feature"] = 7
+        elif field == "feature_schema":
+            doc[field] = 5
+        elif field == "training_metadata":
+            doc[field] = [1]
         else:
             del doc[field]
         path = tmp_path / "lal.json"
@@ -357,6 +363,8 @@ class TestConfigFormat:
         ("build-strategy", {"representative": {"cold_start": {"n_trian": 50}}}, "n_trian"),
         ("run", {"dataset": {"generator": "gaussian_clouds", "nn": 60}}, "nn"),
         ("build-strategy", {"representative": {"csv": "pool.csv", "label": "y"}}, "label"),
+        ("build-strategy", {"representative": {"cold_start": {}, "csv": "pool.csv"}}, "csv"),
+        ("build-strategy", {"test_fraction": 0.4}, "test_fraction"),
     ])
     def test_invalid_field_is_config_error_naming_it(self, tmp_path, capsys, command,
                                                      overrides, field):
@@ -364,6 +372,49 @@ class TestConfigFormat:
         assert main([command, write(tmp_path, **overrides)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: config") and field in err
+
+    @pytest.mark.parametrize("command", ["run", "build-strategy"])
+    def test_every_field_rejects_wrong_types_and_misspellings(self, tmp_path, capsys,
+                                                              command):
+        # every key of the documents above, nested ones included: each
+        # wrong-typed value, and separately a misspelled copy of the key,
+        # exits 2 naming the key before any output is written
+        write = _run_config if command == "run" else _build_config
+        base = json.loads(Path(write(tmp_path)).read_text())
+        outputs = [tmp_path / "out", tmp_path / "strategy.json"]
+        nullable = {"classifier", "regressor", "output", "output_dir", "cold_start"}
+        rng = np.random.default_rng(8)
+        cases = []
+
+        def visit(doc, path):
+            for key, value in doc.items():
+                for wrong in (True, "x", 1.5, [], {}, None):
+                    if type(wrong) is not type(value) and not (
+                            wrong is None and key in nullable):
+                        cases.append((path, key, wrong))
+                at = int(rng.integers(len(key)))
+                cases.append((path, key[:at + 1] + key[at:], value))
+                if isinstance(value, dict):
+                    visit(value, path + (key,))
+
+        visit(base, ())
+        failures = []
+        for i, (path, key, value) in enumerate(cases):
+            doc = json.loads(json.dumps(base))
+            parent = doc
+            for step in path:
+                parent = parent[step]
+            parent[key] = value
+            case_dir = tmp_path / f"case{i}"
+            case_dir.mkdir()
+            code = main([command, write(case_dir, **doc)])
+            err = capsys.readouterr().err
+            written = [str(p) for p in outputs if p.exists()]
+            if (code != EXIT_CONFIG or not err.startswith("error: config")
+                    or key not in err or "Traceback" in err or written):
+                failures.append((path, key, value, code, err.strip(), written))
+        assert len(cases) > 50
+        assert failures == []
 
     @pytest.mark.parametrize("command, workers", [
         ("build-strategy", "0"), ("run", "-3"), ("motivate", "-3")])
