@@ -160,8 +160,12 @@ def _check_overwrite(paths: list[Path], force: bool) -> None:
 
 
 def _output_dir(doc_value, flag_value) -> Path:
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    chosen = flag_value or env or doc_value
+    """The flag, else a non-empty ``LALEARN_OUTPUT_DIR``, else the config field."""
+    if flag_value == "":
+        _fail("run: --output-dir must not be empty")
+    if doc_value == "":
+        _fail("run config: field 'output_dir' must not be empty")
+    chosen = flag_value or os.environ.get(OUTPUT_DIR_ENV) or doc_value
     if chosen is None:
         _fail("no output directory configured")
     out = Path(chosen)

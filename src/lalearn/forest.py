@@ -12,7 +12,19 @@ once: every open node of every tree is split in the same pass using
 segmented prefix sums, which keeps the many small forests an active
 learning experiment needs cheap.  Per-tree seeds are derived from the
 master seed and the tree index, so results are reproducible and
-independent of any scheduling.
+independent of any scheduling.  Each level sorts a node's rows feature by
+feature with one stable argsort on ``(segment, rank)``, where ``rank`` is a
+dense rank of the values computed once per fit.
+
+``train_forests`` grows the trees of several training sets in the same
+level-by-level pass; ``train_forest`` is that pass with one set.  Every
+set keeps its own tree seeds, bootstrap, node numbering, depths and
+importances, and a node's split depends only on its own rows.  The level-
+wide prefix sums are the one thing sets share, and for classification
+they are sums of 0/1 targets, exact integers in float64, so each forest
+is bit-identical to training its set alone.  A regressor's prefix sums
+are rounded floats whose values depend on every earlier row of the
+level, so regression trains one set at a time.
 
 A forest's node table is level-ordered, whether trained or loaded.
 Nodes ``[0, T)`` are the roots of the ``T`` trees in tree order; each
@@ -158,13 +170,18 @@ class ForestModel:
                              f"first rows {bad[:5].tolist()}")
         if len(X) == 0:
             return np.empty((self.n_trees, 0)), np.empty(0, dtype=np.int64)
-        # densifying the key after every feature keeps it below len(X), so
-        # the mixed-radix step cannot overflow
-        first = np.zeros(1, dtype=np.int64)
+        # a mixed-radix key over the features' ranks, ordered as the rank
+        # tuples are; it is densified (to at most len(X) values) only when
+        # the next digit could push it past int64
         cell = np.zeros(len(X), dtype=np.int64)
+        radix = 1
         for f, cuts in self._cuts:
-            key = cell * (len(cuts) + 1) + np.searchsorted(cuts, X[:, f], side="left")
-            _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+            if radix * (len(cuts) + 1) > 2 ** 62:
+                _, cell = np.unique(cell, return_inverse=True)
+                radix = int(cell.max()) + 1
+            cell = cell * (len(cuts) + 1) + np.searchsorted(cuts, X[:, f], side="left")
+            radix *= len(cuts) + 1
+        _, first, cell = np.unique(cell, return_index=True, return_inverse=True)
         return self._walk(X[first]), cell
 
     def _walk(self, X: np.ndarray) -> np.ndarray:
@@ -377,6 +394,17 @@ def feature_subsets(tree_seeds: np.ndarray, node_ids: np.ndarray, d: int,
     return np.sort(picked, axis=1)
 
 
+def tree_seeds(seed: int, n_trees: int) -> np.ndarray:
+    """``derive_seed(seed, "tree", t)`` for every ``t < n_trees``, as uint64.
+
+    The last step of ``derive_seed`` is one splitmix64 round on
+    ``prefix ^ t``, so hashing the prefix once and finishing the rounds in
+    bulk gives the same seeds without a Python call per tree.
+    """
+    prefix = np.uint64(derive_seed(seed, "tree"))
+    return _finalize((prefix ^ np.arange(n_trees, dtype=np.uint64)) + _GOLDEN)
+
+
 def train_forest(features, targets, config: ForestConfig | None = None,
                  seed: int = 0) -> ForestModel:
     """Train a bagged forest on ``features``/``targets``.
@@ -385,47 +413,80 @@ def train_forest(features, targets, config: ForestConfig | None = None,
     of ``(seed, tree_index)``; per-split feature subsets come from a
     generator seeded the same way.  Classification targets must be 0/1.
     """
-    config = config or ForestConfig()
+    return train_forests([(features, targets, seed)], config)[0]
+
+
+def _training_set(features, targets, classification: bool):
     X = np.ascontiguousarray(np.atleast_2d(features), dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64).ravel()
-    n, d = X.shape
-    if n == 0:
+    if X.shape[0] == 0:
         raise ValueError("empty training set")
-    if len(y) != n:
+    if len(y) != X.shape[0]:
         raise ValueError("targets must match features row count")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ValueError("training data contains non-finite values")
-    classification = config.mode == "classification"
     if classification and not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("classification targets must be 0 or 1")
+    return X, y
+
+
+def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]:
+    """Train one forest per ``(features, targets, seed)`` set in one grouped pass.
+
+    Each returned forest is bit-identical to ``train_forest`` on its set
+    alone (see the module docstring).  Regression takes a single set: its
+    prefix sums run across the whole level, so sharing a level with
+    another set would change the regressor's floats.
+    """
+    config = config or ForestConfig()
+    classification = config.mode == "classification"
+    if not sets:
+        raise ValueError("no training sets")
+    if not classification and len(sets) > 1:
+        raise ValueError("regression forests train one set per call")
+    data = [_training_set(features, targets, classification) for features, targets, _ in sets]
+    d = data[0][0].shape[1]
+    if any(X.shape[1] != d for X, _ in data):
+        raise ValueError("training sets must have the same number of features")
 
     k = config.features_per_split or math.ceil(math.sqrt(d))
     k = min(k, d)
     config = replace(config, features_per_split=k)
     T = config.n_trees
+    G = len(sets)
     min_leaf = config.min_leaf_size
     max_depth = math.inf if config.max_depth is None else config.max_depth
 
-    tree_seeds = np.array([derive_seed(seed, "tree", t) for t in range(T)],
-                          dtype=np.uint64)
-    bootstrap = bootstrap_matrix(tree_seeds, n)
-    gx = X[bootstrap.reshape(-1)]
-    gy = y[bootstrap.reshape(-1)]
+    # trees of all sets side by side: tree g * T + t is tree t of set g,
+    # and each set's bootstrap draws from its own rows
+    seeds = np.concatenate([tree_seeds(seed, T) for _, _, seed in sets])
+    ns = [len(y) for _, y in data]
+    bootstraps = [bootstrap_matrix(seeds[g * T:(g + 1) * T], n) for g, n in enumerate(ns)]
+    # one dense rank over every value: within a (set, feature) it orders
+    # and ties rows exactly as their values do, so a stable sort on
+    # (segment, rank) is the lexsort on (segment, value)
+    stacked = np.concatenate([X for X, _ in data])
+    _, rank = np.unique(stacked, return_inverse=True)
+    rank = rank.reshape(stacked.shape)
+    n_rank = int(rank.max()) + 1
+    # bootstrapped row r is row src[r] of the stacked sets
+    src = np.concatenate([b.reshape(-1) + lo
+                          for b, lo in zip(bootstraps, np.cumsum([0] + ns[:-1]))])
+    gy = np.concatenate([y for _, y in data])[src]
 
-    levels = []   # per level: feature, threshold, left, value, count
-    n_nodes = 0
-    tree_depths = np.zeros(T, dtype=np.int64)
-    imp_raw = np.zeros(d)
+    levels = []   # per level: open trees, feature, threshold, value, count
+    tree_depths = np.zeros(G * T, dtype=np.int64)
+    imp_raw = np.zeros((G, d))
 
-    open_tree = np.arange(T)
-    open_pt = np.zeros(T, dtype=np.int64)   # within-tree creation index
-    tree_next_pt = np.ones(T, dtype=np.int64)
-    row_ord = np.repeat(np.arange(T), n)    # open-node ordinal of each row, -1 once in a leaf
+    open_tree = np.arange(G * T)
+    open_pt = np.zeros(G * T, dtype=np.int64)   # within-tree creation index
+    tree_next_pt = np.ones(G * T, dtype=np.int64)
+    # open-node ordinal of each row, -1 once in a leaf
+    row_ord = np.repeat(open_tree, np.repeat(ns, T))
     depth = 0
 
     while len(open_tree):
         P = len(open_tree)
-        n_nodes += P   # this level's nodes are [n_nodes - P, n_nodes)
         rows = np.flatnonzero(row_ord >= 0)
         o = row_ord[rows]
         rows_g = rows[np.argsort(o, kind="stable")]
@@ -461,7 +522,7 @@ def train_forest(features, targets, config: ForestConfig | None = None,
             eb = np.cumsum(es) - es
             erows = rows_g[np.repeat(eligible, sizes)]
             # k == d draws every feature, in index order
-            subs = feature_subsets(tree_seeds[open_tree[elig]], open_pt[elig], d, k)
+            subs = feature_subsets(seeds[open_tree[elig]], open_pt[elig], d, k)
 
             seg_sizes = np.repeat(es, k)
             seg_starts = np.cumsum(seg_sizes) - seg_sizes
@@ -472,12 +533,12 @@ def train_forest(features, targets, config: ForestConfig | None = None,
             occ_node = occ_seg // k
             occ_rows = erows[eb[occ_node] + occ_pos]
             occ_feat = subs.reshape(-1)[occ_seg]
-            vals = gx[occ_rows, occ_feat]
-            tars = gy[occ_rows]
 
-            sorder = np.lexsort((vals, occ_seg))
-            sv = vals[sorder]
-            st = tars[sorder]
+            skey = occ_seg * n_rank + rank[src[occ_rows], occ_feat]
+            sorder = np.argsort(skey, kind="stable")
+            skey = skey[sorder]
+            srow = occ_rows[sorder]
+            st = gy[srow]
             c1 = np.cumsum(st)
             l1 = c1 - np.where(occ_off > 0, c1[np.maximum(occ_off - 1, 0)], 0.0)
             nn_i = es[occ_node]
@@ -505,8 +566,9 @@ def train_forest(features, targets, config: ForestConfig | None = None,
                     gr = (etot2[occ_node] - l2) / nr - mean_r * mean_r
                 gain = parent_imp[elig][occ_node] - (nl * gl + nr * gr) / nn
 
+            # within a segment the sorted key steps up exactly where the value does
             next_differs = np.zeros(total_occ, dtype=bool)
-            next_differs[:-1] = sv[1:] > sv[:-1]
+            next_differs[:-1] = skey[1:] > skey[:-1]
             valid = ((occ_pos < nn_i - 1) & next_differs
                      & (nl >= min_leaf) & (nr >= min_leaf))
             gain = np.where(valid, gain, -np.inf)
@@ -514,57 +576,70 @@ def train_forest(features, targets, config: ForestConfig | None = None,
             cand = valid & (node_max[occ_node] > 0.0) & (gain == node_max[occ_node])
             ci = np.flatnonzero(cand)
             cn = occ_node[ci]
-            cthr = (sv[ci] + sv[ci + 1]) * 0.5
             cft = occ_feat[ci]
+            cthr = (stacked[src[srow[ci]], cft] + stacked[src[srow[ci + 1]], cft]) * 0.5
             psel = np.lexsort((cft, cthr, cn))
             first = np.ones(len(psel), dtype=bool)
             first[1:] = cn[psel][1:] != cn[psel][:-1]
             pick = psel[first]
             pn = cn[pick]
             pocc = ci[pick]
-            np.add.at(imp_raw, cft[pick],
+            np.add.at(imp_raw, (open_tree[elig[pn]] // T, cft[pick]),
                       nn[pocc] * parent_imp[elig][pn]
                       - (nl[pocc] * gl[pocc] + nr[pocc] * gr[pocc]))
             feat_l[elig[pn]] = cft[pick]
             thr_l[elig[pn]] = cthr[pick]
-
-        # this level's node table; the children of its S splits are the
-        # next level, numbered in split order from n_nodes
-        is_split = feat_l >= 0
-        split_ord = np.flatnonzero(is_split)
-        S = len(split_ord)
-        left_l = np.full(P, -1, dtype=np.int64)
-        left_l[split_ord] = n_nodes + 2 * np.arange(S)
-        levels.append((feat_l, thr_l, left_l, value, sizes))
+        levels.append((open_tree, feat_l, thr_l, value, sizes))
 
         # within-tree creation indices for the children: sequential per
         # tree, in split order.  open_tree is non-decreasing at every level
         # (roots in tree order; split_ord is ascending and children follow
         # their parents), so each tree's splits are adjacent and
         # searchsorted finds the first one
+        is_split = feat_l >= 0
+        split_ord = np.flatnonzero(is_split)
+        S = len(split_ord)
         split_tree = open_tree[split_ord]
-        rank = np.arange(S) - np.searchsorted(split_tree, split_tree)
-        left_pt = tree_next_pt[split_tree] + 2 * rank
-        tree_next_pt += 2 * np.bincount(split_tree, minlength=T)
+        tree_rank = np.arange(S) - np.searchsorted(split_tree, split_tree)
+        left_pt = tree_next_pt[split_tree] + 2 * tree_rank
+        tree_next_pt += 2 * np.bincount(split_tree, minlength=G * T)
 
-        # rows of a split node move to their child's ordinal on the next
-        # level, rows of a leaf leave
+        # the children of the level's S splits are the next level's open
+        # nodes, in split order; rows of a split node move to their
+        # child's ordinal there, rows of a leaf leave
+        child = np.full(P, -1, dtype=np.int64)
+        child[split_ord] = 2 * np.arange(S)
         split = is_split[o]
         srows = rows[split]
         so = o[split]
-        row_ord[srows] = left_l[so] - n_nodes + (gx[srows, feat_l[so]] > thr_l[so])
+        row_ord[srows] = child[so] + (stacked[src[srows], feat_l[so]] > thr_l[so])
         row_ord[rows[~split]] = -1
         np.maximum.at(tree_depths, open_tree[~is_split], depth)
         open_tree = np.repeat(split_tree, 2)
         open_pt = (left_pt[:, None] + np.arange(2)).reshape(-1)
         depth += 1
 
-    feature, threshold, left, value, count = map(np.concatenate, zip(*levels))
-    return ForestModel(
-        mode=config.mode, config=config, seed=int(seed), n_features=d,
-        feature=feature, threshold=threshold, left=left, value=value, count=count,
-        tree_depths=tree_depths, importances_raw=imp_raw,
-        bootstrap=bootstrap, n_train=n)
+    # regroup the level tables set by set.  A set's table stays level
+    # ordered, so the children of its j-th split are its nodes T + 2j and
+    # T + 2j + 1
+    tree, feature, threshold, value, count = map(np.concatenate, zip(*levels))
+    owner = tree // T
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(G + 1))
+    feature, threshold, value, count = (a[order] for a in (feature, threshold, value, count))
+    models = []
+    for g, (_, _, seed) in enumerate(sets):
+        own = slice(bounds[g], bounds[g + 1])
+        is_split = feature[own] >= 0
+        left = np.full(len(is_split), -1, dtype=np.int64)
+        left[is_split] = T + 2 * np.arange(int(is_split.sum()))
+        models.append(ForestModel(
+            mode=config.mode, config=config, seed=int(seed), n_features=d,
+            feature=feature[own], threshold=threshold[own], left=left,
+            value=value[own], count=count[own],
+            tree_depths=tree_depths[g * T:(g + 1) * T], importances_raw=imp_raw[g],
+            bootstrap=bootstraps[g], n_train=ns[g]))
+    return models
 
 
 # ---- serialization ---------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 
 from .data import Dataset, PoolState, gen_gaussian_clouds, init_warm_start
 from .features import FEATURE_NAMES, candidate_states, classifier_state
-from .forest import ForestConfig, ForestModel, regressor_config, train_forest
+from .forest import ForestConfig, ForestModel, regressor_config, train_forest, \
+    train_forests
 from .metrics import METRIC_IDS, loss_from_metric
 from .parallel import parallel_map
 from .seeding import derive_seed, rng_for
@@ -134,33 +135,37 @@ def data_monte_carlo(train: Dataset, test: Dataset, classifier_config: ForestCon
                      test_loss: str = "zero_one", init_tag: int = 0) -> RegressionSet:
     """Measure loss reductions for candidate additions to one labeled subset.
 
-    Partitions ``train`` via ``split_fn``, trains the base classifier and
-    records its test loss, then draws up to ``n_candidates`` unlabeled
-    points without replacement; for each, retrains with that point added
-    and records ``(state, base_loss - new_loss)``.
+    Partitions ``train`` via ``split_fn`` and draws up to ``n_candidates``
+    unlabeled points without replacement.  The base classifier and one
+    classifier per candidate, retrained with that point added, all train in
+    one ``train_forests`` pass (the draw does not depend on the base
+    forest).  Each candidate records ``(state, base_loss - new_loss)``,
+    its state taken from the base classifier.
     """
     if not train.has_both_classes():
         raise ValueError("training data must contain both classes")
     if not 2 <= labeled_size < len(train):
         raise ValueError(f"labeled_size must be in [2, {len(train) - 1}]")
     pool = split_fn(train, labeled_size, derive_seed(seed, "split"))
-    base = train_forest(train.features[pool.labeled], train.labels[pool.labeled],
-                        classifier_config, derive_seed(seed, "base"))
-    base_loss = loss_from_metric(test_loss, base.predict_proba_batch(test.features),
-                                 test.labels)
-    phi, p0 = classifier_state(base, pool, train)
-
     n_draws = min(n_candidates, pool.n_unlabeled)
     pos = rng_for(seed, "draw").choice(pool.n_unlabeled, size=n_draws, replace=False)
     drawn = pool.unlabeled[pos]
+    sets = [(train.features[pool.labeled], train.labels[pool.labeled],
+             derive_seed(seed, "base"))]
+    for m, candidate in enumerate(drawn):
+        extended = sorted(pool.labeled + [int(candidate)])
+        sets.append((train.features[extended], train.labels[extended],
+                     derive_seed(seed, "candidate", m)))
+    base, *grown = train_forests(sets, classifier_config)
+
+    base_loss = loss_from_metric(test_loss, base.predict_proba_batch(test.features),
+                                 test.labels)
+    phi, p0 = classifier_state(base, pool, train)
     states = candidate_states(phi, p0[pos])
     deltas = np.empty(n_draws)
     tags = np.empty((n_draws, 3), dtype=np.int64)
-    for m, candidate in enumerate(drawn):
-        extended = sorted(pool.labeled + [int(candidate)])
-        grown = train_forest(train.features[extended], train.labels[extended],
-                             classifier_config, derive_seed(seed, "candidate", m))
-        loss = loss_from_metric(test_loss, grown.predict_proba_batch(test.features),
+    for m, model in enumerate(grown):
+        loss = loss_from_metric(test_loss, model.predict_proba_batch(test.features),
                                 test.labels)
         deltas[m] = base_loss - loss
         tags[m] = (labeled_size, init_tag, m)

@@ -160,6 +160,11 @@ class TestRun:
         assert (tmp_path / "env_out" / "summary.csv").exists()
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+    def test_empty_output_dir_env_counts_as_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LALEARN_OUTPUT_DIR", "")
+        assert main(["run", _run_config(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "out" / "summary.csv").exists()
+
     def test_csv_dataset_and_warm_start(self, tmp_path):
         data = gen_gaussian_clouds(100, 0.5, 2.0, 2, seed=11)
         csv = tmp_path / "pool.csv"
@@ -365,11 +370,15 @@ class TestConfigFormat:
         ("build-strategy", {"representative": {"csv": "pool.csv", "label": "y"}}, "label"),
         ("build-strategy", {"representative": {"cold_start": {}, "csv": "pool.csv"}}, "csv"),
         ("build-strategy", {"test_fraction": 0.4}, "test_fraction"),
+        ("run", {"output_dir": ""}, "output_dir"),
+        ("run --output-dir=", {}, "--output-dir"),
     ])
     def test_invalid_field_is_config_error_naming_it(self, tmp_path, capsys, command,
                                                      overrides, field):
+        # a command may carry flags, e.g. "run --output-dir="
+        command, *flags = command.split()
         write = _run_config if command == "run" else _build_config
-        assert main([command, write(tmp_path, **overrides)]) == EXIT_CONFIG
+        assert main([command, write(tmp_path, **overrides), *flags]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: config") and field in err
 

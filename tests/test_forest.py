@@ -8,7 +8,8 @@ import pytest
 
 from lalearn.data import gen_gaussian_clouds, split
 from lalearn.forest import (ForestConfig, ForestModel, best_split, forest_from_doc,
-                            forest_to_doc, regressor_config, train_forest)
+                            forest_to_doc, regressor_config, train_forest, train_forests,
+                            tree_seeds)
 from lalearn.seeding import derive_seed
 
 
@@ -333,6 +334,88 @@ class TestTraining:
             train_forest(np.array([[np.inf, 1.0]]), np.array([0]))
 
 
+_FOREST_ARRAYS = ("feature", "threshold", "left", "value", "count", "tree_depths",
+                  "importances_raw", "bootstrap")
+
+
+def _assert_same_forest(grouped, single, X, y):
+    for name in _FOREST_ARRAYS:
+        a, b = getattr(grouped, name), getattr(single, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert (grouped.n_train, grouped.seed, grouped.config) == (
+        single.n_train, single.seed, single.config)
+    grid = np.random.default_rng(0).normal(size=(64, X.shape[1]))
+    for rows in (X, grid):
+        assert grouped.predict_proba_batch(rows).tobytes() == \
+            single.predict_proba_batch(rows).tobytes()
+    assert grouped.oob_accuracy(X, y) == single.oob_accuracy(X, y)
+
+
+def _mixed_sets(rng, d):
+    """Sets of 1, 2, 3 and 17 rows, a pure set and a constant-feature set."""
+    sets = []
+    for n in (1, 2, 3, 17):
+        X = np.round(rng.normal(size=(n, d)), 1)
+        sets.append((X, rng.integers(0, 2, n), int(rng.integers(2 ** 63))))
+    sets.append((rng.normal(size=(12, d)), np.ones(12), 5))
+    constant = np.round(rng.normal(size=(10, d)), 1)
+    constant[:, 0] = 2.5
+    sets.append((constant, np.arange(10) % 2, 6))
+    return sets
+
+
+class TestGroupedTraining:
+    @pytest.mark.parametrize("config", [
+        ForestConfig(n_trees=9),                          # k = 2 < d = 3
+        ForestConfig(n_trees=9, features_per_split=3),    # k = d
+        ForestConfig(n_trees=9, max_depth=1),
+    ], ids=["k_below_d", "k_equals_d", "max_depth_1"])
+    def test_each_set_matches_its_own_fit(self, config):
+        sets = _mixed_sets(np.random.default_rng(41), 3)
+        grouped = train_forests(sets, config)
+        assert len(grouped) == len(sets)
+        for model, (X, y, seed) in zip(grouped, sets):
+            _assert_same_forest(model, train_forest(X, y, config, seed), X, y)
+
+    def test_a_cell_of_twenty_one_sets_and_a_single_set(self):
+        # a Monte-Carlo cell: a base set and 20 one-row extensions of it
+        data = gen_gaussian_clouds(60, 0.5, 1.0, 2, seed=42)
+        config = ForestConfig(n_trees=50, features_per_split=1)
+        base = list(range(14))
+        sets = [(data.features[base], data.labels[base], 7)]
+        for m, extra in enumerate(range(14, 34)):
+            rows = base + [extra]
+            sets.append((data.features[rows], data.labels[rows], 100 + m))
+        grouped = train_forests(sets, config)
+        for model, (X, y, seed) in zip(grouped, sets):
+            _assert_same_forest(model, train_forest(X, y, config, seed), X, y)
+        (alone,) = train_forests(sets[:1], config)
+        _assert_same_forest(alone, grouped[0], *sets[0][:2])
+
+    def test_regression_takes_one_set_and_some_set_is_required(self):
+        rng = np.random.default_rng(43)
+        X, y = rng.random((30, 7)), rng.random(30)
+        config = regressor_config(n_trees=5, min_leaf_size=3)
+        (model,) = train_forests([(X, y, 1)], config)
+        single = train_forest(X, y, config, 1)
+        for name in _FOREST_ARRAYS:
+            assert getattr(model, name).tobytes() == getattr(single, name).tobytes()
+        with pytest.raises(ValueError, match="one set"):
+            train_forests([(X, y, 1), (X, y, 2)], config)
+        with pytest.raises(ValueError, match="no training sets"):
+            train_forests([], ForestConfig())
+        with pytest.raises(ValueError, match="number of features"):
+            train_forests([(X, y > 0.5, 1), (X[:, :3], y > 0.5, 2)], ForestConfig())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_tree_seeds_are_the_derived_tree_seeds(self, seed):
+        expected = np.array([derive_seed(seed, "tree", t) for t in range(1050)],
+                            dtype=np.uint64)
+        for n_trees in (1, 2, 50, 1050):
+            assert np.array_equal(tree_seeds(seed, n_trees), expected[:n_trees])
+
+
 def _threshold_grid_rows(model, rng, n):
     """Rows whose every value is a threshold of the model or its float neighbour."""
     columns = []
@@ -425,6 +508,30 @@ class TestPrediction:
         model.tree_predictions_batch(X)
         assert walked == [len(np.unique(ranks, axis=0))]
         assert walked[0] < 100
+
+    def test_cell_key_densifies_before_int64_overflow(self):
+        # 40 features with 3 thresholds each make a radix product of 4**40;
+        # rows that differ only in feature 0 would share a cell if the key
+        # wrapped around int64
+        def chain(f, leaves):
+            node = _leaf(leaves[3])
+            for cut, value in zip((2.5, 1.5, 0.5), leaves[2::-1]):
+                node = {"feature": f, "threshold": cut, "count": 2,
+                        "left": _leaf(value), "right": node}
+            return node
+
+        rng = np.random.default_rng(44)
+        d = 40
+        model = forest_from_doc(_forest_doc(
+            [chain(f, rng.random(4).tolist()) for f in range(d)], n_features=d))
+        assert math.prod(len(cuts) + 1 for _, cuts in model._cuts) > 2 ** 62
+        X = rng.integers(0, 4, size=(200, d)).astype(float)
+        shifted = X.copy()
+        shifted[:, 0] = (shifted[:, 0] + 1) % 4
+        X = np.concatenate([X, shifted])
+        assert np.array_equal(model.tree_predictions_batch(X), model._walk(X))
+        assert np.array_equal(model.predict_proba_batch(X),
+                              [model.predict_proba_batch(X[[i]])[0] for i in range(len(X))])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_are_rejected(self, bad):
