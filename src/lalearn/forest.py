@@ -12,9 +12,15 @@ once: every open node of every tree is split in the same pass using
 segmented prefix sums, which keeps the many small forests an active
 learning experiment needs cheap.  Per-tree seeds are derived from the
 master seed and the tree index, so results are reproducible and
-independent of any scheduling.  Each level sorts a node's rows feature by
-feature with one stable argsort on ``(segment, rank)``, where ``rank`` is a
-dense rank of the values computed once per fit.
+independent of any scheduling.  Each fit sorts every feature's
+bootstrapped rows once, by a dense rank of their values and then by row,
+and records where each row sits in each list (the presorted attribute
+lists of SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996).  Each level then
+orders every node's rows feature by feature with one plain sort of
+distinct integer keys (node, place in the feature's list), which is the
+stable order by value that the level-wide prefix sums depend on, and
+scores only the split points: rows whose successor has a larger value and
+that leave ``min_leaf_size`` rows on both sides.
 
 ``train_forests`` grows the trees of several training sets in the same
 level-by-level pass; ``train_forest`` is that pass with one set.  Every
@@ -39,7 +45,10 @@ sorted distinct thresholds of that feature (``searchsorted`` with
 ``side="left"`` counts the thresholds strictly below the value).  Two rows
 of one cell answer every ``x > threshold`` test alike, so they reach the
 same leaf in every tree: the walk visits one representative per cell and
-each row takes its cell's leaf values.  A forest fitted on a few dozen
+each row takes its cell's leaf values.  The walk moves every (tree, row)
+pair one level per step.  A leaf steps to itself, so a finished pair can
+ride along; finished pairs are dropped only once they are half of the
+pairs still walked, not at every step.  A forest fitted on a few dozen
 labels has few thresholds, so a thousand rows often fall into a few dozen
 cells.  Predictions keep their bits: ``tree_mean`` sums a row's leaf
 values in tree order at any batch size, so averaging the distinct columns
@@ -62,7 +71,7 @@ Split semantics, shared by every code path:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -117,8 +126,9 @@ class ForestModel:
     the root of tree ``i``.  ``feature[j] == -1`` marks a leaf.  Sibling nodes
     occupy adjacent slots: the right child of node ``j`` is ``left[j] + 1``.
     Models are immutable after training and safe to share between
-    processes; the per-feature thresholds that prediction ranks rows by
-    are computed on the first prediction and kept.
+    processes; the per-feature thresholds that prediction ranks rows by,
+    and the walk's node arrays, are computed on the first prediction and
+    kept.
     """
 
     def __init__(self, *, mode, config, seed, n_features, feature,
@@ -184,34 +194,44 @@ class ForestModel:
         _, first, cell = np.unique(cell, return_index=True, return_inverse=True)
         return self._walk(X[first]), cell
 
+    @cached_property
+    def _walk_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(feature, threshold, left)`` for the walk, where a leaf steps to itself.
+
+        A leaf tests feature 0 against ``+inf``, which no finite value
+        exceeds, and its left child is its own id.
+        """
+        leaf = self.feature < 0
+        return (np.where(leaf, 0, self.feature),
+                np.where(leaf, np.inf, self.threshold),
+                np.where(leaf, np.arange(len(leaf)), self.left))
+
     def _walk(self, X: np.ndarray) -> np.ndarray:
         """Leaf value reached in every tree for every row: shape (n_trees, N)."""
         n, d = X.shape
-        # walk all (tree, sample) pairs level by level, compacting away the
-        # pairs that already reached a leaf; x > threshold steps to the
-        # right sibling, which sits one slot after the left child
+        feature, threshold, left = self._walk_nodes
+        # walk all (tree, row) pairs one level per step; x > threshold steps
+        # to the right sibling, which sits one slot after the left child.
+        # A pair in a leaf stays there (a split's children come after it,
+        # so only a leaf steps to itself), and the finished pairs are
+        # dropped only once they are half of those still walked
         flat = np.ascontiguousarray(X).reshape(-1)
         node = np.repeat(np.arange(self.n_trees), n)
-        alive = np.flatnonzero(self.feature[node] >= 0)
-        current = node[alive]
-        rows = (alive % n) * d
-        feat = self.feature[current]
+        reached = np.empty_like(node)
+        alive = np.arange(self.n_trees * n)
+        rows = np.tile(np.arange(n) * d, self.n_trees)
         while len(alive):
-            xv = flat[rows + feat]
-            nxt = self.left[current] + (xv > self.threshold[current])
-            feat = self.feature[nxt]
-            done = feat < 0
-            if done.any():
-                finished = alive[done]
-                node[finished] = nxt[done]
-                keep = ~done
-                alive = alive[keep]
-                current = nxt[keep]
-                rows = rows[keep]
-                feat = feat[keep]
+            nxt = left[node] + (flat[rows + feature[node]] > threshold[node])
+            done = nxt == node
+            if 2 * np.count_nonzero(done) >= len(alive):
+                # integer gathers: numpy's boolean-mask indexing is several
+                # times slower on these mixed masks
+                fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
+                reached[alive[fin]] = nxt[fin]
+                alive, node, rows = alive[keep], nxt[keep], rows[keep]
             else:
-                current = nxt
-        return self.value[node].reshape(self.n_trees, n)
+                node = nxt
+        return self.value[reached].reshape(self.n_trees, n)
 
     def tree_predictions_batch(self, X) -> np.ndarray:
         """Per-tree predictions for a batch of rows, a C-contiguous (n_trees, N) matrix."""
@@ -463,16 +483,119 @@ def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]
     ns = [len(y) for _, y in data]
     bootstraps = [bootstrap_matrix(seeds[g * T:(g + 1) * T], n) for g, n in enumerate(ns)]
     # one dense rank over every value: within a (set, feature) it orders
-    # and ties rows exactly as their values do, so a stable sort on
-    # (segment, rank) is the lexsort on (segment, value)
+    # and ties rows exactly as their values do
     stacked = np.concatenate([X for X, _ in data])
     _, rank = np.unique(stacked, return_inverse=True)
     rank = rank.reshape(stacked.shape)
-    n_rank = int(rank.max()) + 1
     # bootstrapped row r is row src[r] of the stacked sets
     src = np.concatenate([b.reshape(-1) + lo
                           for b, lo in zip(bootstraps, np.cumsum([0] + ns[:-1]))])
     gy = np.concatenate([y for _, y in data])[src]
+    nb = len(src)
+    # the sort keys below pack a group above a row (or a place in the lists
+    # below) by a shift, so unpacking them is a shift and a mask
+    rbits = (nb - 1).bit_length()        # rows r < 2**rbits
+    pbits = (d * nb - 1).bit_length()    # places f * nb + i < 2**pbits
+    rmask, pmask = (1 << rbits) - 1, (1 << pbits) - 1
+    # every feature's bootstrapped rows sorted once by (rank, row), as the
+    # keys rank << rbits | row (below 2 * stacked.size * nb): the i-th row of
+    # feature f is listed[f * nb + i], and pos[f * nb + r] = f * nb + i is
+    # where row r sits.  One feature at a time keeps the temporaries at nb
+    # values
+    listed = np.empty(d * nb, dtype=np.int64)
+    pos = np.empty(d * nb, dtype=np.int64)
+    for f in range(d):
+        lo = f * nb
+        listed[lo:lo + nb] = np.sort(rank[src, f] << rbits | np.arange(nb))
+        pos[lo + (listed[lo:lo + nb] & rmask)] = np.arange(lo, lo + nb)
+
+    def best_splits(es, erows, subs, tot1, tot2, parent):
+        """The split of each eligible node whose best gain is positive.
+
+        ``es``, ``tot1``, ``tot2`` and ``parent`` are the eligible nodes'
+        sizes, target sums, sums of squares (regression only) and
+        impurities, ``erows`` their rows grouped by node and ``subs`` their
+        feature subsets.  Returns ``(node, feature, threshold, decrease)``
+        of the chosen splits, nodes counted among the eligible ones.  Its
+        rows × k arrays die on return, before the level routes its rows.
+        """
+        enode = np.repeat(np.arange(len(es)), es)
+        # segment e * k + j holds node e's rows in the order of feature
+        # subs[e, j]'s sorted list, i.e. by (rank, row).  A node's features
+        # ascend with j, and so do their places, so the keys (node, place)
+        # are distinct and one plain sort lays out every segment.  An
+        # eligible node holds at least two rows, so the keys stay below
+        # d * nb**2: about 1.1e13 for 100 trees on 12,400 rows of 7
+        # features, far from 2**63
+        skey = np.empty((len(erows), k), dtype=np.int64)
+        nkey = enode << pbits
+        first_place = subs.T * nb
+        for j in range(k):
+            skey[:, j] = nkey | pos[first_place[j][enode] + erows]
+        skey = skey.reshape(-1)
+        skey.sort()
+        srank = listed[skey & pmask]
+        del skey
+        srow = srank & rmask
+        srank >>= rbits
+        # split points: the rows whose successor in the segment has a larger
+        # rank and that leave min_leaf rows on both sides (a segment's last
+        # row has none on its right, so no point spans two segments)
+        b = np.flatnonzero(srank[1:] > srank[:-1])
+        del srank
+        seg_sizes = np.repeat(es, k)
+        seg_starts = np.cumsum(seg_sizes) - seg_sizes
+        bseg = np.searchsorted(seg_starts, b, side="right") - 1
+        nl = b - seg_starts[bseg] + 1
+        nr = seg_sizes[bseg] - nl
+        keep = (nl >= min_leaf) & (nr >= min_leaf)
+        b, bseg = b[keep], bseg[keep]
+        bnode = bseg // k
+        boff = seg_starts[bseg]
+        nl = nl[keep].astype(np.float64)
+        nr = nr[keep].astype(np.float64)
+        nn = es[bnode].astype(np.float64)
+        lrow, rrow = srow[b], srow[b + 1]
+        st = gy[srow]
+        del srow
+        # the level-wide prefix sums, read at the points and just before
+        # each point's segment
+        before = np.maximum(boff - 1, 0)
+        c = np.cumsum(st)
+        l1 = c[b] - np.where(boff > 0, c[before], 0.0)
+        if classification:
+            tl0 = nl - l1
+            tr1 = tot1[bnode] - l1
+            tr0 = nr - tr1
+            gl = 1.0 - (tl0 * tl0 + l1 * l1) / (nl * nl)
+            gr = 1.0 - (tr0 * tr0 + tr1 * tr1) / (nr * nr)
+        else:
+            c = np.cumsum(np.square(st, out=st))
+            l2 = c[b] - np.where(boff > 0, c[before], 0.0)
+            mean_l = l1 / nl
+            mean_r = (tot1[bnode] - l1) / nr
+            gl = l2 / nl - mean_l * mean_l
+            gr = (tot2[bnode] - l2) / nr - mean_r * mean_r
+        del st, c
+        bparent = parent[bnode]
+        gain = bparent - (nl * gl + nr * gr) / nn
+
+        # each node's best gain over its points (-inf without any); ties
+        # break toward the smallest threshold, then the smallest feature
+        node_max = np.full(len(es), -np.inf)
+        np.maximum.at(node_max, bnode, gain)
+        bmax = node_max[bnode]
+        ci = np.flatnonzero((bmax > 0.0) & (gain == bmax))
+        cn = bnode[ci]
+        cft = subs.reshape(-1)[bseg[ci]]
+        cthr = (stacked[src[lrow[ci]], cft] + stacked[src[rrow[ci]], cft]) * 0.5
+        psel = np.lexsort((cft, cthr, cn))
+        first = np.ones(len(psel), dtype=bool)
+        first[1:] = cn[psel][1:] != cn[psel][:-1]
+        pick = psel[first]
+        pocc = ci[pick]
+        decrease = nn[pocc] * bparent[pocc] - (nl[pocc] * gl[pocc] + nr[pocc] * gr[pocc])
+        return cn[pick], cft[pick], cthr[pick], decrease
 
     levels = []   # per level: open trees, feature, threshold, value, count
     tree_depths = np.zeros(G * T, dtype=np.int64)
@@ -489,7 +612,8 @@ def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]
         P = len(open_tree)
         rows = np.flatnonzero(row_ord >= 0)
         o = row_ord[rows]
-        rows_g = rows[np.argsort(o, kind="stable")]
+        # by node, then row; the keys stay below 2 * nb**2
+        rows_g = np.sort(o << rbits | rows) & rmask
         sizes = np.bincount(o, minlength=P)
         starts = np.cumsum(sizes) - sizes
         ends = starts + sizes - 1
@@ -518,77 +642,14 @@ def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]
         thr_l = np.full(P, np.nan)
         if eligible.any():
             elig = np.flatnonzero(eligible)
-            es = sizes[elig]
-            eb = np.cumsum(es) - es
-            erows = rows_g[np.repeat(eligible, sizes)]
             # k == d draws every feature, in index order
             subs = feature_subsets(seeds[open_tree[elig]], open_pt[elig], d, k)
-
-            seg_sizes = np.repeat(es, k)
-            seg_starts = np.cumsum(seg_sizes) - seg_sizes
-            total_occ = int(seg_sizes.sum())
-            occ_seg = np.repeat(np.arange(len(elig) * k), seg_sizes)
-            occ_off = np.repeat(seg_starts, seg_sizes)
-            occ_pos = np.arange(total_occ) - occ_off
-            occ_node = occ_seg // k
-            occ_rows = erows[eb[occ_node] + occ_pos]
-            occ_feat = subs.reshape(-1)[occ_seg]
-
-            skey = occ_seg * n_rank + rank[src[occ_rows], occ_feat]
-            sorder = np.argsort(skey, kind="stable")
-            skey = skey[sorder]
-            srow = occ_rows[sorder]
-            st = gy[srow]
-            c1 = np.cumsum(st)
-            l1 = c1 - np.where(occ_off > 0, c1[np.maximum(occ_off - 1, 0)], 0.0)
-            nn_i = es[occ_node]
-            nn = nn_i.astype(np.float64)
-            nl = (occ_pos + 1).astype(np.float64)
-            nr = nn - nl
-            etot1 = tot1[elig]
-            # last positions in each segment have nr == 0; they are masked
-            # below, so the nan they produce here is harmless
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if classification:
-                    tl1 = l1
-                    tl0 = nl - tl1
-                    tr1 = etot1[occ_node] - tl1
-                    tr0 = nr - tr1
-                    gl = 1.0 - (tl0 * tl0 + tl1 * tl1) / (nl * nl)
-                    gr = 1.0 - (tr0 * tr0 + tr1 * tr1) / (nr * nr)
-                else:
-                    c2 = np.cumsum(st * st)
-                    l2 = c2 - np.where(occ_off > 0, c2[np.maximum(occ_off - 1, 0)], 0.0)
-                    etot2 = tot2[elig]
-                    mean_l = l1 / nl
-                    mean_r = (etot1[occ_node] - l1) / nr
-                    gl = l2 / nl - mean_l * mean_l
-                    gr = (etot2[occ_node] - l2) / nr - mean_r * mean_r
-                gain = parent_imp[elig][occ_node] - (nl * gl + nr * gr) / nn
-
-            # within a segment the sorted key steps up exactly where the value does
-            next_differs = np.zeros(total_occ, dtype=bool)
-            next_differs[:-1] = skey[1:] > skey[:-1]
-            valid = ((occ_pos < nn_i - 1) & next_differs
-                     & (nl >= min_leaf) & (nr >= min_leaf))
-            gain = np.where(valid, gain, -np.inf)
-            node_max = np.maximum.reduceat(gain, seg_starts[np.arange(len(elig)) * k])
-            cand = valid & (node_max[occ_node] > 0.0) & (gain == node_max[occ_node])
-            ci = np.flatnonzero(cand)
-            cn = occ_node[ci]
-            cft = occ_feat[ci]
-            cthr = (stacked[src[srow[ci]], cft] + stacked[src[srow[ci + 1]], cft]) * 0.5
-            psel = np.lexsort((cft, cthr, cn))
-            first = np.ones(len(psel), dtype=bool)
-            first[1:] = cn[psel][1:] != cn[psel][:-1]
-            pick = psel[first]
-            pn = cn[pick]
-            pocc = ci[pick]
-            np.add.at(imp_raw, (open_tree[elig[pn]] // T, cft[pick]),
-                      nn[pocc] * parent_imp[elig][pn]
-                      - (nl[pocc] * gl[pocc] + nr[pocc] * gr[pocc]))
-            feat_l[elig[pn]] = cft[pick]
-            thr_l[elig[pn]] = cthr[pick]
+            node, feat, thr, decrease = best_splits(
+                sizes[elig], rows_g[np.repeat(eligible, sizes)], subs, tot1[elig],
+                None if classification else tot2[elig], parent_imp[elig])
+            np.add.at(imp_raw, (open_tree[elig[node]] // T, feat), decrease)
+            feat_l[elig[node]] = feat
+            thr_l[elig[node]] = thr
         levels.append((open_tree, feat_l, thr_l, value, sizes))
 
         # within-tree creation indices for the children: sequential per
@@ -681,66 +742,136 @@ def forest_to_doc(model: ForestModel) -> dict:
     }
 
 
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _doc_int(value, key: str, what: str, lo: int, hi: int = 2 ** 63) -> int:
+    """``value`` if it is an integer in ``[lo, hi)``; never a bool or a float."""
+    if type(value) is not int or not lo <= value < hi:
+        raise ValueError(f"forest field {key!r} must be {what}, got {_brief(value)}")
+    return value
+
+
+def _doc_ints(values: list, key: str, what: str, lo: int, hi: int = 2 ** 63) -> np.ndarray:
+    """``_doc_int`` over a list, checked in bulk, as an int64 array.
+
+    ``lo >= 0`` and ``hi <= 2**63`` keep every accepted value inside int64.
+    """
+    if set(map(type, values)) <= {int} and (not values or lo <= min(values)
+                                             and max(values) < hi):
+        return np.array(values, dtype=np.int64)
+    bad = next(v for v in values if type(v) is not int or not lo <= v < hi)
+    raise ValueError(f"forest field {key!r} must be {what}, got {_brief(bad)}")
+
+
+def _doc_floats(values: list, key: str) -> np.ndarray:
+    """Finite numbers as a float64 array; an integer is accepted, a bool is not."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            array = np.array(values, dtype=np.float64)
+        except OverflowError:   # an integer beyond the float range
+            pass
+        else:
+            if np.all(np.isfinite(array)):
+                return array
+    bad = next(v for v in values if type(v) not in (int, float) or not _finite(v))
+    raise ValueError(f"forest field {key!r} must be a finite number, got {_brief(bad)}")
+
+
+def _finite(number) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
+_CONFIG_KEYS = tuple(field.name for field in fields(ForestConfig))
+
+
+def _config_from_doc(doc) -> ForestConfig:
+    if not isinstance(doc, dict) or set(doc) != set(_CONFIG_KEYS):
+        raise ValueError(f"forest field 'config' must be an object with keys "
+                         f"{', '.join(_CONFIG_KEYS)}")
+    for key in ("n_trees", "min_leaf_size"):
+        _doc_int(doc[key], key, "a positive integer below 2**63", 1)
+    if doc["max_depth"] is not None:
+        _doc_int(doc["max_depth"], "max_depth", "null or a non-negative integer below 2**63", 0)
+    if doc["features_per_split"] is not None:
+        _doc_int(doc["features_per_split"], "features_per_split",
+                 "null or a positive integer below 2**63", 1)
+    return ForestConfig(**doc)
+
+
 def forest_from_doc(doc: dict) -> ForestModel:
     """Rebuild a forest from ``forest_to_doc`` output.
 
-    Raises ``ValueError`` for a malformed document, including feature
-    indices outside ``[0, n_features)``: the prediction walk indexes a
-    flattened matrix, so such a node would silently read the next row.
+    Raises ``ValueError`` naming the field for a malformed document: a
+    missing field, a bool or float where an integer belongs, an integer
+    outside int64, a non-finite number, or a feature index outside
+    ``[0, n_features)`` (the prediction walk indexes a flattened matrix,
+    so such a node would silently read the next row).
     """
     if not isinstance(doc, dict):
         raise ValueError("forest document must be a JSON object")
-    if doc.get("format") != FOREST_FORMAT:
-        raise ValueError(f"unsupported forest format: {doc.get('format')!r}")
+    fmt = doc.get("format")
+    if type(fmt) is not int or fmt != FOREST_FORMAT:
+        raise ValueError(f"unsupported forest format: {_brief(fmt)}")
     feature, threshold, left, value, count = [], [], [], [], []
     try:
-        mode, cfg = doc["mode"], ForestConfig(**doc["config"])
-        n_features = int(doc["n_features"])
-        importances = np.asarray(doc["importances"], dtype=np.float64)
+        cfg = _config_from_doc(doc["config"])
+        if doc["mode"] != cfg.mode:
+            raise ValueError(f"forest mode {_brief(doc['mode'])} differs from its "
+                             f"config mode {cfg.mode!r}")
+        seed = _doc_int(doc["seed"], "seed", "a non-negative integer below 2**64", 0, 2 ** 64)
+        n_features = _doc_int(doc["n_features"], "n_features",
+                              "a positive integer below 2**63", 1)
+        importances = doc["importances"]
+        if not isinstance(importances, list) or len(importances) != n_features:
+            raise ValueError(f"forest importances must be {n_features} finite values")
+        importances = _doc_floats(importances, "importances")
+        if not isinstance(doc["trees"], list):
+            raise ValueError("forest field 'trees' must be a list")
         queue = [(tree, t, 0) for t, tree in enumerate(doc["trees"])]
         depths = [0] * len(queue)
         # one FIFO over all trees numbers the nodes in the level order
         # train_forest builds: node i is queue[i], so the roots come first
-        # and each right child sits one slot after its left sibling
+        # and each right child sits one slot after its left sibling.  The
+        # nodes' numbers are checked in bulk below
         for node, t, depth in queue:
-            count.append(int(node.get("count", 0)))
+            if not isinstance(node, dict):
+                raise ValueError(f"forest node must be an object, got {_brief(node)}")
+            count.append(node["count"])
             if "value" in node:
-                feature.append(-1)
-                threshold.append(np.nan)
                 left.append(-1)
-                value.append(float(node["value"]))
+                value.append(node["value"])
                 depths[t] = max(depths[t], depth)
-                continue
-            feature.append(int(node["feature"]))
-            threshold.append(float(node["threshold"]))
-            left.append(len(queue))
-            value.append(np.nan)
-            queue.append((node["left"], t, depth + 1))
-            queue.append((node["right"], t, depth + 1))
+            else:
+                feature.append(node["feature"])
+                threshold.append(node["threshold"])
+                left.append(len(queue))
+                queue.append((node["left"], t, depth + 1))
+                queue.append((node["right"], t, depth + 1))
+            # a node with keys of both kinds, or unknown ones, would load as
+            # one kind and silently drop the rest
+            if len(node) != (2 if "value" in node else 5):
+                raise ValueError(f"forest node has unexpected keys: {sorted(node)}")
     except KeyError as exc:
         raise ValueError(f"forest document is missing field {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed forest document: {exc}") from None
-
-    feature = np.asarray(feature, dtype=np.int64)
-    threshold = np.asarray(threshold, dtype=np.float64)
-    value = np.asarray(value, dtype=np.float64)
-    count = np.asarray(count, dtype=np.int64)
-    internal = np.asarray(left, dtype=np.int64) >= 0
-    if np.any((feature[internal] < 0) | (feature[internal] >= n_features)):
-        raise ValueError(f"forest node feature index outside [0, {n_features})")
-    if not (np.all(np.isfinite(threshold[internal]))
-            and np.all(np.isfinite(value[~internal]))):
-        raise ValueError("forest thresholds and leaf values must be finite")
-    if np.any(count < 0):
-        raise ValueError("forest node counts must be non-negative")
-    if importances.shape != (n_features,) or not np.all(np.isfinite(importances)):
-        raise ValueError(f"forest importances must be {n_features} finite values")
     if len(depths) != cfg.n_trees:
         raise ValueError(f"forest holds {len(depths)} trees, its config says {cfg.n_trees}")
+    left = np.array(left, dtype=np.int64)
+    internal = left >= 0
+    node_feature = np.full(len(left), -1, dtype=np.int64)
+    node_feature[internal] = _doc_ints(feature, "feature",
+                                       f"a feature index in [0, {n_features})", 0, n_features)
+    node_threshold = np.full(len(left), np.nan)
+    node_threshold[internal] = _doc_floats(threshold, "threshold")
+    node_value = np.full(len(left), np.nan)
+    node_value[~internal] = _doc_floats(value, "value")
     return ForestModel(
-        mode=mode, config=cfg, seed=int(doc.get("seed", 0)),
-        n_features=n_features, feature=feature, threshold=threshold,
-        left=left, value=value, count=count, tree_depths=depths,
-        importances_raw=importances, bootstrap=None, n_train=None)
-
+        mode=cfg.mode, config=cfg, seed=seed, n_features=n_features, feature=node_feature,
+        threshold=node_threshold, left=left, value=node_value,
+        count=_doc_ints(count, "count", "a non-negative integer below 2**63", 0),
+        tree_depths=depths, importances_raw=importances, bootstrap=None, n_train=None)

@@ -140,8 +140,9 @@ def strategy_from_doc(doc: dict) -> Strategy:
     """Rebuild a strategy from ``to_doc`` output; ``ValueError`` when malformed."""
     if not isinstance(doc, dict):
         raise ValueError("strategy document must be a JSON object")
-    if doc.get("format") != STRATEGY_FORMAT:
-        raise ValueError(f"unsupported strategy format: {doc.get('format')!r}")
+    fmt = doc.get("format")
+    if type(fmt) is not int or fmt != STRATEGY_FORMAT:
+        raise ValueError(f"unsupported strategy format: {fmt!r}")
     kind = doc.get("kind")
     if kind == "random":
         return RandomStrategy()

@@ -273,6 +273,59 @@ class TestAnalyze:
         assert err.startswith("error: config") and "--bins" in err
         assert not (tmp_path / "hist.csv").exists()
 
+    def test_every_strategy_field_corruption_is_config_error(self, tmp_path, capsys):
+        # every field of a small strategy, down to the nodes of both trees:
+        # each corruption exits 2, except the few that leave a valid
+        # document (a finite number where a float belongs, null where the
+        # config allows it, no or empty training metadata)
+        rng = np.random.default_rng(9)
+        states = np.round(rng.random((16, 7)), 1)
+        regressor = train_forest(states, rng.normal(size=16),
+                                 regressor_config(n_trees=2, min_leaf_size=3), seed=4)
+        base = LalStrategy(regressor, provenance="iterative").to_doc()
+        deleted = object()
+        corruptions = (None, True, 0.5, "x", [], {}, 10 ** 30, -(10 ** 30), deleted)
+
+        def accepted(path, value):
+            if path[-1] in ("threshold", "value") or path[-2:-1] == ("importances",):
+                return value in (0.5, 10 ** 30, -(10 ** 30))
+            if path[-1] in ("max_depth", "features_per_split"):
+                return value is None and path[-2] == "config"
+            return path == ("training_metadata",) and (value is deleted or value == {})
+
+        paths = []
+
+        def visit(node, path):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, child in items:
+                paths.append(path + (key,))
+                if isinstance(child, (dict, list)):
+                    visit(child, path + (key,))
+
+        visit(base, ())
+        assert sum(path[-1] == "count" for path in paths) >= 5   # both trees split
+        failures = []
+        for i, path in enumerate(paths):
+            for value in corruptions:
+                doc = json.loads(json.dumps(base))
+                parent = doc
+                for step in path[:-1]:
+                    parent = parent[step]
+                if value is deleted:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                strategy = _write(tmp_path / f"s{i}.json", doc)
+                code = main(["analyze", "--strategy", strategy, "--force",
+                             "--importances-out", str(tmp_path / "imp.csv")])
+                err = capsys.readouterr().err
+                expected = EXIT_OK if accepted(path, value) else EXIT_CONFIG
+                if code != expected or (code and not err.startswith("error: config")):
+                    failures.append((path, "deleted" if value is deleted else value,
+                                     code, err.strip()))
+        assert len(paths) > 40
+        assert failures == []
+
     def test_probability_outside_unit_interval_is_config_error(self, tmp_path, capsys):
         traces = tmp_path / "sel.csv"
         traces.write_text("repetition,iteration,index,p0\n0,0,4,1.5\n0,1,9,0.5\n")

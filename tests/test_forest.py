@@ -1,5 +1,6 @@
 """Forest training, prediction, introspection, and serialization."""
 
+import hashlib
 import json
 import math
 
@@ -416,6 +417,64 @@ class TestGroupedTraining:
             assert np.array_equal(tree_seeds(seed, n_trees), expected[:n_trees])
 
 
+def _learning_state_rows(rng, groups):
+    """Rows shaped like learning states and their deltas.
+
+    Each 21-row group shares its six classifier columns, p0 takes two
+    decimals and the deltas are multiples of 0.001, so most rows tie on
+    most features, as a Monte-Carlo cell's rows do.
+    """
+    shared = np.repeat(np.round(rng.random((groups, 6)), 3), 21, axis=0)
+    p0 = np.round(rng.random(21 * groups), 2)
+    deltas = np.round(rng.normal(0.005, 0.02, 21 * groups), 3)
+    return np.column_stack([shared, p0]), deltas
+
+
+def _digest_fits(case):
+    rng = np.random.default_rng(61)
+    if case == "cell_of_21":
+        sets = [(np.round(rng.normal(size=(n, 4)), 1), rng.integers(0, 2, n), 1000 + n)
+                for n in np.linspace(2, 64, 21).astype(int)]
+        return train_forests(sets, ForestConfig(n_trees=20))
+    if case.startswith("classifier"):
+        X, y = np.round(rng.normal(size=(40, 4)), 1), rng.integers(0, 2, 40)
+        k = 1 if case == "classifier_k1" else 4
+        return [train_forest(X, y, ForestConfig(n_trees=20, features_per_split=k), 9)]
+    X, y = _learning_state_rows(rng, 24)
+    kwargs = {"reg_leaf1": dict(min_leaf_size=1), "reg_leaf5": dict(min_leaf_size=5),
+              "reg_leaf80": dict(min_leaf_size=80),
+              "reg_depth3": dict(min_leaf_size=5, max_depth=3),
+              "reg_k1": dict(min_leaf_size=5, features_per_split=1),
+              "reg_k7": dict(min_leaf_size=5, features_per_split=7)}[case]
+    # the default k is ceil(sqrt(7)) = 3
+    return [train_forest(X, y, regressor_config(n_trees=20, **kwargs), 11)]
+
+
+# SHA-256 of every trained array for a fixed matrix of fits: a change to
+# the order of a prefix sum, a tie-break or the node numbering shows here
+_TRAINER_DIGESTS = {
+    "cell_of_21": "af9ae733cc6c24ce07a49c30b4a8f9a1f909179f4528eef00a8802f7a98569f6",
+    "classifier_k1": "379a792be270b1eb109f7dc7e6ba76035f49c82f948a0890bf0f3f9ad9eb874b",
+    "classifier_kd": "27c624b88f15d234b8cd0e002cc4e6545bda02c81a4ec95cbe791b8552402ff8",
+    "reg_leaf1": "58cf7f2e37a72346b392213c1d8dd2889352b9db42f6d1d85c4b6bab4a957011",
+    "reg_leaf5": "767cfbed6a950adbe289c60a9245c866b3bf8b4fddb8d483fc7e28b0d6076464",
+    "reg_leaf80": "13d9352f9fc9364ce173182110588ce59b782726cd20e0a873e045248e93374e",
+    "reg_depth3": "79923e89de2a2cd9f916d766ef23b18d7dcd09f6df2ae152bc5281321d991dde",
+    "reg_k1": "115120d107045f279e4674c6e4832cf93cf3d8fb6ac9da557eb19ccb94bbb5ec",
+    "reg_k7": "32e1aae78c0495a4170376cf65e8d12f0d58648951b0f185fe9054bdb9c2c93e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRAINER_DIGESTS))
+def test_trainer_output_digests(case):
+    h = hashlib.sha256()
+    for model in _digest_fits(case):
+        for name in ("feature", "threshold", "left", "value", "count", "tree_depths",
+                     "importances_raw"):
+            h.update(getattr(model, name).tobytes())
+    assert h.hexdigest() == _TRAINER_DIGESTS[case]
+
+
 def _threshold_grid_rows(model, rng, n):
     """Rows whose every value is a threshold of the model or its float neighbour."""
     columns = []
@@ -691,6 +750,44 @@ class TestHandBuiltForests:
                 expected = np.array([walk(tree, x) for x in grid])
                 assert np.array_equal(batch[t], expected)
 
+    @pytest.mark.parametrize("shape", ["leaves_and_chain", "chain_and_stumps", "stumps",
+                                       "leaves"])
+    def test_walk_matches_per_row_reference(self, shape):
+        # single-leaf trees finish at the first step while a 30-deep chain
+        # lets rows out one level at a time, so the walk drops finished
+        # pairs several times; stumps all finish at their second step and
+        # a forest of leaves at its first.  Half the rows sit exactly on a
+        # threshold
+        rng = np.random.default_rng(47)
+
+        def chain(depth):
+            node = _leaf(float(depth))
+            for i in reversed(range(depth)):
+                node = {"feature": i % 2, "threshold": float(i), "count": 2,
+                        "left": _leaf(i + 0.5), "right": node}
+            return node
+
+        def stump():
+            return {"feature": int(rng.integers(2)), "threshold": float(rng.integers(30)),
+                    "count": 2, "left": _leaf(rng.random()), "right": _leaf(rng.random())}
+
+        trees = {"leaves_and_chain": [_leaf(0.1)] * 6 + [chain(30), _leaf(0.7)],
+                 "chain_and_stumps": [stump(), chain(30)] + [stump() for _ in range(5)],
+                 "stumps": [stump() for _ in range(4)],
+                 "leaves": [_leaf(0.2), _leaf(0.9)]}[shape]
+        model = forest_from_doc(_forest_doc(trees))
+        X = np.concatenate([np.repeat(np.arange(-1.0, 31.0, 0.5)[:, None], 2, axis=1),
+                            rng.uniform(-1.0, 31.0, (64, 2)), rng.integers(0, 30, (64, 2))])
+
+        def walk(node, x):
+            while "value" not in node:
+                node = node["right"] if x[node["feature"]] > node["threshold"] else node["left"]
+            return node["value"]
+
+        expected = np.array([[walk(tree, x) for x in X] for tree in trees])
+        assert np.array_equal(model._walk(X), expected)
+        assert np.array_equal(model.tree_predictions_batch(X), expected)
+
 
 def _json_round_trip(model):
     return forest_from_doc(json.loads(json.dumps(forest_to_doc(model))))
@@ -753,8 +850,11 @@ class TestSerialization:
         (lambda d: d.update(importances=[0.0]), "importances"),
         (lambda d: d.update(trees=d["trees"][:1]), "trees"),
         (lambda d: d["trees"][0].pop("left"), "missing field"),
+        (lambda d: d["trees"][0].update(value=0.5), "unexpected keys"),
+        (lambda d: d["trees"][1].update(feature=0), "unexpected keys"),
     ], ids=["feature_too_large", "feature_negative", "nan_threshold", "inf_leaf",
-            "negative_count", "importances_length", "tree_count", "missing_child"])
+            "negative_count", "importances_length", "tree_count", "missing_child",
+            "split_with_value", "leaf_with_feature"])
     def test_malformed_document_rejected(self, corrupt, message):
         def doc():
             stump = {"feature": 1, "threshold": 0.5, "count": 2,
