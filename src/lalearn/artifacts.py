@@ -49,16 +49,6 @@ def curve_to_json(curve: LearningCurve, path) -> None:
         json.dump(doc, fh, sort_keys=True)
 
 
-def curve_from_json(path) -> LearningCurve:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CURVE_FORMAT:
-        raise ValueError(f"unsupported curve format: {doc.get('format')!r}")
-    return LearningCurve(doc["strategy"], doc["dataset"], doc["metric"],
-                         np.asarray(doc["budgets"]), np.asarray(doc["traces"]),
-                         doc["master_seed"])
-
-
 def summary_to_csv(curves: dict[str, LearningCurve], path) -> None:
     """Long-format ``strategy,budget,mean,std`` table across all curves."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,15 +12,10 @@ once: every open node of every tree is split in the same pass using
 segmented prefix sums, which keeps the many small forests an active
 learning experiment needs cheap.  Per-tree seeds are derived from the
 master seed and the tree index, so results are reproducible and
-independent of any scheduling.  Each fit sorts every feature's
-bootstrapped rows once, by a dense rank of their values and then by row,
-and records where each row sits in each list (the presorted attribute
-lists of SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996).  Each level then
-orders every node's rows feature by feature with one plain sort of
-distinct integer keys (node, place in the feature's list), which is the
-stable order by value that the level-wide prefix sums depend on, and
-scores only the split points: rows whose successor has a larger value and
-that leave ``min_leaf_size`` rows on both sides.
+independent of any scheduling.  One split scan serves the trainer and
+``best_split``, which runs one node and one feature through it:
+``presort`` (SLIQ's presorted attribute lists; Mehta, Agrawal & Rissanen,
+EDBT 1996), ``node_stats``, ``split_gains`` and ``choose_splits``.
 
 ``train_forests`` grows the trees of several training sets in the same
 level-by-level pass; ``train_forest`` is that pass with one set.  Every
@@ -56,7 +51,7 @@ and indexing the result gives what averaging every row would.  Rows must
 be finite: a NaN would rank above every threshold but fail every ``>``
 test.
 
-Split semantics, shared by every code path:
+Split semantics:
 
 * candidate thresholds are midpoints of consecutive distinct sorted values;
 * the best split maximizes the impurity decrease
@@ -316,14 +311,164 @@ def tree_mean(leaf: np.ndarray) -> np.ndarray:
 # ---- split scan --------------------------------------------------------
 
 
+def _run_sums(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums over the runs ``[lo, hi]`` of the values whose prefix sums are ``c``."""
+    return c[hi] - np.where(lo > 0, c[np.maximum(lo - 1, 0)], 0.0)
+
+
+def presort(stacked: np.ndarray, src: np.ndarray):
+    """Presorted lists ``(listed, pos, rbits, pbits)`` of the rows ``stacked[src]``.
+
+    Each feature's ``nb`` rows are sorted once by the keys ``rank << rbits
+    | row`` (below ``2 * stacked.size * nb``), where one dense rank over
+    ``stacked`` orders and ties rows as their values do.  The i-th row of
+    feature f is ``listed[f * nb + i]``, and ``pos[f * nb + r] = f * nb +
+    i`` is where row r sits.  Rows are below ``2**rbits`` and places below
+    ``2**pbits``, so keys that pack a group above either unpack by shifts.
+    """
+    nb, d = len(src), stacked.shape[1]
+    _, rank = np.unique(stacked, return_inverse=True)
+    rank = rank.reshape(stacked.shape)
+    rbits, pbits = (nb - 1).bit_length(), (d * nb - 1).bit_length()
+    listed, pos = np.empty((2, d * nb), dtype=np.int64)
+    # one feature at a time keeps the temporaries at nb values
+    for f in range(d):
+        lo = f * nb
+        listed[lo:lo + nb] = np.sort(rank[src, f] << rbits | np.arange(nb))
+        pos[lo + (listed[lo:lo + nb] & ((1 << rbits) - 1))] = np.arange(lo, lo + nb)
+    return listed, pos, rbits, pbits
+
+
+def node_stats(y_g: np.ndarray, sizes: np.ndarray, classification: bool):
+    """``(value, impurity, pure, tot1, tot2)`` of nodes with ``sizes`` targets each.
+
+    ``y_g`` holds the nodes' targets grouped by node.  The target sums
+    ``tot1`` and sums of squares ``tot2`` (regression only, else ``None``)
+    are read off the prefix sums of all of ``y_g``.
+    """
+    starts = np.cumsum(sizes) - sizes
+    ends = starts + sizes - 1
+    szf = sizes.astype(np.float64)
+    tot1 = _run_sums(np.cumsum(y_g), starts, ends)
+    if classification:
+        impurity = 1.0 - ((szf - tot1) ** 2 + tot1 ** 2) / (szf * szf)
+        return (szf - tot1) / szf, impurity, (tot1 == 0.0) | (tot1 == szf), tot1, None
+    tot2 = _run_sums(np.cumsum(y_g * y_g), starts, ends)
+    value = tot1 / szf
+    impurity = tot2 / szf - value * value
+    mn = np.minimum.reduceat(y_g, starts)
+    pure = mn == np.maximum.reduceat(y_g, starts)
+    # a pure node's value is its exact constant, without float dust
+    return np.where(pure, mn, value), impurity, pure, tot1, tot2
+
+
+def split_gains(lists, gy, sizes, rows, subs, tot1, tot2, parent, min_leaf: int):
+    """Every split point of the nodes over their feature subsets, with its gain.
+
+    ``lists`` come from ``presort``, ``gy[r]`` is bootstrapped row r's
+    target, ``rows`` are the nodes' rows grouped by node, ``subs`` their
+    feature subsets and the rest their ``node_stats``.  Returns ``(node,
+    slot, lrow, rrow, gain, child)`` per point, ordered by node, slot (an
+    index into ``subs.ravel()``) and threshold, which lies between the
+    values of rows lrow and rrow: ``gain = parent - child / n`` with
+    ``child = n_l * imp(left) + n_r * imp(right)``.
+    """
+    listed, pos, rbits, pbits = lists
+    nb, k = len(gy), subs.shape[1]
+    enode = np.repeat(np.arange(len(sizes)), sizes)
+    # segment e * k + j holds node e's rows in the order of feature
+    # subs[e, j]'s sorted list, i.e. by (rank, row).  A node's features
+    # ascend with j, and so do their places, so the keys (node, place)
+    # are distinct and one plain sort lays out every segment.  Every node
+    # holds at least two rows (eligible nodes do, and so does best_split's
+    # one node), so the keys stay below d * nb**2: about 1.1e13 for 100
+    # trees on 12,400 rows of 7 features, far from 2**63
+    skey = np.empty((len(rows), k), dtype=np.int64)
+    nkey = enode << pbits
+    first_place = subs.T * nb
+    for j in range(k):
+        skey[:, j] = nkey | pos[first_place[j][enode] + rows]
+    del enode, nkey
+    skey = skey.reshape(-1)
+    skey.sort()
+    srank = listed[skey & ((1 << pbits) - 1)]
+    del skey
+    srow = srank & ((1 << rbits) - 1)
+    srank >>= rbits
+    # split points: the rows whose successor in the segment has a larger
+    # rank and that leave min_leaf rows on both sides (a segment's last
+    # row has none on its right, so no point spans two segments)
+    b = np.flatnonzero(srank[1:] > srank[:-1])
+    del srank
+    seg_sizes = np.repeat(sizes, k)
+    seg_starts = np.cumsum(seg_sizes) - seg_sizes
+    slot = np.searchsorted(seg_starts, b, side="right") - 1
+    nl = b - seg_starts[slot] + 1
+    nr = seg_sizes[slot] - nl
+    keep = (nl >= min_leaf) & (nr >= min_leaf)
+    b, slot = b[keep], slot[keep]
+    node = slot // k
+    nl, nr = nl[keep].astype(np.float64), nr[keep].astype(np.float64)
+    lrow, rrow = srow[b], srow[b + 1]
+    st = gy[srow]
+    del srow, keep
+    # the level-wide prefix sums, read at the points and just before
+    # each point's segment
+    boff = seg_starts[slot]
+    l1 = _run_sums(np.cumsum(st), boff, b)
+    l2 = None if tot2 is None else _run_sums(np.cumsum(np.square(st, out=st)), boff, b)
+    del st, boff, b
+    if tot2 is None:
+        tl0 = nl - l1
+        tr1 = tot1[node] - l1
+        tr0 = nr - tr1
+        gl = 1.0 - (tl0 * tl0 + l1 * l1) / (nl * nl)
+        gr = 1.0 - (tr0 * tr0 + tr1 * tr1) / (nr * nr)
+    else:
+        mean_l = l1 / nl
+        gl = l2 / nl - mean_l * mean_l
+        mean_r = (tot1[node] - l1) / nr
+        del l1, mean_l
+        gr = (tot2[node] - l2) / nr - mean_r * mean_r
+    child = nl * gl + nr * gr
+    del nl, nr, gl, gr
+    return node, slot, lrow, rrow, parent[node] - child / sizes[node], child
+
+
+def choose_splits(points, subs, sizes, parent, stacked, src):
+    """The split of each node whose best ``split_gains`` point has a positive gain.
+
+    Ties break toward the smallest threshold, then the smallest feature;
+    ``stacked[src[r]]`` holds bootstrapped row r's values.  Returns ``(node,
+    feature, threshold, decrease)``, with ``decrease = n * parent - child``.
+    """
+    node, slot, lrow, rrow, gain, child = points
+    # each node's best gain over its points (-inf without any)
+    node_max = np.full(len(sizes), -np.inf)
+    np.maximum.at(node_max, node, gain)
+    bmax = node_max[node]
+    ci = np.flatnonzero((bmax > 0.0) & (gain == bmax))
+    cn = node[ci]
+    cft = subs.reshape(-1)[slot[ci]]
+    cthr = (stacked[src[lrow[ci]], cft] + stacked[src[rrow[ci]], cft]) * 0.5
+    psel = np.lexsort((cft, cthr, cn))
+    first = np.ones(len(psel), dtype=bool)
+    first[1:] = cn[psel][1:] != cn[psel][:-1]
+    pick = psel[first]
+    chosen = cn[pick]
+    decrease = sizes[chosen] * parent[chosen] - child[ci[pick]]
+    return chosen, cft[pick], cthr[pick], decrease
+
+
 def best_split(feature_column, targets, criterion: str = "gini",
                min_leaf_size: int = 1):
     """Best threshold for one feature, or ``None`` when no split exists.
 
-    Scans midpoints of consecutive distinct sorted values and returns
-    ``(threshold, impurity_decrease)`` maximizing the decrease; ties break
-    toward the smallest threshold.  A constant column (or one whose every
-    boundary violates ``min_leaf_size``) yields ``None``.
+    One node, one feature and no bootstrap through the trainer's scan.
+    Returns ``(threshold, impurity_decrease)`` of the split point with the
+    largest decrease, even when it is not positive; ties break toward the
+    smallest threshold.  A constant column (or one whose every boundary
+    violates ``min_leaf_size``) has no split point and yields ``None``.
     """
     x = np.asarray(feature_column, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -336,41 +481,15 @@ def best_split(feature_column, targets, criterion: str = "gini",
         raise ValueError(f"unknown criterion {criterion!r}")
     if criterion == "gini" and not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("gini criterion expects 0/1 targets")
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    if xs[0] == xs[-1]:
+    rows, sizes = np.arange(n), np.array([n])
+    _, parent, _, tot1, tot2 = node_stats(y, sizes, criterion == "gini")
+    _, _, lrow, rrow, gain, _ = split_gains(presort(x[:, None], rows), y, sizes, rows,
+                                            np.zeros((1, 1), dtype=np.int64), tot1, tot2,
+                                            parent, min_leaf_size)
+    if not len(gain):
         return None
-    nf = float(n)
-    nl = np.arange(1, n, dtype=np.float64)
-    nr = nf - nl
-    c1 = np.cumsum(ys)[:-1]
-    if criterion == "gini":
-        tot1 = float(np.cumsum(ys)[-1])
-        parent = 1.0 - ((nf - tot1) ** 2 + tot1 ** 2) / (nf * nf)
-        l1 = c1
-        l0 = nl - l1
-        r1 = tot1 - l1
-        r0 = nr - r1
-        gl = 1.0 - (l0 * l0 + l1 * l1) / (nl * nl)
-        gr = 1.0 - (r0 * r0 + r1 * r1) / (nr * nr)
-    else:
-        c2 = np.cumsum(ys * ys)[:-1]
-        tot1 = float(np.cumsum(ys)[-1])
-        tot2 = float(np.cumsum(ys * ys)[-1])
-        parent = tot2 / nf - (tot1 / nf) ** 2
-        ml = c1 / nl
-        mr = (tot1 - c1) / nr
-        gl = c2 / nl - ml * ml
-        gr = (tot2 - c2) / nr - mr * mr
-    gain = parent - (nl * gl + nr * gr) / nf
-    valid = (xs[1:] > xs[:-1]) & (nl >= min_leaf_size) & (nr >= min_leaf_size)
-    if not valid.any():
-        return None
-    gain = np.where(valid, gain, -np.inf)
     best = int(np.argmax(gain))
-    threshold = (xs[best] + xs[best + 1]) * 0.5
-    return float(threshold), float(gain[best])
+    return float((x[lrow[best]] + x[rrow[best]]) * 0.5), float(gain[best])
 
 
 # ---- training --------------------------------------------------------
@@ -482,120 +601,13 @@ def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]
     seeds = np.concatenate([tree_seeds(seed, T) for _, _, seed in sets])
     ns = [len(y) for _, y in data]
     bootstraps = [bootstrap_matrix(seeds[g * T:(g + 1) * T], n) for g, n in enumerate(ns)]
-    # one dense rank over every value: within a (set, feature) it orders
-    # and ties rows exactly as their values do
-    stacked = np.concatenate([X for X, _ in data])
-    _, rank = np.unique(stacked, return_inverse=True)
-    rank = rank.reshape(stacked.shape)
     # bootstrapped row r is row src[r] of the stacked sets
+    stacked = np.concatenate([X for X, _ in data])
     src = np.concatenate([b.reshape(-1) + lo
                           for b, lo in zip(bootstraps, np.cumsum([0] + ns[:-1]))])
     gy = np.concatenate([y for _, y in data])[src]
-    nb = len(src)
-    # the sort keys below pack a group above a row (or a place in the lists
-    # below) by a shift, so unpacking them is a shift and a mask
-    rbits = (nb - 1).bit_length()        # rows r < 2**rbits
-    pbits = (d * nb - 1).bit_length()    # places f * nb + i < 2**pbits
-    rmask, pmask = (1 << rbits) - 1, (1 << pbits) - 1
-    # every feature's bootstrapped rows sorted once by (rank, row), as the
-    # keys rank << rbits | row (below 2 * stacked.size * nb): the i-th row of
-    # feature f is listed[f * nb + i], and pos[f * nb + r] = f * nb + i is
-    # where row r sits.  One feature at a time keeps the temporaries at nb
-    # values
-    listed = np.empty(d * nb, dtype=np.int64)
-    pos = np.empty(d * nb, dtype=np.int64)
-    for f in range(d):
-        lo = f * nb
-        listed[lo:lo + nb] = np.sort(rank[src, f] << rbits | np.arange(nb))
-        pos[lo + (listed[lo:lo + nb] & rmask)] = np.arange(lo, lo + nb)
-
-    def best_splits(es, erows, subs, tot1, tot2, parent):
-        """The split of each eligible node whose best gain is positive.
-
-        ``es``, ``tot1``, ``tot2`` and ``parent`` are the eligible nodes'
-        sizes, target sums, sums of squares (regression only) and
-        impurities, ``erows`` their rows grouped by node and ``subs`` their
-        feature subsets.  Returns ``(node, feature, threshold, decrease)``
-        of the chosen splits, nodes counted among the eligible ones.  Its
-        rows × k arrays die on return, before the level routes its rows.
-        """
-        enode = np.repeat(np.arange(len(es)), es)
-        # segment e * k + j holds node e's rows in the order of feature
-        # subs[e, j]'s sorted list, i.e. by (rank, row).  A node's features
-        # ascend with j, and so do their places, so the keys (node, place)
-        # are distinct and one plain sort lays out every segment.  An
-        # eligible node holds at least two rows, so the keys stay below
-        # d * nb**2: about 1.1e13 for 100 trees on 12,400 rows of 7
-        # features, far from 2**63
-        skey = np.empty((len(erows), k), dtype=np.int64)
-        nkey = enode << pbits
-        first_place = subs.T * nb
-        for j in range(k):
-            skey[:, j] = nkey | pos[first_place[j][enode] + erows]
-        skey = skey.reshape(-1)
-        skey.sort()
-        srank = listed[skey & pmask]
-        del skey
-        srow = srank & rmask
-        srank >>= rbits
-        # split points: the rows whose successor in the segment has a larger
-        # rank and that leave min_leaf rows on both sides (a segment's last
-        # row has none on its right, so no point spans two segments)
-        b = np.flatnonzero(srank[1:] > srank[:-1])
-        del srank
-        seg_sizes = np.repeat(es, k)
-        seg_starts = np.cumsum(seg_sizes) - seg_sizes
-        bseg = np.searchsorted(seg_starts, b, side="right") - 1
-        nl = b - seg_starts[bseg] + 1
-        nr = seg_sizes[bseg] - nl
-        keep = (nl >= min_leaf) & (nr >= min_leaf)
-        b, bseg = b[keep], bseg[keep]
-        bnode = bseg // k
-        boff = seg_starts[bseg]
-        nl = nl[keep].astype(np.float64)
-        nr = nr[keep].astype(np.float64)
-        nn = es[bnode].astype(np.float64)
-        lrow, rrow = srow[b], srow[b + 1]
-        st = gy[srow]
-        del srow
-        # the level-wide prefix sums, read at the points and just before
-        # each point's segment
-        before = np.maximum(boff - 1, 0)
-        c = np.cumsum(st)
-        l1 = c[b] - np.where(boff > 0, c[before], 0.0)
-        if classification:
-            tl0 = nl - l1
-            tr1 = tot1[bnode] - l1
-            tr0 = nr - tr1
-            gl = 1.0 - (tl0 * tl0 + l1 * l1) / (nl * nl)
-            gr = 1.0 - (tr0 * tr0 + tr1 * tr1) / (nr * nr)
-        else:
-            c = np.cumsum(np.square(st, out=st))
-            l2 = c[b] - np.where(boff > 0, c[before], 0.0)
-            mean_l = l1 / nl
-            mean_r = (tot1[bnode] - l1) / nr
-            gl = l2 / nl - mean_l * mean_l
-            gr = (tot2[bnode] - l2) / nr - mean_r * mean_r
-        del st, c
-        bparent = parent[bnode]
-        gain = bparent - (nl * gl + nr * gr) / nn
-
-        # each node's best gain over its points (-inf without any); ties
-        # break toward the smallest threshold, then the smallest feature
-        node_max = np.full(len(es), -np.inf)
-        np.maximum.at(node_max, bnode, gain)
-        bmax = node_max[bnode]
-        ci = np.flatnonzero((bmax > 0.0) & (gain == bmax))
-        cn = bnode[ci]
-        cft = subs.reshape(-1)[bseg[ci]]
-        cthr = (stacked[src[lrow[ci]], cft] + stacked[src[rrow[ci]], cft]) * 0.5
-        psel = np.lexsort((cft, cthr, cn))
-        first = np.ones(len(psel), dtype=bool)
-        first[1:] = cn[psel][1:] != cn[psel][:-1]
-        pick = psel[first]
-        pocc = ci[pick]
-        decrease = nn[pocc] * bparent[pocc] - (nl[pocc] * gl[pocc] + nr[pocc] * gr[pocc])
-        return cn[pick], cft[pick], cthr[pick], decrease
+    lists = presort(stacked, src)
+    rbits = lists[2]   # rows r < 2**rbits
 
     levels = []   # per level: open trees, feature, threshold, value, count
     tree_depths = np.zeros(G * T, dtype=np.int64)
@@ -612,31 +624,13 @@ def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]
         P = len(open_tree)
         rows = np.flatnonzero(row_ord >= 0)
         o = row_ord[rows]
-        # by node, then row; the keys stay below 2 * nb**2
-        rows_g = np.sort(o << rbits | rows) & rmask
+        # by node, then row; the keys stay below 2 * len(src)**2
+        rows_g = np.sort(o << rbits | rows) & ((1 << rbits) - 1)
         sizes = np.bincount(o, minlength=P)
-        starts = np.cumsum(sizes) - sizes
-        ends = starts + sizes - 1
-        y_g = gy[rows_g]
-        szf = sizes.astype(np.float64)
-        cs1 = np.cumsum(y_g)
-        tot1 = cs1[ends] - np.where(starts > 0, cs1[np.maximum(starts - 1, 0)], 0.0)
-        if classification:
-            value = (szf - tot1) / szf
-            parent_imp = 1.0 - ((szf - tot1) ** 2 + tot1 ** 2) / (szf * szf)
-            pure = (tot1 == 0.0) | (tot1 == szf)
-        else:
-            cs2 = np.cumsum(y_g * y_g)
-            tot2 = cs2[ends] - np.where(starts > 0, cs2[np.maximum(starts - 1, 0)], 0.0)
-            value = tot1 / szf
-            parent_imp = tot2 / szf - value * value
-            mn = np.minimum.reduceat(y_g, starts)
-            pure = mn == np.maximum.reduceat(y_g, starts)
-            value = np.where(pure, mn, value)  # exact constant, no float dust
+        value, parent_imp, pure, tot1, tot2 = node_stats(gy[rows_g], sizes, classification)
 
-        # best split of each eligible node; it stays a leaf when no split
-        # has a positive gain.  A level without eligible nodes skips the
-        # scan, which would run on empty arrays to the same result
+        # best split of each eligible node, a leaf when no split has a positive
+        # gain; a level without eligible nodes skips the scan (same result)
         eligible = ~pure & (sizes >= 2 * min_leaf) & (depth < max_depth)
         feat_l = np.full(P, -1, dtype=np.int64)
         thr_l = np.full(P, np.nan)
@@ -644,9 +638,11 @@ def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]
             elig = np.flatnonzero(eligible)
             # k == d draws every feature, in index order
             subs = feature_subsets(seeds[open_tree[elig]], open_pt[elig], d, k)
-            node, feat, thr, decrease = best_splits(
-                sizes[elig], rows_g[np.repeat(eligible, sizes)], subs, tot1[elig],
-                None if classification else tot2[elig], parent_imp[elig])
+            es = sizes[elig]
+            node, feat, thr, decrease = choose_splits(
+                split_gains(lists, gy, es, rows_g[np.repeat(eligible, sizes)], subs, tot1[elig],
+                            None if classification else tot2[elig], parent_imp[elig], min_leaf),
+                subs, es, parent_imp[elig], stacked, src)
             np.add.at(imp_raw, (open_tree[elig[node]] // T, feat), decrease)
             feat_l[elig[node]] = feat
             thr_l[elig[node]] = thr
@@ -788,6 +784,7 @@ def _finite(number) -> bool:
 
 
 _CONFIG_KEYS = tuple(field.name for field in fields(ForestConfig))
+_DOC_KEYS = {"format", "mode", "config", "seed", "n_features", "importances", "trees"}
 
 
 def _config_from_doc(doc) -> ForestConfig:
@@ -808,8 +805,8 @@ def forest_from_doc(doc: dict) -> ForestModel:
     """Rebuild a forest from ``forest_to_doc`` output.
 
     Raises ``ValueError`` naming the field for a malformed document: a
-    missing field, a bool or float where an integer belongs, an integer
-    outside int64, a non-finite number, or a feature index outside
+    missing or unknown field, a bool or float where an integer belongs, an
+    integer outside int64, a non-finite number, or a feature index outside
     ``[0, n_features)`` (the prediction walk indexes a flattened matrix,
     so such a node would silently read the next row).
     """
@@ -818,6 +815,9 @@ def forest_from_doc(doc: dict) -> ForestModel:
     fmt = doc.get("format")
     if type(fmt) is not int or fmt != FOREST_FORMAT:
         raise ValueError(f"unsupported forest format: {_brief(fmt)}")
+    unknown = set(doc) - _DOC_KEYS
+    if unknown:
+        raise ValueError(f"forest document has unknown keys {sorted(unknown)}")
     feature, threshold, left, value, count = [], [], [], [], []
     try:
         cfg = _config_from_doc(doc["config"])

@@ -136,6 +136,12 @@ class LalStrategy(Strategy):
         }
 
 
+# the keys a document of each kind may hold
+_DOC_KEYS = {"random": {"format", "kind"}, "uncertainty": {"format", "kind"},
+             "lal": {"format", "kind", "feature_schema", "provenance", "training_metadata",
+                     "regressor"}}
+
+
 def strategy_from_doc(doc: dict) -> Strategy:
     """Rebuild a strategy from ``to_doc`` output; ``ValueError`` when malformed."""
     if not isinstance(doc, dict):
@@ -144,23 +150,24 @@ def strategy_from_doc(doc: dict) -> Strategy:
     if type(fmt) is not int or fmt != STRATEGY_FORMAT:
         raise ValueError(f"unsupported strategy format: {fmt!r}")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _DOC_KEYS:
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    unknown = set(doc) - _DOC_KEYS[kind]
+    if unknown:
+        raise ValueError(f"{kind} strategy document has unknown keys {sorted(unknown)}")
     if kind == "random":
         return RandomStrategy()
     if kind == "uncertainty":
         return UncertaintyStrategy()
-    if kind == "lal":
-        missing = [key for key in ("regressor", "feature_schema", "provenance")
-                   if key not in doc]
-        if missing:
-            raise ValueError(f"lal strategy document is missing {', '.join(missing)}")
-        schema, metadata = doc["feature_schema"], doc.get("training_metadata", {})
-        if not isinstance(schema, list) or not all(isinstance(name, str) for name in schema):
-            raise ValueError("lal strategy field 'feature_schema' must be a list of strings")
-        if not isinstance(metadata, dict):
-            raise ValueError("lal strategy field 'training_metadata' must be an object")
-        return LalStrategy(forest_from_doc(doc["regressor"]), schema, doc["provenance"],
-                           metadata)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    missing = [key for key in ("regressor", "feature_schema", "provenance") if key not in doc]
+    if missing:
+        raise ValueError(f"lal strategy document is missing {', '.join(missing)}")
+    schema, metadata = doc["feature_schema"], doc.get("training_metadata", {})
+    if not isinstance(schema, list) or not all(isinstance(name, str) for name in schema):
+        raise ValueError("lal strategy field 'feature_schema' must be a list of strings")
+    if not isinstance(metadata, dict):
+        raise ValueError("lal strategy field 'training_metadata' must be an object")
+    return LalStrategy(forest_from_doc(doc["regressor"]), schema, doc["provenance"], metadata)
 
 
 def save_strategy(strategy: Strategy, path) -> None:

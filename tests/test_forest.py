@@ -228,9 +228,10 @@ class TestBestSplit:
             n = int(rng.integers(2, 30))
             x = np.round(rng.normal(size=n), 1)
             y = rng.integers(0, 2, size=n).astype(float)
-            got = best_split(x, y, "gini")
-            expected = _exhaustive_best(x, y, "gini")
-            assert got == expected
+            for min_leaf_size in (1, 3):
+                got = best_split(x, y, "gini", min_leaf_size)
+                expected = _exhaustive_best(x, y, "gini", min_leaf_size)
+                assert got == expected
 
     def test_variance_criterion_against_enumeration(self):
         rng = np.random.default_rng(6)
@@ -238,13 +239,14 @@ class TestBestSplit:
             n = int(rng.integers(2, 30))
             x = np.round(rng.normal(size=n), 1)
             y = rng.normal(size=n)
-            got = best_split(x, y, "variance")
-            expected = _exhaustive_best(x, y, "variance")
-            if expected is None:
-                assert got is None
-            else:
-                assert got[0] == expected[0]
-                assert got[1] == pytest.approx(expected[1], rel=1e-9, abs=1e-12)
+            for min_leaf_size in (1, 3):
+                got = best_split(x, y, "variance", min_leaf_size)
+                expected = _exhaustive_best(x, y, "variance", min_leaf_size)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert got[0] == expected[0]
+                    assert got[1] == pytest.approx(expected[1], rel=1e-9, abs=1e-12)
 
     def test_rejects_tiny_or_mismatched_input(self):
         with pytest.raises(ValueError):
@@ -253,10 +255,10 @@ class TestBestSplit:
             best_split(np.array([1.0, 2.0]), np.array([0.0, 0.5]), "gini")
 
 
-def _exhaustive_best(x, y, criterion):
+def _exhaustive_best(x, y, criterion, min_leaf_size):
     candidates = []
     for thr, gain in _scan_feature(np.asarray(x, float), np.asarray(y, float),
-                                   criterion, 1):
+                                   criterion, min_leaf_size):
         candidates.append((thr, gain))
     if not candidates:
         return None
@@ -852,9 +854,10 @@ class TestSerialization:
         (lambda d: d["trees"][0].pop("left"), "missing field"),
         (lambda d: d["trees"][0].update(value=0.5), "unexpected keys"),
         (lambda d: d["trees"][1].update(feature=0), "unexpected keys"),
+        (lambda d: d.update(importance=[0.0, 0.0]), "unknown keys.*importance"),
     ], ids=["feature_too_large", "feature_negative", "nan_threshold", "inf_leaf",
             "negative_count", "importances_length", "tree_count", "missing_child",
-            "split_with_value", "leaf_with_feature"])
+            "split_with_value", "leaf_with_feature", "extra_top_level_key"])
     def test_malformed_document_rejected(self, corrupt, message):
         def doc():
             stump = {"feature": 1, "threshold": 0.5, "count": 2,

@@ -264,6 +264,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match=field):
             strategy_from_doc(doc)
 
+    @pytest.mark.parametrize("make", [RandomStrategy, UncertaintyStrategy,
+                                      lambda: LalStrategy(_identity_regressor(seed=27))],
+                             ids=["random", "uncertainty", "lal"])
+    def test_unknown_key_is_named(self, make):
+        doc = make().to_doc()
+        strategy_from_doc(doc)
+        doc["training_metdata"] = {"rows": 400}
+        with pytest.raises(ValueError, match="training_metdata"):
+            strategy_from_doc(doc)
+
     def test_version_and_corruption_errors(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             strategy_from_doc({"format": 2, "kind": "random"})
