@@ -22,10 +22,11 @@ from pathlib import Path
 
 from . import artifacts, svg
 from .data import Dataset, gen_banana, gen_checkerboard, gen_gaussian_clouds, load_csv, split
-from .forest import ForestConfig, regressor_config
+from .forest import CONFIG_SCHEMA, ForestConfig, regressor_config
 from .harness import check_repetition_splits, motivation_experiment, \
     probability_histogram, regressor_importance_report, run_repeated
 from .metrics import METRIC_IDS
+from .schema import REQUIRED, read_fields
 from .seeding import derive_seed
 from .strategies import BUILD_METHODS, LalStrategy, RandomStrategy, Strategy, \
     UncertaintyStrategy, load_strategy, save_strategy
@@ -62,22 +63,18 @@ def _load_config(path, **flags) -> dict:
     return {**doc, **{key: value for key, value in flags.items() if value is not None}}
 
 
-_REQUIRED = object()
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
-               dict: "an object"}
-
-# key -> (kind, default); _REQUIRED marks a key without a default
+# key -> (kind, default[, lo[, hi]]), as schema.read_fields takes them
 _RUN_CONFIG = {
-    "config_format": (int, _REQUIRED), "seed": (int, _REQUIRED),
-    "budget": (int, _REQUIRED), "repetitions": (int, 50), "metric": (str, "accuracy"),
-    "test_fraction": (float, 0.5), "warm_start_size": (int, None),
-    "strategies": (list, _REQUIRED), "dataset": (dict, _REQUIRED),
+    "config_format": (int, REQUIRED), "seed": (int, REQUIRED),
+    "budget": (int, REQUIRED, 0), "repetitions": (int, 50, 1), "metric": (str, "accuracy"),
+    "test_fraction": (float, 0.5), "warm_start_size": (int, None, 2),
+    "strategies": (list, REQUIRED), "dataset": (dict, REQUIRED),
     "classifier": (dict, None), "output_dir": (str, None),
 }
 _MONTE_CARLO = {"size_min": (int, 2), "size_max": (int, 32), "initializations": (int, 10),
                 "candidates": (int, 10), "test_loss": (str, "zero_one")}
 _BUILD_CONFIG = {
-    "config_format": (int, _REQUIRED), "seed": (int, _REQUIRED), "method": (str, _REQUIRED),
+    "config_format": (int, REQUIRED), "seed": (int, REQUIRED), "method": (str, REQUIRED),
     "output": (str, None), **_MONTE_CARLO, "classifier": (dict, None),
     "regressor": (dict, None), "representative": (dict, {"cold_start": None}),
     "test_fraction": (float, 0.5),
@@ -85,7 +82,7 @@ _BUILD_CONFIG = {
 _COLD_START_REPRESENTATIVE = {"cold_start": (dict, None)}
 _COLD_START = {"n_train": (int, 1000), "n_test": (int, 1000), "separation": (float, 2.0),
                "class0_fraction": (float, 0.5)}
-_CSV_SPEC = {"csv": (str, _REQUIRED), "label_column": (str, "label")}
+_CSV_SPEC = {"csv": (str, REQUIRED), "label_column": (str, "label")}
 # each generator's spec also takes "generator" and "seed"; the generator
 # function gen_<name> is looked up at call time
 _GENERATOR_SPECS = {
@@ -94,40 +91,21 @@ _GENERATOR_SPECS = {
     "checkerboard": {"k": (int, 2), "n": (int, 2000), "label_noise": (float, 0.0)},
     "banana": {"n": (int, 2000), "noise": (float, 0.2)},
 }
-_FOREST_KEYS = ("n_trees", "max_depth", "min_leaf_size", "features_per_split")
 
 
 def _fields(doc, schema: dict, what: str, label: str) -> dict:
-    """``doc`` checked against ``schema`` (key -> (kind, default)), defaults filled in.
-
-    A ``float`` field accepts integers too; no field accepts a boolean, and
-    only a field whose default is ``None`` accepts null.
-    """
-    if not isinstance(doc, dict):
-        _fail(f"{what}: {label} must be an object")
-    unknown = set(doc) - set(schema)
-    if unknown:
-        _fail(f"{what}: unknown {label} keys {sorted(unknown)}")
-    for key, (kind, default) in schema.items():
-        if key not in doc:
-            if default is _REQUIRED:
-                _fail(f"{what}: missing required field {key!r}")
-            continue
-        value = doc[key]
-        if value is None and default is None:
-            continue
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            _fail(f"{what}: field {key!r} must be {_KIND_NAMES[kind]}")
-    return {key: doc.get(key, default) for key, (_, default) in schema.items()}
+    """``read_fields``, failing with a ``ConfigError``."""
+    try:
+        return read_fields(doc, schema, what, label)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _forest_config(doc: dict | None, base: ForestConfig, what: str) -> ForestConfig:
-    schema = {key: (int, getattr(base, key)) for key in _FOREST_KEYS}
-    try:
-        return replace(base, **_fields(doc or {}, schema, what, "forest config"))
-    except ValueError as exc:
-        _fail(f"{what}: {exc}")
+    """``base`` with the fields of ``doc`` set; a forest file's bounds, ``base``'s defaults."""
+    schema = {key: (kind, getattr(base, key), *bounds)
+              for key, (kind, _, *bounds) in CONFIG_SCHEMA.items() if key != "mode"}
+    return replace(base, **_fields(doc or {}, schema, what, "forest config"))
 
 
 def _dataset_from_spec(spec: dict, seed: int, what: str) -> Dataset:
@@ -143,7 +121,7 @@ def _dataset_from_spec(spec: dict, seed: int, what: str) -> Dataset:
     if not isinstance(generator, str) or generator not in _GENERATOR_SPECS:
         _fail(f"{what}: dataset spec with keys {sorted(spec)} needs 'csv' or a known "
               f"'generator' ({' | '.join(_GENERATOR_SPECS)})")
-    schema = {"generator": (str, _REQUIRED), "seed": (int, derive_seed(seed, "dataset")),
+    schema = {"generator": (str, REQUIRED), "seed": (int, derive_seed(seed, "dataset")),
               **_GENERATOR_SPECS[generator]}
     kwargs = _fields(spec, schema, what, "dataset")
     del kwargs["generator"]
@@ -266,14 +244,10 @@ def cmd_run(args) -> int:
     metric = config["metric"]
     if metric not in METRIC_IDS:
         _fail(f"run config: unknown metric {metric!r}")
-    if budget < 0 or repetitions < 1:
-        _fail("run config: budget must be >= 0 and repetitions >= 1")
     test_fraction = config["test_fraction"]
     if not 0.0 < test_fraction < 1.0:
         _fail("run config: test_fraction must lie strictly between 0 and 1")
     warm = config["warm_start_size"]
-    if warm is not None and warm < 2:
-        _fail("run config: warm_start_size must be at least 2")
 
     strategies = _resolve_strategies(config["strategies"], "run config")
     dataset = _dataset_from_spec(config["dataset"], seed, "run config")

@@ -66,11 +66,12 @@ Split semantics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from .schema import REQUIRED, REQUIRED_OR_NULL, brief, read_fields
 from .seeding import derive_seed
 
 FOREST_FORMAT = 1
@@ -738,20 +739,8 @@ def forest_to_doc(model: ForestModel) -> dict:
     }
 
 
-def _brief(value) -> str:
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
-def _doc_int(value, key: str, what: str, lo: int, hi: int = 2 ** 63) -> int:
-    """``value`` if it is an integer in ``[lo, hi)``; never a bool or a float."""
-    if type(value) is not int or not lo <= value < hi:
-        raise ValueError(f"forest field {key!r} must be {what}, got {_brief(value)}")
-    return value
-
-
 def _doc_ints(values: list, key: str, what: str, lo: int, hi: int = 2 ** 63) -> np.ndarray:
-    """``_doc_int`` over a list, checked in bulk, as an int64 array.
+    """Integers in ``[lo, hi)``, never a bool or a float, checked in bulk, as int64.
 
     ``lo >= 0`` and ``hi <= 2**63`` keep every accepted value inside int64.
     """
@@ -759,7 +748,7 @@ def _doc_ints(values: list, key: str, what: str, lo: int, hi: int = 2 ** 63) -> 
                                              and max(values) < hi):
         return np.array(values, dtype=np.int64)
     bad = next(v for v in values if type(v) is not int or not lo <= v < hi)
-    raise ValueError(f"forest field {key!r} must be {what}, got {_brief(bad)}")
+    raise ValueError(f"forest field {key!r} must be {what}, got {brief(bad)}")
 
 
 def _doc_floats(values: list, key: str) -> np.ndarray:
@@ -773,7 +762,7 @@ def _doc_floats(values: list, key: str) -> np.ndarray:
             if np.all(np.isfinite(array)):
                 return array
     bad = next(v for v in values if type(v) not in (int, float) or not _finite(v))
-    raise ValueError(f"forest field {key!r} must be a finite number, got {_brief(bad)}")
+    raise ValueError(f"forest field {key!r} must be a finite number, got {brief(bad)}")
 
 
 def _finite(number) -> bool:
@@ -783,65 +772,49 @@ def _finite(number) -> bool:
         return False
 
 
-_CONFIG_KEYS = tuple(field.name for field in fields(ForestConfig))
-_DOC_KEYS = {"format", "mode", "config", "seed", "n_features", "importances", "trees"}
-
-
-def _config_from_doc(doc) -> ForestConfig:
-    if not isinstance(doc, dict) or set(doc) != set(_CONFIG_KEYS):
-        raise ValueError(f"forest field 'config' must be an object with keys "
-                         f"{', '.join(_CONFIG_KEYS)}")
-    for key in ("n_trees", "min_leaf_size"):
-        _doc_int(doc[key], key, "a positive integer below 2**63", 1)
-    if doc["max_depth"] is not None:
-        _doc_int(doc["max_depth"], "max_depth", "null or a non-negative integer below 2**63", 0)
-    if doc["features_per_split"] is not None:
-        _doc_int(doc["features_per_split"], "features_per_split",
-                 "null or a positive integer below 2**63", 1)
-    return ForestConfig(**doc)
+# the forest seed may use all 64 bits: derived seeds do
+_DOC_SCHEMA = {"format": (int, REQUIRED), "mode": (str, REQUIRED), "config": (dict, REQUIRED),
+               "seed": (int, REQUIRED, 0, 2 ** 64), "n_features": (int, REQUIRED, 1),
+               "importances": (list, REQUIRED), "trees": (list, REQUIRED)}
+CONFIG_SCHEMA = {"n_trees": (int, REQUIRED, 1), "max_depth": (int, REQUIRED_OR_NULL, 0),
+                 "min_leaf_size": (int, REQUIRED, 1),
+                 "features_per_split": (int, REQUIRED_OR_NULL, 1), "mode": (str, REQUIRED)}
 
 
 def forest_from_doc(doc: dict) -> ForestModel:
     """Rebuild a forest from ``forest_to_doc`` output.
 
-    Raises ``ValueError`` naming the field for a malformed document: a
-    missing or unknown field, a bool or float where an integer belongs, an
-    integer outside int64, a non-finite number, or a feature index outside
-    ``[0, n_features)`` (the prediction walk indexes a flattened matrix,
-    so such a node would silently read the next row).
+    The document and its config go through ``read_fields``, the reader of
+    every config and strategy file; the nodes, thousands per forest, are
+    checked here in bulk.  Raises ``ValueError`` naming the field for a
+    malformed document: a missing or unknown field, a bool or float where
+    an integer belongs, an integer out of its range, a non-finite number,
+    or a feature index outside ``[0, n_features)`` (the prediction walk
+    indexes a flattened matrix, so such a node would silently read the
+    next row).
     """
-    if not isinstance(doc, dict):
-        raise ValueError("forest document must be a JSON object")
-    fmt = doc.get("format")
-    if type(fmt) is not int or fmt != FOREST_FORMAT:
-        raise ValueError(f"unsupported forest format: {_brief(fmt)}")
-    unknown = set(doc) - _DOC_KEYS
-    if unknown:
-        raise ValueError(f"forest document has unknown keys {sorted(unknown)}")
+    top = read_fields(doc, _DOC_SCHEMA, "forest", "document")
+    if top["format"] != FOREST_FORMAT:
+        raise ValueError(f"unsupported forest format: {brief(top['format'])}")
+    cfg = ForestConfig(**read_fields(top["config"], CONFIG_SCHEMA, "forest", "config"))
+    if top["mode"] != cfg.mode:
+        raise ValueError(f"forest mode {brief(top['mode'])} differs from its "
+                         f"config mode {cfg.mode!r}")
+    n_features = top["n_features"]
+    if len(top["importances"]) != n_features:
+        raise ValueError(f"forest importances must be {n_features} finite values")
+    importances = _doc_floats(top["importances"], "importances")
     feature, threshold, left, value, count = [], [], [], [], []
+    queue = [(tree, t, 0) for t, tree in enumerate(top["trees"])]
+    depths = [0] * len(queue)
     try:
-        cfg = _config_from_doc(doc["config"])
-        if doc["mode"] != cfg.mode:
-            raise ValueError(f"forest mode {_brief(doc['mode'])} differs from its "
-                             f"config mode {cfg.mode!r}")
-        seed = _doc_int(doc["seed"], "seed", "a non-negative integer below 2**64", 0, 2 ** 64)
-        n_features = _doc_int(doc["n_features"], "n_features",
-                              "a positive integer below 2**63", 1)
-        importances = doc["importances"]
-        if not isinstance(importances, list) or len(importances) != n_features:
-            raise ValueError(f"forest importances must be {n_features} finite values")
-        importances = _doc_floats(importances, "importances")
-        if not isinstance(doc["trees"], list):
-            raise ValueError("forest field 'trees' must be a list")
-        queue = [(tree, t, 0) for t, tree in enumerate(doc["trees"])]
-        depths = [0] * len(queue)
         # one FIFO over all trees numbers the nodes in the level order
         # train_forest builds: node i is queue[i], so the roots come first
         # and each right child sits one slot after its left sibling.  The
         # nodes' numbers are checked in bulk below
         for node, t, depth in queue:
             if not isinstance(node, dict):
-                raise ValueError(f"forest node must be an object, got {_brief(node)}")
+                raise ValueError(f"forest node must be an object, got {brief(node)}")
             count.append(node["count"])
             if "value" in node:
                 left.append(-1)
@@ -858,7 +831,7 @@ def forest_from_doc(doc: dict) -> ForestModel:
             if len(node) != (2 if "value" in node else 5):
                 raise ValueError(f"forest node has unexpected keys: {sorted(node)}")
     except KeyError as exc:
-        raise ValueError(f"forest document is missing field {exc}") from None
+        raise ValueError(f"forest node is missing field {exc}") from None
     if len(depths) != cfg.n_trees:
         raise ValueError(f"forest holds {len(depths)} trees, its config says {cfg.n_trees}")
     left = np.array(left, dtype=np.int64)
@@ -871,7 +844,7 @@ def forest_from_doc(doc: dict) -> ForestModel:
     node_value = np.full(len(left), np.nan)
     node_value[~internal] = _doc_floats(value, "value")
     return ForestModel(
-        mode=cfg.mode, config=cfg, seed=seed, n_features=n_features, feature=node_feature,
-        threshold=node_threshold, left=left, value=node_value,
+        mode=cfg.mode, config=cfg, seed=top["seed"], n_features=n_features,
+        feature=node_feature, threshold=node_threshold, left=left, value=node_value,
         count=_doc_ints(count, "count", "a non-negative integer below 2**63", 0),
         tree_depths=depths, importances_raw=importances, bootstrap=None, n_train=None)

@@ -3,7 +3,8 @@
 Three kinds: uniform random sampling, entropy-based uncertainty sampling,
 and learned selection that ranks candidates by a regression forest's
 predicted test-error reduction.  Strategies are immutable; all mutable
-loop state lives in the pool.
+loop state lives in the pool.  A strategy file is an input like a config,
+and is checked by the same reader, ``schema.read_fields``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .data import Dataset, PoolState
 from .features import FEATURE_NAMES, candidate_states, classifier_state
 from .forest import ForestModel, forest_from_doc, forest_to_doc
+from .schema import REQUIRED, read_fields
 
 STRATEGY_FORMAT = 1
 
@@ -136,38 +138,29 @@ class LalStrategy(Strategy):
         }
 
 
-# the keys a document of each kind may hold
-_DOC_KEYS = {"random": {"format", "kind"}, "uncertainty": {"format", "kind"},
-             "lal": {"format", "kind", "feature_schema", "provenance", "training_metadata",
-                     "regressor"}}
+_DOC_SCHEMA = {"format": (int, REQUIRED), "kind": (str, REQUIRED)}
+_LAL_DOC_SCHEMA = {**_DOC_SCHEMA, "feature_schema": (list, REQUIRED),
+                   "provenance": (str, REQUIRED), "training_metadata": (dict, {}),
+                   "regressor": (dict, REQUIRED)}
 
 
 def strategy_from_doc(doc: dict) -> Strategy:
-    """Rebuild a strategy from ``to_doc`` output; ``ValueError`` when malformed."""
-    if not isinstance(doc, dict):
-        raise ValueError("strategy document must be a JSON object")
-    fmt = doc.get("format")
-    if type(fmt) is not int or fmt != STRATEGY_FORMAT:
-        raise ValueError(f"unsupported strategy format: {fmt!r}")
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _DOC_KEYS:
-        raise ValueError(f"unknown strategy kind {kind!r}")
-    unknown = set(doc) - _DOC_KEYS[kind]
-    if unknown:
-        raise ValueError(f"{kind} strategy document has unknown keys {sorted(unknown)}")
-    if kind == "random":
+    """Rebuild a strategy from ``to_doc`` output; ``ValueError`` when malformed.
+
+    ``read_fields`` reads the document with its kind's schema.
+    """
+    lal = isinstance(doc, dict) and doc.get("kind") == "lal"
+    fields = read_fields(doc, _LAL_DOC_SCHEMA if lal else _DOC_SCHEMA, "strategy", "document")
+    if fields["format"] != STRATEGY_FORMAT:
+        raise ValueError(f"unsupported strategy format: {fields['format']!r}")
+    if fields["kind"] == "random":
         return RandomStrategy()
-    if kind == "uncertainty":
+    if fields["kind"] == "uncertainty":
         return UncertaintyStrategy()
-    missing = [key for key in ("regressor", "feature_schema", "provenance") if key not in doc]
-    if missing:
-        raise ValueError(f"lal strategy document is missing {', '.join(missing)}")
-    schema, metadata = doc["feature_schema"], doc.get("training_metadata", {})
-    if not isinstance(schema, list) or not all(isinstance(name, str) for name in schema):
-        raise ValueError("lal strategy field 'feature_schema' must be a list of strings")
-    if not isinstance(metadata, dict):
-        raise ValueError("lal strategy field 'training_metadata' must be an object")
-    return LalStrategy(forest_from_doc(doc["regressor"]), schema, doc["provenance"], metadata)
+    if not lal:
+        raise ValueError(f"unknown strategy kind {fields['kind']!r}")
+    return LalStrategy(forest_from_doc(fields["regressor"]), fields["feature_schema"],
+                       fields["provenance"], fields["training_metadata"])
 
 
 def save_strategy(strategy: Strategy, path) -> None:
