@@ -131,7 +131,15 @@ def _dataset_from_spec(spec: dict, seed: int, what: str) -> Dataset:
         _fail(f"{what}: {exc}")
 
 
-def _check_overwrite(paths: list[Path], force: bool) -> None:
+def _check_overwrite(paths: list, force: bool) -> None:
+    """Every output goes into an existing directory, and replaces no file unless forced.
+
+    A ``None`` entry is an optional output that was not asked for.
+    """
+    paths = [Path(p) for p in paths if p is not None]
+    for path in paths:
+        if not path.parent.is_dir():
+            _fail(f"output directory of {path} does not exist")
     existing = [str(p) for p in paths if p.exists()]
     if existing and not force:
         _fail(f"output already exists (pass --force to overwrite): {existing[0]}")
@@ -143,11 +151,16 @@ def _output_dir(doc_value, flag_value) -> Path:
         _fail("run: --output-dir must not be empty")
     if doc_value == "":
         _fail("run config: field 'output_dir' must not be empty")
-    chosen = flag_value or os.environ.get(OUTPUT_DIR_ENV) or doc_value
+    env = os.environ.get(OUTPUT_DIR_ENV)
+    chosen = flag_value or env or doc_value
+    source = "--output-dir" if flag_value else OUTPUT_DIR_ENV if env else "field 'output_dir'"
     if chosen is None:
         _fail("no output directory configured")
     out = Path(chosen)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(f"run: cannot create output directory {out} from {source}: {exc.strerror}")
     return out
 
 
@@ -171,7 +184,7 @@ def cmd_build_strategy(args) -> int:
         _fail(f"{what}: {exc}")
 
     output = Path(config["output"] or _fail(f"{what}: missing 'output'"))
-    _check_overwrite([output], args.force)
+    _check_overwrite([output, args.rows_out], args.force)
 
     representative = config["representative"]
     try:
@@ -311,8 +324,7 @@ def cmd_motivate(args) -> int:
     if not 0.0 < args.separation < math.inf:
         _fail("motivate: --separation must be a positive number")
     out = Path(args.out)
-    targets = [out] + ([Path(args.svg)] if args.svg else [])
-    _check_overwrite(targets, args.force)
+    _check_overwrite([out, args.svg], args.force)
     curve = motivation_experiment(
         balanced=args.balanced, repetitions=args.repetitions, n_bins=args.bins,
         seed=args.seed, n_pool=args.pool_size, n_test=args.test_size,
@@ -349,7 +361,7 @@ def cmd_analyze(args) -> int:
         if not isinstance(strategy, LalStrategy):
             _fail(f"analyze: {args.strategy} is a {strategy.kind} strategy; "
                   f"only learned strategies carry a regressor")
-        _check_overwrite([Path(args.importances_out)], args.force)
+        _check_overwrite([args.importances_out], args.force)
         report = regressor_importance_report(strategy)
         artifacts.importance_report_to_csv(report, args.importances_out)
         for name, weight in report:
@@ -361,7 +373,7 @@ def cmd_analyze(args) -> int:
         for path in args.traces:
             if not Path(path).exists():
                 _fail(f"analyze: trace file not found: {path}")
-        _check_overwrite([Path(args.histogram_out)], args.force)
+        _check_overwrite([args.histogram_out, args.svg], args.force)
         traces = []
         for path in args.traces:
             try:

@@ -217,6 +217,9 @@ def load_csv(path, label_column: str = "label", name: str | None = None) -> Data
             raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
         label_pos = header.index(label_column)
         feature_pos = [j for j in range(len(header)) if j != label_pos]
+        if not feature_pos:
+            raise ValueError(f"{path}: no feature column besides the label column "
+                             f"{label_column!r}")
         rows, labels = [], []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

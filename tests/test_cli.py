@@ -9,7 +9,7 @@ import pytest
 from lalearn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lalearn.data import gen_gaussian_clouds, save_csv
 from lalearn.forest import regressor_config, train_forest
-from lalearn.strategies import LalStrategy
+from lalearn.strategies import LalStrategy, save_strategy
 
 
 def _write(path, doc):
@@ -349,6 +349,60 @@ class TestAnalyze:
         save_strategy(RandomStrategy(), path)
         assert main(["analyze", "--strategy", str(path),
                      "--importances-out", str(tmp_path / "i.csv")]) == EXIT_CONFIG
+
+
+def _label_only_csv(tmp_path):
+    csv = tmp_path / "labels.csv"
+    csv.write_text("label\n" + "0\n1\n" * 20)
+    return str(csv)
+
+
+def _lal_strategy_file(tmp_path):
+    states = np.random.default_rng(0).random((30, 7))
+    regressor = train_forest(states, states[:, 6],
+                             regressor_config(n_trees=2, min_leaf_size=1), seed=1)
+    path = tmp_path / "lal.json"
+    save_strategy(LalStrategy(regressor), path)
+    return str(path)
+
+
+def _file_in_the_way(tmp_path):
+    (tmp_path / "file").write_text("")
+    return str(tmp_path / "file" / "out")
+
+
+_MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
+             "--pool-size", "30", "--test-size", "100"]
+
+
+# each case: tmp_path -> argv, and the path or field the error names
+@pytest.mark.parametrize("argv, named", [
+    (lambda p: ["run", _run_config(p, dataset={"csv": _label_only_csv(p)})], "labels.csv"),
+    (lambda p: ["build-strategy",
+                _build_config(p, representative={"csv": _label_only_csv(p)})],
+     "labels.csv"),
+    (lambda p: ["build-strategy", _build_config(p, output=str(p / "nodir" / "s.json"))],
+     "nodir/s.json"),
+    (lambda p: ["build-strategy", _build_config(p), "--rows-out", str(p / "nodir" / "r.csv")],
+     "nodir/r.csv"),
+    (lambda p: _MOTIVATE + ["--out", str(p / "nodir" / "m.csv")], "nodir/m.csv"),
+    (lambda p: _MOTIVATE + ["--out", str(p / "m.csv"), "--svg", str(p / "nodir" / "m.svg")],
+     "nodir/m.svg"),
+    (lambda p: ["analyze", "--strategy", _lal_strategy_file(p),
+                "--importances-out", str(p / "nodir" / "imp.csv")],
+     "nodir/imp.csv"),
+    (lambda p: ["run", _run_config(p, output_dir=_file_in_the_way(p))], "output_dir"),
+], ids=["run_label_only_csv", "build_label_only_csv", "build_output_in_missing_dir",
+        "rows_out_in_missing_dir", "motivate_out_in_missing_dir",
+        "motivate_svg_in_missing_dir", "importances_out_in_missing_dir",
+        "output_dir_under_a_file"])
+def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, capsys, argv, named):
+    args = argv(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and named in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestConfigFormat:

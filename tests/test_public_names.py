@@ -81,3 +81,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 if name not in EXEMPT
                 and total[node.name] - _references(node)[node.name] <= 0]
     assert not uncalled, f"public names without a caller outside the tests: {uncalled}"
+
+
+def test_the_benchmark_tracer_finds_every_function_it_wraps(monkeypatch):
+    # perfbench/layers.py wraps lalearn functions it names; one deleted or
+    # renamed here would silently zero its layer's metrics.  The three
+    # single-row prediction methods are gone already and stay listed there
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import layers
+
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        missing = set(tracer.missing)
+    finally:
+        tracer.uninstall()
+    assert missing <= {"ForestModel.tree_predictions", "ForestModel.predict_proba",
+                       "ForestModel.predict_regression"}
