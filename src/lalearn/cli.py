@@ -132,12 +132,16 @@ def _dataset_from_spec(spec: dict, seed: int, what: str) -> Dataset:
 
 
 def _check_overwrite(paths: list, force: bool) -> None:
-    """Every output goes into an existing directory, and replaces no file unless forced.
+    """Outputs name distinct files in existing directories, and replace none unless forced.
 
     A ``None`` entry is an optional output that was not asked for.
     """
     paths = [Path(p) for p in paths if p is not None]
+    seen = {}
     for path in paths:
+        first = seen.setdefault(path.resolve(), path)
+        if first is not path:
+            _fail(f"two outputs name the same file: {first} and {path}")
         if not path.parent.is_dir():
             _fail(f"output directory of {path} does not exist")
     existing = [str(p) for p in paths if p.exists()]
@@ -361,25 +365,28 @@ def cmd_analyze(args) -> int:
         if not isinstance(strategy, LalStrategy):
             _fail(f"analyze: {args.strategy} is a {strategy.kind} strategy; "
                   f"only learned strategies carry a regressor")
-        _check_overwrite([args.importances_out], args.force)
-        report = regressor_importance_report(strategy)
-        artifacts.importance_report_to_csv(report, args.importances_out)
-        for name, weight in report:
-            print(f"{name}: {weight:.4f}")
-        print(f"wrote {args.importances_out}")
     if args.traces:
         if not args.histogram_out:
             _fail("analyze: --traces needs --histogram-out")
         for path in args.traces:
             if not Path(path).exists():
                 _fail(f"analyze: trace file not found: {path}")
-        _check_overwrite([args.histogram_out, args.svg], args.force)
         traces = []
         for path in args.traces:
             try:
                 traces.extend(artifacts.selection_traces_from_csv(path))
             except ValueError as exc:
                 _fail(f"analyze: {exc}")
+    _check_overwrite([args.importances_out if args.strategy else None,
+                      *([args.histogram_out, args.svg] if args.traces else [])], args.force)
+
+    if args.strategy:
+        report = regressor_importance_report(strategy)
+        artifacts.importance_report_to_csv(report, args.importances_out)
+        for name, weight in report:
+            print(f"{name}: {weight:.4f}")
+        print(f"wrote {args.importances_out}")
+    if args.traces:
         counts, edges = probability_histogram(traces, args.bins)
         artifacts.histogram_to_csv(counts, edges, args.histogram_out)
         if args.svg:

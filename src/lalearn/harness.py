@@ -23,6 +23,7 @@ from .strategies import LalStrategy, Strategy
 MOTIVATION_CHUNK = 64
 MOTIVATION_LEARN_RATE = 0.1   # logistic fits of the motivation experiment
 MOTIVATION_ITERATIONS = 50
+MOTIVATION_BATCH_MODELS = 8192  # logistic models per fit at most, whatever the pool size
 
 
 @dataclass
@@ -200,44 +201,74 @@ class MotivationCurve:
 
 
 def _motivation_chunk(args):
+    """Binned loss-reduction sums and counts of repetitions ``rep_lo .. rep_hi - 1``.
+
+    Per repetition, model 0 trains on the two cold-start labels and model
+    i adds candidate i.  The repetitions run in groups of at most
+    ``MOTIVATION_BATCH_MODELS`` models (at least one repetition), in two
+    passes per group:
+
+    1. draw each repetition's pool and cold start, fill its rows of one
+       batch, and fit the whole group in one ``train_logistic_batch`` call;
+    2. draw each repetition's test set, score its models on it and add its
+       bin sums, in repetition order.
+
+    This gives the bits of one fit per repetition: the trainer computes
+    each model's weights from its own row alone, every draw has its own
+    derived seed (so drawing the test sets after the fit changes none of
+    them), the loss block keeps its per-repetition shape, and the 0/1
+    losses are integer counts over ``n_test``.  Only one test set is alive
+    at a time.
+    """
     seed, rep_lo, rep_hi, fraction, n_pool, n_test, separation, n_bins = args
     from .data import gen_gaussian_clouds  # per-call lookup: perfbench/layers.py traces it
 
+    n_cand = n_pool - 2
+    n_models = n_cand + 1
+    group = max(1, MOTIVATION_BATCH_MODELS // n_models)
     sums = np.zeros(n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)
-    for r in range(rep_lo, rep_hi):
-        data = gen_gaussian_clouds(n_pool, fraction, separation, 2,
-                                   derive_seed(seed, "rep", r, "pool"))
-        test = gen_gaussian_clouds(n_test, fraction, separation, 2,
-                                   derive_seed(seed, "rep", r, "test"))
-        pool = init_cold_start(data, derive_seed(seed, "rep", r, "init"))
-        base = np.asarray(pool.labeled)
-        candidates = pool.unlabeled
-        n_cand = len(candidates)
+    for lo in range(rep_lo, rep_hi, group):
+        reps = range(lo, min(lo + group, rep_hi))
+        batch_x = np.zeros((len(reps), n_models, 3, 2))
+        batch_y = np.zeros((len(reps), n_models, 3))
+        mask = np.ones((len(reps), n_models, 3))
+        mask[:, 0, 2] = 0.0
+        for g, r in enumerate(reps):
+            data = gen_gaussian_clouds(n_pool, fraction, separation, 2,
+                                       derive_seed(seed, "rep", r, "pool"))
+            pool = init_cold_start(data, derive_seed(seed, "rep", r, "init"))
+            base = np.asarray(pool.labeled)
+            candidates = pool.unlabeled
+            batch_x[g, :, :2] = data.features[base]
+            batch_y[g, :, :2] = data.labels[base]
+            batch_x[g, 1:, 2] = data.features[candidates]
+            batch_y[g, 1:, 2] = data.labels[candidates]
+        weights = train_logistic_batch(
+            batch_x.reshape(-1, 3, 2), batch_y.reshape(-1, 3), mask.reshape(-1, 3),
+            MOTIVATION_LEARN_RATE, MOTIVATION_ITERATIONS).reshape(len(reps), n_models, 3)
 
-        # model 0 trains on the two seeds alone; model i adds candidate i
-        batch_x = np.zeros((n_cand + 1, 3, 2))
-        batch_y = np.zeros((n_cand + 1, 3))
-        mask = np.ones((n_cand + 1, 3))
-        batch_x[:, :2] = data.features[base]
-        batch_y[:, :2] = data.labels[base]
-        batch_x[1:, 2] = data.features[candidates]
-        batch_y[1:, 2] = data.labels[candidates]
-        mask[0, 2] = 0.0
-        weights = train_logistic_batch(batch_x, batch_y, mask, MOTIVATION_LEARN_RATE,
-                                       MOTIVATION_ITERATIONS)
+        # one score and one flag matrix serve the group's repetitions:
+        # allocating them afresh per repetition costs page faults that
+        # rival the time the batched fit saves
+        scores = np.empty((n_test, n_models))
+        mismatch = np.empty((n_test, n_models), dtype=bool)
+        for g, r in enumerate(reps):
+            test = gen_gaussian_clouds(n_test, fraction, separation, 2,
+                                       derive_seed(seed, "rep", r, "test"))
+            cand_x1 = np.hstack([batch_x[g, 1:, 2], np.ones((n_cand, 1))])
+            p0 = 1.0 - sigmoid(cand_x1 @ weights[g, 0])
 
-        cand_x1 = np.hstack([data.features[candidates], np.ones((n_cand, 1))])
-        p0 = 1.0 - sigmoid(cand_x1 @ weights[0])
+            test_x1 = np.hstack([test.features, np.ones((n_test, 1))])
+            np.matmul(test_x1, weights[g].T, out=scores)
+            np.greater(scores, 0.0, out=mismatch)  # predicts class 1 iff p1 > 0.5
+            np.not_equal(mismatch, test.labels[:, None] == 1, out=mismatch)
+            losses = np.count_nonzero(mismatch, axis=0) / n_test
+            delta = losses[0] - losses[1:]
 
-        test_x1 = np.hstack([test.features, np.ones((n_test, 1))])
-        predicted = (test_x1 @ weights.T) > 0.0  # class 1 iff p1 > 0.5
-        losses = np.mean(predicted != (test.labels[:, None] == 1), axis=0)
-        delta = losses[0] - losses[1:]
-
-        bins = np.clip((p0 * n_bins).astype(np.int64), 0, n_bins - 1)
-        sums += np.bincount(bins, weights=delta, minlength=n_bins)
-        counts += np.bincount(bins, minlength=n_bins)
+            bins = np.clip((p0 * n_bins).astype(np.int64), 0, n_bins - 1)
+            sums += np.bincount(bins, weights=delta, minlength=n_bins)
+            counts += np.bincount(bins, minlength=n_bins)
     return sums, counts
 
 

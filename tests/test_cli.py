@@ -371,6 +371,16 @@ def _file_in_the_way(tmp_path):
     return str(tmp_path / "file" / "out")
 
 
+def _trace_file(tmp_path):
+    path = tmp_path / "sel.csv"
+    path.write_text("repetition,iteration,index,p0\n0,0,4,0.5\n")
+    return str(path)
+
+
+def _analyze_both(p):
+    return ["analyze", "--strategy", _lal_strategy_file(p), "--traces", _trace_file(p)]
+
+
 _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
              "--pool-size", "30", "--test-size", "100"]
 
@@ -392,11 +402,27 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
                 "--importances-out", str(p / "nodir" / "imp.csv")],
      "nodir/imp.csv"),
     (lambda p: ["run", _run_config(p, output_dir=_file_in_the_way(p))], "output_dir"),
+    # two outputs naming one file, given relative to the working directory
+    (lambda p: _MOTIVATE + ["--out", "same.out", "--svg", "same.out"], "same.out"),
+    (lambda p: _MOTIVATE + ["--out", "same.out", "--svg", "./same.out"], "same.out"),
+    (lambda p: ["build-strategy", _build_config(p, output="s.json"), "--rows-out", "s.json"],
+     "s.json"),
+    (lambda p: ["build-strategy", _build_config(p, output="s.json"), "--rows-out", "./s.json"],
+     "s.json"),
+    (lambda p: _analyze_both(p) + ["--importances-out", "same.csv",
+                                   "--histogram-out", "same.csv"], "same.csv"),
+    (lambda p: _analyze_both(p) + ["--importances-out", "same.csv",
+                                   "--histogram-out", "h.csv", "--svg", "./same.csv"],
+     "same.csv"),
 ], ids=["run_label_only_csv", "build_label_only_csv", "build_output_in_missing_dir",
         "rows_out_in_missing_dir", "motivate_out_in_missing_dir",
         "motivate_svg_in_missing_dir", "importances_out_in_missing_dir",
-        "output_dir_under_a_file"])
-def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, capsys, argv, named):
+        "output_dir_under_a_file", "motivate_out_is_svg", "motivate_out_is_dot_svg",
+        "build_output_is_rows_out", "build_output_is_dot_rows_out",
+        "analyze_importances_is_histogram", "analyze_importances_is_dot_svg"])
+def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                          argv, named):
+    monkeypatch.chdir(tmp_path)
     args = argv(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     assert main(args) == EXIT_CONFIG

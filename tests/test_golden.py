@@ -1,9 +1,9 @@
-"""Golden digests of small ``build-strategy`` artifacts.
+"""Golden digests of small ``build-strategy`` and ``motivate`` artifacts.
 
-Each case runs one tiny build through the CLI and compares the SHA-256 of
-the strategy file and of the ``--rows-out`` CSV with digests recorded
-from the reference implementation.  A refactor of the builders, the
-forest or the Monte-Carlo simulation that changes a single byte of either
+Each case runs one tiny build or motivation study through the CLI and
+compares the SHA-256 of its files with digests recorded from the reference
+implementation.  A refactor of the builders, the forest, the Monte-Carlo
+simulation or the motivation experiment that changes a single byte of an
 artifact fails here; a change that is meant to alter the bytes must say
 why and record new digests.
 """
@@ -64,3 +64,20 @@ def test_build_artifacts_match_recorded_digests(case, tmp_path):
     rows = tmp_path / "rows.csv"
     assert main(["build-strategy", str(config), "--rows-out", str(rows)]) == EXIT_OK
     assert (_sha256(tmp_path / "strategy.json"), _sha256(rows)) == DIGESTS[case]
+
+
+# 70 repetitions: one full motivation chunk of 64 and one partial chunk
+MOTIVATE = ["motivate", "--repetitions", "70", "--seed", "21", "--test-size", "300"]
+
+MOTIVATE_DIGESTS = {
+    "--balanced": "2c754d09e25d7da6b0afe27cd29e6d303159274d8130ee6f79a2a2f8d632cf88",
+    "--unbalanced": "58a39a6aae334e7f88a026fda5f47bc7e306e06e28334b0755e43d7a95d1c25e",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("flag", sorted(MOTIVATE_DIGESTS))
+def test_motivate_csv_matches_recorded_digest(flag, workers, tmp_path):
+    out = tmp_path / "motivation.csv"
+    assert main(MOTIVATE + [flag, "--workers", workers, "--out", str(out)]) == EXIT_OK
+    assert _sha256(out) == MOTIVATE_DIGESTS[flag]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lalearn import harness
 from lalearn.data import gen_gaussian_clouds, split
 from lalearn.features import classifier_state
 from lalearn.forest import ForestConfig, regressor_config, train_forest
@@ -175,6 +176,15 @@ class TestMotivation:
         b = motivation_experiment(balanced=False, workers=2, **kwargs)
         assert np.array_equal(a.mean_delta, b.mean_delta)
         assert np.array_equal(a.counts, b.counts)
+
+    def test_batch_groups_do_not_change_the_curve(self, monkeypatch):
+        kwargs = dict(balanced=True, repetitions=70, n_bins=10, seed=16, n_pool=30,
+                      n_test=100)
+        whole = motivation_experiment(**kwargs)
+        monkeypatch.setattr(harness, "MOTIVATION_BATCH_MODELS", 100)  # 3 repetitions a fit
+        grouped = motivation_experiment(**kwargs)
+        assert whole.mean_delta.tobytes() == grouped.mean_delta.tobytes()
+        assert np.array_equal(whole.counts, grouped.counts)
 
     def test_empty_bins_are_nan(self):
         curve = motivation_experiment(balanced=True, repetitions=2, n_bins=50,

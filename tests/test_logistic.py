@@ -67,3 +67,22 @@ def test_batched_trainer_is_deterministic():
     a = train_logistic_batch(X, y, mask)
     b = train_logistic_batch(X, y, mask)
     assert np.array_equal(a, b)
+
+
+def test_stacked_batch_is_bitwise_the_concatenation_of_its_parts():
+    # each model's weights come from its own row alone, at any batch size
+    rng = np.random.default_rng(15)
+    parts, size = 64, 99
+    X = rng.normal(size=(parts * size, 3, 2))
+    y = rng.integers(0, 2, size=(parts * size, 3)).astype(float)
+    mask = np.ones((parts * size, 3))
+    mask[::size, 2] = 0.0  # each part's first model trains on two rows
+
+    def fit(lo, hi):
+        return train_logistic_batch(X[lo:hi], y[lo:hi], mask[lo:hi], 0.1, 50)
+
+    whole = fit(0, parts * size)
+    assert whole.tobytes() == np.concatenate(
+        [fit(lo, lo + size) for lo in range(0, parts * size, size)]).tobytes()
+    assert whole[:size].tobytes() == np.concatenate(
+        [fit(lo, lo + 1) for lo in range(size)]).tobytes()
