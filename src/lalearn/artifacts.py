@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from .atomic import atomic_open
 from .harness import LearningCurve, MotivationCurve, SelectionTrace
 
 CURVE_FORMAT = 1
@@ -24,7 +25,7 @@ def curve_to_csv(curve: LearningCurve, path) -> None:
     """``budget, mean, std, rep_0..rep_{R-1}`` rows, one per budget."""
     reps = curve.repetitions
     mean, std = curve.mean(), curve.std()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("budget,mean,std," + ",".join(f"rep_{r}" for r in range(reps)) + "\n")
         for j, budget in enumerate(curve.budgets):
             row = [str(int(budget)), _f(mean[j]), _f(std[j])]
@@ -45,13 +46,13 @@ def curve_to_json(curve: LearningCurve, path) -> None:
         "std": [float(v) for v in curve.std()],
         "traces": [[float(v) for v in row] for row in curve.traces],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True)
 
 
 def summary_to_csv(curves: dict[str, LearningCurve], path) -> None:
     """Long-format ``strategy,budget,mean,std`` table across all curves."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("strategy,budget,mean,std\n")
         for name, curve in curves.items():
             mean, std = curve.mean(), curve.std()
@@ -60,7 +61,7 @@ def summary_to_csv(curves: dict[str, LearningCurve], path) -> None:
 
 
 def selection_traces_to_csv(traces: list[SelectionTrace], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("repetition,iteration,index,p0\n")
         for r, trace in enumerate(traces):
             for t, idx, p in zip(trace.iterations, trace.indices, trace.probabilities):
@@ -99,21 +100,21 @@ def selection_traces_from_csv(path) -> list[SelectionTrace]:
 
 
 def motivation_to_csv(curve: MotivationCurve, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("p0_bin,mean_delta\n")
         for center, delta in zip(curve.bin_centers, curve.mean_delta):
             fh.write(f"{_f(center)},{_f(delta)}\n")
 
 
 def histogram_to_csv(counts: np.ndarray, edges: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("bin_left,bin_right,count\n")
         for j, count in enumerate(counts):
             fh.write(f"{_f(edges[j])},{_f(edges[j + 1])},{int(count)}\n")
 
 
 def importance_report_to_csv(report: list[tuple[str, float]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("feature,importance\n")
         for name, weight in report:
             fh.write(f"{name},{_f(weight)}\n")

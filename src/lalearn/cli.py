@@ -5,6 +5,14 @@ Experiments are described by JSON config files (``config_format: 1``);
 selected flags override config fields.  Every command is a pure function
 of (config, input files, seed): reruns produce byte-identical outputs.
 
+Each command reads and checks all of its inputs and output paths in one
+input phase, ``with _reading(...)``, before it does any work or writes any
+file.  One rule maps that phase's failures: any ``ValueError`` or
+``OSError`` raised in it, by the CLI's own checks or by a reader (config,
+dataset CSV, strategy or trace file, generator, ``split``), is invalid
+input, exit 2, with an error that names the document once.  Anything that
+fails after the phase is a runtime failure, exit 3.
+
 Exit codes: 0 success, 2 config validation failure, 3 runtime failure.
 The only environment dependence is ``LALEARN_OUTPUT_DIR``, which overrides
 the output directory.
@@ -17,6 +25,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,14 +56,27 @@ def _fail(message: str) -> None:
     raise ConfigError(message)
 
 
+@contextmanager
+def _reading(what: str):
+    """A command's input phase: a ``ValueError`` or ``OSError`` in it is a ``ConfigError``.
+
+    The error names the document ``what`` once, whether or not the reader
+    that raised it named the document already.
+    """
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        message = str(exc)
+        raise ConfigError(message if message.startswith(f"{what}:")
+                          else f"{what}: {message}") from None
+
+
 def _load_config(path, **flags) -> dict:
     """The config object at ``path``, with the flags that are set overriding its fields."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        _fail(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         _fail(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         _fail(f"config file {path} must contain a JSON object")
@@ -93,48 +115,33 @@ _GENERATOR_SPECS = {
 }
 
 
-def _fields(doc, schema: dict, what: str, label: str) -> dict:
-    """``read_fields``, failing with a ``ConfigError``."""
-    try:
-        return read_fields(doc, schema, what, label)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _forest_config(doc: dict | None, base: ForestConfig, what: str) -> ForestConfig:
     """``base`` with the fields of ``doc`` set; a forest file's bounds, ``base``'s defaults."""
     schema = {key: (kind, getattr(base, key), *bounds)
               for key, (kind, _, *bounds) in CONFIG_SCHEMA.items() if key != "mode"}
-    return replace(base, **_fields(doc or {}, schema, what, "forest config"))
+    return replace(base, **read_fields(doc or {}, schema, what, "forest config"))
 
 
 def _dataset_from_spec(spec: dict, seed: int, what: str) -> Dataset:
     if "csv" in spec:
-        spec = _fields(spec, _CSV_SPEC, what, "dataset")
-        if not Path(spec["csv"]).exists():
-            _fail(f"{what}: dataset file not found: {spec['csv']}")
-        try:
-            return load_csv(spec["csv"], spec["label_column"])
-        except ValueError as exc:
-            _fail(f"{what}: {exc}")
+        spec = read_fields(spec, _CSV_SPEC, what, "dataset")
+        return load_csv(spec["csv"], spec["label_column"])
     generator = spec.get("generator")
     if not isinstance(generator, str) or generator not in _GENERATOR_SPECS:
         _fail(f"{what}: dataset spec with keys {sorted(spec)} needs 'csv' or a known "
               f"'generator' ({' | '.join(_GENERATOR_SPECS)})")
     schema = {"generator": (str, REQUIRED), "seed": (int, derive_seed(seed, "dataset")),
               **_GENERATOR_SPECS[generator]}
-    kwargs = _fields(spec, schema, what, "dataset")
+    kwargs = read_fields(spec, schema, what, "dataset")
     del kwargs["generator"]
-    try:
-        return globals()[f"gen_{generator}"](**kwargs)
-    except ValueError as exc:
-        _fail(f"{what}: {exc}")
+    return globals()[f"gen_{generator}"](**kwargs)
 
 
 def _check_overwrite(paths: list, force: bool) -> None:
     """Outputs name distinct files in existing directories, and replace none unless forced.
 
-    A ``None`` entry is an optional output that was not asked for.
+    An output that is a directory is refused even when forced.  A ``None``
+    entry is an optional output that was not asked for.
     """
     paths = [Path(p) for p in paths if p is not None]
     seen = {}
@@ -144,6 +151,8 @@ def _check_overwrite(paths: list, force: bool) -> None:
             _fail(f"two outputs name the same file: {first} and {path}")
         if not path.parent.is_dir():
             _fail(f"output directory of {path} does not exist")
+        if path.is_dir():
+            _fail(f"output {path} is a directory")
     existing = [str(p) for p in paths if p.exists()]
     if existing and not force:
         _fail(f"output already exists (pass --force to overwrite): {existing[0]}")
@@ -173,42 +182,37 @@ def _output_dir(doc_value, flag_value) -> Path:
 
 def cmd_build_strategy(args) -> int:
     what = "build config"
-    doc = _load_config(args.config, seed=args.seed, output=args.output)
-    config = _fields(doc, _BUILD_CONFIG, what, "config")
-    seed, method = config["seed"], config["method"]
-    if method not in BUILD_METHODS:
-        _fail(f"{what}: method must be independent or iterative, got {method!r}")
-    try:
+    with _reading(what):
+        doc = _load_config(args.config, seed=args.seed, output=args.output)
+        config = read_fields(doc, _BUILD_CONFIG, what, "config")
+        seed, method = config["seed"], config["method"]
+        if method not in BUILD_METHODS:
+            _fail(f"{what}: method must be independent or iterative, got {method!r}")
         mc = MonteCarloConfig(
             **{key: config[key] for key in _MONTE_CARLO},
             classifier=_forest_config(config["classifier"], ForestConfig(), what),
             regressor=_forest_config(config["regressor"], regressor_config(), what),
             seed=seed)
-    except ValueError as exc:
-        _fail(f"{what}: {exc}")
 
-    output = Path(config["output"] or _fail(f"{what}: missing 'output'"))
-    _check_overwrite([output, args.rows_out], args.force)
-
-    representative = config["representative"]
-    try:
+        representative = config["representative"]
         if "cold_start" in representative:
-            cold = _fields(representative, _COLD_START_REPRESENTATIVE, what,
-                           "representative")["cold_start"]
+            cold = read_fields(representative, _COLD_START_REPRESENTATIVE, what,
+                               "representative")["cold_start"]
             if "test_fraction" in doc:
                 _fail(f"{what}: field 'test_fraction' needs a dataset representative, "
                       f"not cold_start")
             train, test = cold_start_data(
-                seed, **_fields(cold or {}, _COLD_START, what, "cold_start"))
+                seed, **read_fields(cold or {}, _COLD_START, what, "cold_start"))
         else:
             dataset = _dataset_from_spec(representative, seed, what)
             train, test = split(dataset, config["test_fraction"],
                                 derive_seed(seed, "representative_split"))
-    except ValueError as exc:
-        _fail(f"{what}: {exc}")
-    if mc.size_max >= len(train):
-        _fail(f"{what}: size_max ({mc.size_max}) must be smaller than the "
-              f"representative train set ({len(train)} rows)")
+        if mc.size_max >= len(train):
+            _fail(f"{what}: size_max ({mc.size_max}) must be smaller than the "
+                  f"representative train set ({len(train)} rows)")
+
+        output = Path(config["output"] or _fail(f"{what}: missing 'output'"))
+        _check_overwrite([output, args.rows_out], args.force)
     strategy, rows = build_lal(mc, train, test, method, workers=args.workers)
 
     save_strategy(strategy, output)
@@ -240,59 +244,54 @@ def _resolve_strategies(specs, what: str) -> list[Strategy]:
             if not Path(spec).exists():
                 _fail(f"{what}: strategy {spec!r} is neither a builtin "
                       f"{BUILTIN_STRATEGIES} nor an existing file")
-            try:
-                loaded = load_strategy(spec)
-            except ValueError as exc:
-                _fail(f"{what}: {exc}")
+            loaded = load_strategy(spec)
             if isinstance(loaded, LalStrategy):
                 loaded.training_metadata["source_file"] = str(spec)
             strategies.append(loaded)
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):
-        _fail(f"{what}: duplicate strategy names {names}")
+        _fail(f"{what}: field 'strategies' has duplicate names {names}")
     return strategies
 
 
 def cmd_run(args) -> int:
-    config = _fields(_load_config(args.config, seed=args.seed, budget=args.budget,
-                                  repetitions=args.repetitions),
-                     _RUN_CONFIG, "run config", "config")
-    seed, budget, repetitions = config["seed"], config["budget"], config["repetitions"]
-    metric = config["metric"]
-    if metric not in METRIC_IDS:
-        _fail(f"run config: unknown metric {metric!r}")
-    test_fraction = config["test_fraction"]
-    if not 0.0 < test_fraction < 1.0:
-        _fail("run config: test_fraction must lie strictly between 0 and 1")
-    warm = config["warm_start_size"]
+    what = "run config"
+    with _reading(what):
+        config = read_fields(_load_config(args.config, seed=args.seed, budget=args.budget,
+                                          repetitions=args.repetitions),
+                             _RUN_CONFIG, what, "config")
+        seed, budget, repetitions = config["seed"], config["budget"], config["repetitions"]
+        metric = config["metric"]
+        if metric not in METRIC_IDS:
+            _fail(f"{what}: unknown metric {metric!r}")
+        test_fraction, warm = config["test_fraction"], config["warm_start_size"]
 
-    strategies = _resolve_strategies(config["strategies"], "run config")
-    dataset = _dataset_from_spec(config["dataset"], seed, "run config")
-    classifier = _forest_config(config["classifier"], ForestConfig(), "run config")
-    try:
-        train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
-        check_repetition_splits(train, test, repetitions, seed)
-    except ValueError as exc:
-        _fail(f"run config: test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
+        strategies = _resolve_strategies(config["strategies"], what)
+        dataset = _dataset_from_spec(config["dataset"], seed, what)
+        classifier = _forest_config(config["classifier"], ForestConfig(), what)
+        try:
+            train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
+            check_repetition_splits(train, test, repetitions, seed)
+        except ValueError as exc:
+            _fail(f"{what}: test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
 
-    n_train = len(train)
-    if warm is not None and warm >= n_train:
-        _fail(f"run config: warm_start_size ({warm}) must be smaller than the "
-              f"train split ({n_train} rows)")
-    initial = warm if warm is not None else 2
-    if budget > n_train - initial:
-        _fail(f"run config: budget {budget} exceeds the unlabeled pool "
-              f"({n_train - initial} after initialization)")
+        n_train = len(train)
+        if warm is not None and warm >= n_train:
+            _fail(f"{what}: warm_start_size ({warm}) must be smaller than the "
+                  f"train split ({n_train} rows)")
+        initial = warm if warm is not None else 2
+        if budget > n_train - initial:
+            _fail(f"{what}: budget {budget} exceeds the unlabeled pool "
+                  f"({n_train - initial} after initialization)")
 
-    out = _output_dir(config["output_dir"], args.output_dir)
-    targets = [out / "summary.csv"]
-    for s in strategies:
-        targets += [out / f"{s.name}_curve.csv", out / f"{s.name}_curve.json",
-                    out / f"{s.name}_selections.csv"]
-    if args.svg:
-        targets.append(out / "curves.svg")
-    _check_overwrite(targets, args.force)
-
+        out = _output_dir(config["output_dir"], args.output_dir)
+        targets = [out / "summary.csv"]
+        for s in strategies:
+            targets += [out / f"{s.name}_curve.csv", out / f"{s.name}_curve.json",
+                        out / f"{s.name}_selections.csv"]
+        if args.svg:
+            targets.append(out / "curves.svg")
+        _check_overwrite(targets, args.force)
     curves, traces = run_repeated(train, test, strategies, budget, metric,
                                   repetitions, seed, classifier,
                                   warm_start_size=warm, workers=args.workers)
@@ -317,23 +316,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_motivate(args) -> int:
-    if args.repetitions < 1:
-        _fail("motivate: --repetitions must be at least 1")
-    if args.bins < 2:
-        _fail("motivate: --bins must be at least 2")
-    if args.pool_size < 3:
-        _fail("motivate: --pool-size must be at least 3 (two seed labels and a candidate)")
-    if args.test_size < 2:
-        _fail("motivate: --test-size must be at least 2")
-    if not 0.0 < args.separation < math.inf:
-        _fail("motivate: --separation must be a positive number")
-    out = Path(args.out)
-    _check_overwrite([out, args.svg], args.force)
+    with _reading("motivate"):
+        if args.repetitions < 1:
+            _fail("motivate: --repetitions must be at least 1")
+        if args.bins < 2:
+            _fail("motivate: --bins must be at least 2")
+        if args.pool_size < 3:
+            _fail("motivate: --pool-size must be at least 3 (two seed labels and a candidate)")
+        if args.test_size < 2:
+            _fail("motivate: --test-size must be at least 2")
+        if not 0.0 < args.separation < math.inf:
+            _fail("motivate: --separation must be a positive number")
+        _check_overwrite([args.out, args.svg], args.force)
     curve = motivation_experiment(
         balanced=args.balanced, repetitions=args.repetitions, n_bins=args.bins,
         seed=args.seed, n_pool=args.pool_size, n_test=args.test_size,
         separation=args.separation, workers=args.workers)
-    artifacts.motivation_to_csv(curve, out)
+    artifacts.motivation_to_csv(curve, args.out)
     if args.svg:
         svg.line_plot(args.svg, [("mean delta", curve.bin_centers, curve.mean_delta)],
                       title="loss reduction vs predicted probability",
@@ -341,7 +340,7 @@ def cmd_motivate(args) -> int:
     label = "balanced" if args.balanced else "unbalanced"
     print(f"{label}: most effective p0 bin centered at {curve.argmax_center():.3f} "
           f"({args.repetitions} repetitions)")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -349,37 +348,25 @@ def cmd_motivate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if not args.strategy and not args.traces:
-        _fail("analyze: provide --strategy and/or --traces")
-    if args.bins < 1:
-        _fail("analyze: --bins must be at least 1")
-    if args.strategy:
-        if not Path(args.strategy).exists():
-            _fail(f"analyze: strategy file not found: {args.strategy}")
-        if not args.importances_out:
+    with _reading("analyze"):
+        if not args.strategy and not args.traces:
+            _fail("analyze: provide --strategy and/or --traces")
+        if args.bins < 1:
+            _fail("analyze: --bins must be at least 1")
+        if args.strategy and not args.importances_out:
             _fail("analyze: --strategy needs --importances-out")
-        try:
-            strategy = load_strategy(args.strategy)
-        except ValueError as exc:
-            _fail(f"analyze: {exc}")
-        if not isinstance(strategy, LalStrategy):
-            _fail(f"analyze: {args.strategy} is a {strategy.kind} strategy; "
-                  f"only learned strategies carry a regressor")
-    if args.traces:
-        if not args.histogram_out:
+        if args.traces and not args.histogram_out:
             _fail("analyze: --traces needs --histogram-out")
-        for path in args.traces:
-            if not Path(path).exists():
-                _fail(f"analyze: trace file not found: {path}")
-        traces = []
-        for path in args.traces:
-            try:
-                traces.extend(artifacts.selection_traces_from_csv(path))
-            except ValueError as exc:
-                _fail(f"analyze: {exc}")
-    _check_overwrite([args.importances_out if args.strategy else None,
-                      *([args.histogram_out, args.svg] if args.traces else [])], args.force)
-
+        if args.strategy:
+            strategy = load_strategy(args.strategy)
+            if not isinstance(strategy, LalStrategy):
+                _fail(f"analyze: {args.strategy} is a {strategy.kind} strategy; "
+                      f"only learned strategies carry a regressor")
+        traces = [trace for path in args.traces
+                  for trace in artifacts.selection_traces_from_csv(path)]
+        _check_overwrite([args.importances_out if args.strategy else None,
+                          *([args.histogram_out, args.svg] if args.traces else [])],
+                         args.force)
     if args.strategy:
         report = regressor_importance_report(strategy)
         artifacts.importance_report_to_csv(report, args.importances_out)

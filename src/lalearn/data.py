@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .seeding import derive_seed, rng_for
 
 WARM_START_ATTEMPTS = 16
@@ -192,7 +193,7 @@ def gen_banana(n: int, noise: float = 0.2, seed: int = 0) -> Dataset:
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset as ``f0,...,f{D-1},label`` CSV (exact float round-trip)."""
     d = dataset.n_features
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\n")
         for row, lab in zip(dataset.features, dataset.labels):
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
@@ -278,6 +279,13 @@ def split(dataset: Dataset, test_fraction: float, seed: int = 0) -> tuple[Datase
     return train, test
 
 
+def _unlabeled(n: int, labeled) -> np.ndarray:
+    """The sorted indices of ``range(n)`` not in ``labeled``."""
+    keep = np.ones(n, dtype=bool)
+    keep[labeled] = False
+    return np.flatnonzero(keep)
+
+
 def init_cold_start(train: Dataset, seed: int = 0) -> PoolState:
     """Label one random sample from each class."""
     if not train.has_both_classes():
@@ -285,8 +293,7 @@ def init_cold_start(train: Dataset, seed: int = 0) -> PoolState:
     rng = rng_for(seed)
     idx0 = int(rng.choice(np.flatnonzero(train.labels == 0)))
     idx1 = int(rng.choice(np.flatnonzero(train.labels == 1)))
-    unlabeled = np.setdiff1d(np.arange(len(train)), [idx0, idx1])
-    return PoolState(labeled=[idx0, idx1], unlabeled=unlabeled)
+    return PoolState(labeled=[idx0, idx1], unlabeled=_unlabeled(len(train), [idx0, idx1]))
 
 
 def init_warm_start(train: Dataset, n0: int, seed: int = 0) -> PoolState:
@@ -303,8 +310,8 @@ def init_warm_start(train: Dataset, n0: int, seed: int = 0) -> PoolState:
         chosen = np.sort(rng.choice(n, size=n0, replace=False))
         picked = train.labels[chosen]
         if (picked == 0).any() and (picked == 1).any():
-            unlabeled = np.setdiff1d(np.arange(n), chosen)
-            return PoolState(labeled=[int(i) for i in chosen], unlabeled=unlabeled)
+            return PoolState(labeled=[int(i) for i in chosen],
+                             unlabeled=_unlabeled(n, chosen))
     raise ValueError(f"could not draw a two-class labeled set of size {n0} "
                      f"in {WARM_START_ATTEMPTS} attempts")
 

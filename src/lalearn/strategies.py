@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .atomic import atomic_open
 from .data import Dataset, PoolState
 from .features import FEATURE_NAMES, candidate_states, classifier_state
 from .forest import ForestModel, forest_from_doc, forest_to_doc
@@ -164,7 +165,7 @@ def strategy_from_doc(doc: dict) -> Strategy:
 
 
 def save_strategy(strategy: Strategy, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(strategy.to_doc(), fh, sort_keys=True)
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .atomic import atomic_open
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT = 640, 420
 MARGIN = 56
@@ -62,7 +64,7 @@ def line_plot(path, series, title="", x_label="", y_label="") -> None:
         parts.append(f'<text x="{WIDTH - MARGIN + 4}" y="{MARGIN + 14 * i + 10}" '
                      f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -82,5 +84,5 @@ def bar_chart(path, edges, counts, title="", x_label="", y_label="count") -> Non
                      f'height="{HEIGHT - MARGIN - py:.2f}" fill="#1f77b4" '
                      f'stroke="white" stroke-width="0.5"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(parts) + "\n")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomic import atomic_open
 from .data import Dataset, PoolState, gen_gaussian_clouds, init_warm_start
 from .features import FEATURE_NAMES, candidate_states, classifier_state
 from .forest import ForestConfig, ForestModel, regressor_config, train_forest, \
@@ -98,7 +99,7 @@ class RegressionSet:
 
     def to_csv(self, path) -> None:
         header = [f"xi_{i}" for i in range(self.states.shape[1])] + ["delta", "tau", "q", "m"]
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(",".join(header) + "\n")
             for xi, delta, tag in zip(self.states, self.deltas, self.tags):
                 cells = [repr(float(v)) for v in xi] + [repr(float(delta))]
@@ -188,8 +189,12 @@ def cold_start_data(seed: int, n_train: int = 1000, n_test: int = 1000,
     Returns ``(train, test)``: the simulation's labeled pool and the test
     set whose loss it measures, each seeded from ``seed``.
     """
-    if n_train < 4 or n_test < 2:
-        raise ValueError("representative datasets are too small")
+    if n_train < 4:
+        raise ValueError("representative train set too small: n_train must be at least 4, "
+                         f"got {n_train}")
+    if n_test < 2:
+        raise ValueError("representative test set too small: n_test must be at least 2, "
+                         f"got {n_test}")
     train = gen_gaussian_clouds(n_train, class0_fraction, separation, dim=2,
                                 seed=derive_seed(seed, "representative_train"))
     test = gen_gaussian_clouds(n_test, class0_fraction, separation, dim=2,

@@ -8,6 +8,7 @@ import pytest
 from lalearn.artifacts import (curve_to_csv, curve_to_json, histogram_to_csv,
                                motivation_to_csv, selection_traces_from_csv,
                                selection_traces_to_csv, summary_to_csv)
+from lalearn.atomic import atomic_open
 from lalearn.harness import LearningCurve, MotivationCurve, SelectionTrace
 
 
@@ -86,3 +87,23 @@ def test_summary_long_format(tmp_path):
     assert lines[0] == "strategy,budget,mean,std"
     assert len(lines) == 4
     assert lines[1].startswith("random,0,")
+
+
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "curve.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with atomic_open(target) as fh:
+            fh.write("budget,mean\n0,")
+            raise RuntimeError("interrupted")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+
+def test_a_new_file_appears_only_when_complete(tmp_path):
+    target = tmp_path / "new.csv"
+    with atomic_open(target) as fh:
+        fh.write("a\n")
+        assert not target.exists()
+    assert target.read_text() == "a\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["new.csv"]

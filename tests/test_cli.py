@@ -1,11 +1,13 @@
 """Command-line interface: configs, artifacts, exit codes, determinism."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lalearn import artifacts
 from lalearn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lalearn.data import gen_gaussian_clouds, save_csv
 from lalearn.forest import regressor_config, train_forest
@@ -228,6 +230,7 @@ class TestMotivate:
         (["--pool-size", "2"], "--pool-size"),
         (["--test-size", "0"], "--test-size"),
         (["--separation", "-1"], "--separation"),
+        (["--bins", "1"], "--bins"),
     ])
     def test_bad_flags(self, tmp_path, capsys, flags, flag):
         assert main(["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
@@ -377,6 +380,16 @@ def _trace_file(tmp_path):
     return str(path)
 
 
+def _dir(tmp_path, name):
+    (tmp_path / name).mkdir()
+    return str(tmp_path / name)
+
+
+def _bytes(tmp_path, name, data):
+    (tmp_path / name).write_bytes(data)
+    return str(tmp_path / name)
+
+
 def _analyze_both(p):
     return ["analyze", "--strategy", _lal_strategy_file(p), "--traces", _trace_file(p)]
 
@@ -414,12 +427,36 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
     (lambda p: _analyze_both(p) + ["--importances-out", "same.csv",
                                    "--histogram-out", "h.csv", "--svg", "./same.csv"],
      "same.csv"),
+    # a directory or an undecodable file where a file is read or written
+    (lambda p: ["run", _dir(p, "cfgdir")], "cfgdir"),
+    (lambda p: ["run", _bytes(p, "utf16.json", b"\xff\xfe{}")], "utf16.json"),
+    (lambda p: ["run", _run_config(p, strategies=["random", _dir(p, "sdir")])], "sdir"),
+    (lambda p: ["run", _run_config(p, dataset={"csv": _dir(p, "ddir")})], "ddir"),
+    (lambda p: ["build-strategy", _build_config(p, output=_dir(p, "odir")), "--force"],
+     "odir"),
+    (lambda p: _MOTIVATE + ["--out", _dir(p, "mdir"), "--force"], "mdir"),
+    (lambda p: ["analyze", "--strategy", _dir(p, "adir"),
+                "--importances-out", str(p / "imp.csv")], "adir"),
+    (lambda p: ["analyze", "--traces", _dir(p, "tdir"),
+                "--histogram-out", str(p / "h.csv")], "tdir"),
+    # inputs that are well-formed files but not what the command needs
+    (lambda p: ["run", _write(p / "list.json", [1])], "list.json"),
+    (lambda p: ["analyze", "--strategy", _lal_strategy_file(p)], "--importances-out"),
+    (lambda p: ["analyze", "--traces", _trace_file(p)], "--histogram-out"),
+    (lambda p: ["analyze", "--traces", _bytes(p, "header.csv", b"rep,it\n0,0\n"),
+                "--histogram-out", str(p / "h.csv")], "header.csv"),
 ], ids=["run_label_only_csv", "build_label_only_csv", "build_output_in_missing_dir",
         "rows_out_in_missing_dir", "motivate_out_in_missing_dir",
         "motivate_svg_in_missing_dir", "importances_out_in_missing_dir",
         "output_dir_under_a_file", "motivate_out_is_svg", "motivate_out_is_dot_svg",
         "build_output_is_rows_out", "build_output_is_dot_rows_out",
-        "analyze_importances_is_histogram", "analyze_importances_is_dot_svg"])
+        "analyze_importances_is_histogram", "analyze_importances_is_dot_svg",
+        "config_is_a_directory", "config_is_not_utf8", "strategy_is_a_directory",
+        "dataset_csv_is_a_directory", "build_output_is_a_directory_forced",
+        "motivate_out_is_a_directory_forced", "analyze_strategy_is_a_directory",
+        "analyze_traces_is_a_directory", "config_is_a_json_list",
+        "analyze_strategy_without_importances_out", "analyze_traces_without_histogram_out",
+        "trace_file_with_wrong_header"])
 def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                           argv, named):
     monkeypatch.chdir(tmp_path)
@@ -429,6 +466,58 @@ def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: config") and named in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestAtomicArtifacts:
+    def test_interrupted_forced_rerun_keeps_every_old_artifact(self, tmp_path,
+                                                               monkeypatch):
+        run = _run_config(tmp_path)
+        assert main(["run", run, "--svg"]) == EXIT_OK
+        out = tmp_path / "out"
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        calls = []
+        real = artifacts._f
+
+        def fail_in_the_second_row(value):
+            # the first curve CSV renders 4 numbers a row
+            calls.append(value)
+            if len(calls) == 6:
+                raise RuntimeError("disk full")
+            return real(value)
+
+        monkeypatch.setattr(artifacts, "_f", fail_in_the_second_row)
+        assert main(["run", run, "--svg", "--force"]) == EXIT_RUNTIME
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_every_command_writes_each_artifact_through_a_temp_file(self, tmp_path,
+                                                                    monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        replaced = []
+        real = os.replace
+
+        def replace(src, dst):
+            assert Path(src) == Path(f"{dst}.tmp")
+            replaced.append(Path(dst))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        strategy = out / "strategy.json"
+        assert main(["build-strategy", _build_config(tmp_path, output=str(strategy)),
+                     "--rows-out", str(out / "rows.csv")]) == EXIT_OK
+        assert main(["run", _run_config(tmp_path, strategies=["random", str(strategy)],
+                                        output_dir=str(out / "run")), "--svg"]) == EXIT_OK
+        assert main(_MOTIVATE + ["--out", str(out / "m.csv"),
+                                 "--svg", str(out / "m.svg")]) == EXIT_OK
+        assert main(["analyze", "--strategy", str(strategy),
+                     "--importances-out", str(out / "imp.csv"),
+                     "--traces", str(out / "run" / "random_selections.csv"),
+                     "--histogram-out", str(out / "h.csv"),
+                     "--svg", str(out / "h.svg")]) == EXIT_OK
+        save_csv(gen_gaussian_clouds(10, 0.5, 2.0, 2, seed=1), out / "data.csv")
+        written = sorted(path for path in out.rglob("*") if path.is_file())
+        assert len(written) == 16  # 12 writers; 2 strategies, 2 line plots
+        assert sorted(replaced) == written
 
 
 class TestConfigFormat:
@@ -505,6 +594,10 @@ class TestConfigFormat:
         ("build-strategy", {"test_fraction": 0.4}, "test_fraction"),
         ("run", {"output_dir": ""}, "output_dir"),
         ("run --output-dir=", {}, "--output-dir"),
+        ("build-strategy", {"method": "magic"}, "method"),
+        ("run", {"strategies": ["random", "uncertainty", "random"]}, "strategies"),
+        ("run", {"dataset": {"generator": "checkerboard", "k": 3}}, "grid side k"),
+        ("build-strategy", {"representative": {"cold_start": {"n_train": 3}}}, "n_train"),
     ])
     def test_invalid_field_is_config_error_naming_it(self, tmp_path, capsys, command,
                                                      overrides, field):
