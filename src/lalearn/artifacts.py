@@ -7,6 +7,7 @@ repetition/budget order, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -70,7 +71,12 @@ def selection_traces_to_csv(traces: list[SelectionTrace], path) -> None:
 
 def selection_traces_from_csv(path) -> list[SelectionTrace]:
     """Traces written by ``selection_traces_to_csv``; errors name the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    with io.StringIO(text) as fh:
         header = fh.readline().rstrip("\n")
         if header != "repetition,iteration,index,p0":
             raise ValueError(f"{path}: not a selection trace file")

@@ -140,20 +140,23 @@ def _dataset_from_spec(spec: dict, seed: int, what: str) -> Dataset:
 def _check_overwrite(paths: list, force: bool) -> None:
     """Outputs name distinct files in existing directories, and replace none unless forced.
 
-    An output that is a directory is refused even when forced.  A ``None``
-    entry is an optional output that was not asked for.
+    ``atomic_open`` writes each output to ``<output>.tmp`` first, so that
+    name is checked like the output's own.  An output that is a directory
+    is refused even when forced.  A ``None`` entry is an optional output
+    that was not asked for.
     """
     paths = [Path(p) for p in paths if p is not None]
+    names = [(name, path) for path in paths for name in (path, Path(f"{path}.tmp"))]
     seen = {}
-    for path in paths:
-        first = seen.setdefault(path.resolve(), path)
+    for name, path in names:
+        first = seen.setdefault(name.resolve(), path)
         if first is not path:
             _fail(f"two outputs name the same file: {first} and {path}")
         if not path.parent.is_dir():
             _fail(f"output directory of {path} does not exist")
-        if path.is_dir():
-            _fail(f"output {path} is a directory")
-    existing = [str(p) for p in paths if p.exists()]
+        if name.is_dir():
+            _fail(f"output {name} is a directory")
+    existing = [str(name) for name, _ in names if name.exists()]
     if existing and not force:
         _fail(f"output already exists (pass --force to overwrite): {existing[0]}")
 
@@ -244,10 +247,7 @@ def _resolve_strategies(specs, what: str) -> list[Strategy]:
             if not Path(spec).exists():
                 _fail(f"{what}: strategy {spec!r} is neither a builtin "
                       f"{BUILTIN_STRATEGIES} nor an existing file")
-            loaded = load_strategy(spec)
-            if isinstance(loaded, LalStrategy):
-                loaded.training_metadata["source_file"] = str(spec)
-            strategies.append(loaded)
+            strategies.append(load_strategy(spec))
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):
         _fail(f"{what}: field 'strategies' has duplicate names {names}")

@@ -9,6 +9,7 @@ learning run.
 from __future__ import annotations
 
 import bisect
+import io
 import math
 from dataclasses import dataclass
 
@@ -203,13 +204,16 @@ def load_csv(path, label_column: str = "label", name: str | None = None) -> Data
     """Parse a headered CSV into a dataset.
 
     All columns except ``label_column`` are read as real-valued features in
-    header order.  Errors name the offending line and column.
+    header order.  Errors name the file, and the offending line and column.
     """
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with fh:
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    with io.StringIO(text) as fh:
         header_line = fh.readline()
         if not header_line.strip():
             raise ValueError(f"{path}: missing header row")

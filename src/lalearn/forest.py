@@ -116,21 +116,22 @@ def regressor_config(n_trees: int = 100, min_leaf_size: int = 80, **kwargs) -> F
 
 
 class ForestModel:
-    """A trained forest.
+    """A trained forest: its node table, config and seed.
 
     Nodes of all trees live in shared flat arrays; node ``i < n_trees`` is
     the root of tree ``i``.  ``feature[j] == -1`` marks a leaf.  Sibling nodes
     occupy adjacent slots: the right child of node ``j`` is ``left[j] + 1``.
+    The bootstraps are not stored: out-of-bag accuracy regenerates them
+    from the seed, so a trained and a reloaded forest hold the same state.
     Models are immutable after training and safe to share between
     processes; the per-feature thresholds that prediction ranks rows by,
     and the walk's node arrays, are computed on the first prediction and
     kept.
     """
 
-    def __init__(self, *, mode, config, seed, n_features, feature,
-                 threshold, left, value, count, tree_depths,
-                 importances_raw, bootstrap=None, n_train=None):
-        self.mode = mode
+    def __init__(self, *, config, seed, n_features, feature, threshold, left,
+                 value, count, tree_depths, importances_raw):
+        self.mode = config.mode
         self.config = config
         self.seed = seed
         self.n_features = n_features
@@ -141,8 +142,6 @@ class ForestModel:
         self.count = np.asarray(count, dtype=np.int64)
         self.tree_depths = np.asarray(tree_depths, dtype=np.int64)
         self.importances_raw = np.asarray(importances_raw, dtype=np.float64)
-        self.bootstrap = bootstrap
-        self.n_train = n_train
 
     @property
     def n_trees(self) -> int:
@@ -254,24 +253,25 @@ class ForestModel:
         """Out-of-bag accuracy on the training set.
 
         Each sample is voted on by the trees whose bootstrap excludes it
-        (one hard vote per tree, ties toward class 0).  Samples in every
+        (one hard vote per tree, ties toward class 0).  The bootstraps are
+        regenerated from the seed, as training drew them.  Samples in every
         bootstrap are skipped; when no sample has an excluding tree the
         accuracy is 1.0, so the learning-state feature stays finite on
-        tiny labeled sets.
+        tiny labeled sets.  Raises ``ValueError`` unless the set has as
+        many rows as every root counted, the training set's size.
         """
         if self.mode != "classification":
             raise ValueError("oob_accuracy requires a classification forest")
-        if self.bootstrap is None:
-            raise ValueError("bootstrap records were not kept (model was deserialized)")
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         targets = np.asarray(targets)
         n = features.shape[0]
-        if n != self.n_train or n != len(targets):
+        if np.any(self.count[:self.n_trees] != n) or n != len(targets):
             raise ValueError("oob_accuracy expects the exact training set")
         leaf, cell = self._leaf_values(features)
         votes = np.take(leaf < 0.5, cell, axis=1)
         included = np.zeros((self.n_trees, n), dtype=bool)
-        included[np.arange(self.n_trees)[:, None], self.bootstrap] = True
+        included[np.arange(self.n_trees)[:, None],
+                 bootstrap_matrix(tree_seeds(self.seed, self.n_trees), n)] = True
         excluding = ~included
         n_votes = excluding.sum(axis=0)
         votes_class1 = (votes & excluding).sum(axis=0)
@@ -692,11 +692,9 @@ def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]
         left = np.full(len(is_split), -1, dtype=np.int64)
         left[is_split] = T + 2 * np.arange(int(is_split.sum()))
         models.append(ForestModel(
-            mode=config.mode, config=config, seed=int(seed), n_features=d,
-            feature=feature[own], threshold=threshold[own], left=left,
-            value=value[own], count=count[own],
-            tree_depths=tree_depths[g * T:(g + 1) * T], importances_raw=imp_raw[g],
-            bootstrap=bootstraps[g], n_train=ns[g]))
+            config=config, seed=int(seed), n_features=d, feature=feature[own],
+            threshold=threshold[own], left=left, value=value[own], count=count[own],
+            tree_depths=tree_depths[g * T:(g + 1) * T], importances_raw=imp_raw[g]))
     return models
 
 
@@ -718,8 +716,8 @@ def _node_doc(model: ForestModel, gid: int) -> dict:
 def forest_to_doc(model: ForestModel) -> dict:
     """JSON-serializable document for a trained forest.
 
-    Bootstrap bookkeeping is not persisted, so out-of-bag accuracy is
-    unavailable on a reloaded model; predictions round-trip exactly.
+    The node table, config and seed are the whole forest, so a reloaded
+    model predicts and gives out-of-bag accuracy exactly as the trained one.
     """
     cfg = model.config
     return {
@@ -844,7 +842,7 @@ def forest_from_doc(doc: dict) -> ForestModel:
     node_value = np.full(len(left), np.nan)
     node_value[~internal] = _doc_floats(value, "value")
     return ForestModel(
-        mode=cfg.mode, config=cfg, seed=top["seed"], n_features=n_features,
-        feature=node_feature, threshold=node_threshold, left=left, value=node_value,
+        config=cfg, seed=top["seed"], n_features=n_features, feature=node_feature,
+        threshold=node_threshold, left=left, value=node_value,
         count=_doc_ints(count, "count", "a non-negative integer below 2**63", 0),
-        tree_depths=depths, importances_raw=importances, bootstrap=None, n_train=None)
+        tree_depths=depths, importances_raw=importances)

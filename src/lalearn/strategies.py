@@ -175,6 +175,6 @@ def load_strategy(path) -> Strategy:
             doc = json.load(fh)
     except FileNotFoundError:
         raise FileNotFoundError(f"strategy file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"corrupt strategy file {path}: {exc}")
     return strategy_from_doc(doc)

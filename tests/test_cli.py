@@ -390,6 +390,11 @@ def _bytes(tmp_path, name, data):
     return str(tmp_path / name)
 
 
+def _after(made, argv):
+    """``argv``, once ``made`` (evaluated first, as an argument) is in place."""
+    return argv
+
+
 def _analyze_both(p):
     return ["analyze", "--strategy", _lal_strategy_file(p), "--traces", _trace_file(p)]
 
@@ -439,6 +444,21 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
                 "--importances-out", str(p / "imp.csv")], "adir"),
     (lambda p: ["analyze", "--traces", _dir(p, "tdir"),
                 "--histogram-out", str(p / "h.csv")], "tdir"),
+    (lambda p: ["run", _run_config(p, dataset={"csv": _bytes(p, "latin1.csv",
+                                                           b"f0,label\n\xe9,0\n")})],
+     "latin1.csv"),
+    (lambda p: ["analyze", "--strategy", _bytes(p, "latin1.json", b'{"kind": "\xe9"}'),
+                "--importances-out", str(p / "imp.csv")], "latin1.json"),
+    (lambda p: ["analyze", "--traces", _bytes(p, "latin1_sel.csv",
+                                              b"repetition,iteration,index,p0\n\xe9\n"),
+                "--histogram-out", str(p / "h.csv")], "latin1_sel.csv"),
+    # the temp file atomic_open writes first is an output too
+    (lambda p: _after(_dir(p, "m.csv.tmp"), _MOTIVATE + ["--out", "m.csv", "--force"]),
+     "m.csv.tmp"),
+    (lambda p: _after(_bytes(p, "m.csv.tmp", b""), _MOTIVATE + ["--out", "m.csv"]),
+     "already exists (pass --force to overwrite): m.csv.tmp"),
+    (lambda p: _MOTIVATE + ["--out", "m.csv", "--svg", "m.csv.tmp"], "m.csv.tmp"),
+    (lambda p: _MOTIVATE + ["--out", "m.svg.tmp", "--svg", "m.svg"], "m.svg.tmp"),
     # inputs that are well-formed files but not what the command needs
     (lambda p: ["run", _write(p / "list.json", [1])], "list.json"),
     (lambda p: ["analyze", "--strategy", _lal_strategy_file(p)], "--importances-out"),
@@ -454,7 +474,10 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
         "config_is_a_directory", "config_is_not_utf8", "strategy_is_a_directory",
         "dataset_csv_is_a_directory", "build_output_is_a_directory_forced",
         "motivate_out_is_a_directory_forced", "analyze_strategy_is_a_directory",
-        "analyze_traces_is_a_directory", "config_is_a_json_list",
+        "analyze_traces_is_a_directory", "dataset_csv_is_not_utf8",
+        "analyze_strategy_is_not_utf8", "analyze_traces_is_not_utf8",
+        "motivate_out_temp_is_a_directory_forced", "motivate_out_temp_exists",
+        "motivate_svg_is_out_temp", "motivate_out_is_svg_temp", "config_is_a_json_list",
         "analyze_strategy_without_importances_out", "analyze_traces_without_histogram_out",
         "trace_file_with_wrong_header"])
 def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys,

@@ -3,14 +3,15 @@
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from lalearn.data import gen_gaussian_clouds, split
-from lalearn.forest import (ForestConfig, ForestModel, best_split, forest_from_doc,
-                            forest_to_doc, regressor_config, train_forest, train_forests,
-                            tree_seeds)
+from lalearn.forest import (ForestConfig, ForestModel, best_split, bootstrap_matrix,
+                            forest_from_doc, forest_to_doc, regressor_config, train_forest,
+                            train_forests, tree_seeds)
 from lalearn.seeding import derive_seed
 
 
@@ -69,6 +70,11 @@ def _reference_bootstrap(tree_seed, n):
     """Counted splitmix64 hash, implemented independently with python ints."""
     return np.array([_mix((tree_seed + j * _GOLD) & _MASK) % n
                      for j in range(1, n + 1)], dtype=np.int64)
+
+
+def _draws(model, n):
+    """The forest's bootstrap draws on ``n`` rows, regenerated from its seed."""
+    return bootstrap_matrix(tree_seeds(model.seed, model.n_trees), n)
 
 
 def _reference_subset(tree_seed, node_id, d, k):
@@ -197,7 +203,7 @@ def test_trainer_matches_reference_builder(mode, min_leaf, max_depth):
         model = train_forest(X, y, config, seed)
         for t in range(config.n_trees):
             ref_nodes, ref_depth, ref_boot = _reference_tree(X, y, model.config, seed, t)
-            assert np.array_equal(model.bootstrap[t], ref_boot)
+            assert np.array_equal(_draws(model, n)[t], ref_boot)
             if not any(node["ambiguous"] for node in ref_nodes):
                 assert int(model.tree_depths[t]) == ref_depth
             total_compared += _assert_tree_equal(model, t, ref_nodes, mode)
@@ -290,7 +296,7 @@ class TestTraining:
         X = np.full((n, 3), 1.5)
         y = np.arange(n) % 2 if mode == "classification" else np.linspace(0.0, 1.0, n)
         model = train_forest(X, y, ForestConfig(n_trees=6, mode=mode), seed=4)
-        boot_y = y[model.bootstrap].astype(float)
+        boot_y = y[_draws(model, n)].astype(float)
         assert np.all(boot_y.min(axis=1) < boot_y.max(axis=1))
         assert len(model.feature) == model.n_trees
         assert np.all(model.feature == -1) and np.all(model.left == -1)
@@ -338,7 +344,7 @@ class TestTraining:
 
 
 _FOREST_ARRAYS = ("feature", "threshold", "left", "value", "count", "tree_depths",
-                  "importances_raw", "bootstrap")
+                  "importances_raw")
 
 
 def _assert_same_forest(grouped, single, X, y):
@@ -346,8 +352,7 @@ def _assert_same_forest(grouped, single, X, y):
         a, b = getattr(grouped, name), getattr(single, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert (grouped.n_train, grouped.seed, grouped.config) == (
-        single.n_train, single.seed, single.config)
+    assert (grouped.seed, grouped.config) == (single.seed, single.config)
     grid = np.random.default_rng(0).normal(size=(64, X.shape[1]))
     for rows in (X, grid):
         assert grouped.predict_proba_batch(rows).tobytes() == \
@@ -617,7 +622,7 @@ class TestPrediction:
         model = train_forest(X, y, config, seed=2)
         # with unbounded depth and min_leaf 1, every distinct training point
         # ends alone in a leaf, so its own target comes back exactly
-        seen = np.unique(model.bootstrap[0])
+        seen = np.unique(_draws(model, 15)[0])
         preds = model.predict_regression_batch(X[seen])
         assert np.allclose(preds, y[seen], atol=1e-12)
 
@@ -645,10 +650,39 @@ class TestIntrospection:
         y = np.array([0, 1])
         for seed in range(200):
             model = train_forest(X, y, ForestConfig(n_trees=1), seed=seed)
-            if len(set(model.bootstrap[0].tolist())) == 2:
+            if len(set(_draws(model, 2)[0].tolist())) == 2:
                 assert model.oob_accuracy(X, y) == 1.0
                 return
         pytest.fail("no seed produced a bootstrap covering both samples")
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (5, 1), (23, 2 ** 63 + 5), (40, 2 ** 64 - 1)])
+    def test_oob_matches_a_brute_force_vote(self, n, seed):
+        # each tree votes on the rows its independently drawn bootstrap misses
+        rng = np.random.default_rng(n)
+        X = np.round(rng.normal(size=(n, 2)), 1)
+        y = rng.integers(0, 2, n)
+        model = train_forest(X, y, ForestConfig(n_trees=9), seed=seed)
+        votes = model.tree_predictions_batch(X) < 0.5
+        bags = [set(_reference_bootstrap(derive_seed(seed, "tree", t), n).tolist())
+                for t in range(model.n_trees)]
+        correct = covered = 0
+        for i in range(n):
+            mine = [votes[t, i] for t in range(model.n_trees) if i not in bags[t]]
+            if mine:
+                covered += 1
+                correct += int(2 * sum(mine) > len(mine)) == y[i]
+        assert model.oob_accuracy(X, y) == (correct / covered if covered else 1.0)
+
+    def test_oob_requires_the_exact_training_set(self):
+        data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=19)
+        X, y = data.features, data.labels
+        model = train_forest(X, y, ForestConfig(n_trees=4), seed=13)
+        loaded = _json_round_trip(model)
+        for forest in (model, loaded):
+            for rows, labels in ((X[:-1], y[:-1]), (np.vstack([X, X[:1]]), np.append(y, 0)),
+                                 (X, y[:-1])):
+                with pytest.raises(ValueError, match="exact training set"):
+                    forest.oob_accuracy(rows, labels)
 
     def test_oob_tracks_heldout_accuracy(self):
         data = gen_gaussian_clouds(1000, 0.5, 2.0, 2, seed=31)
@@ -831,12 +865,19 @@ class TestSerialization:
         b = json.dumps(forest_to_doc(_json_round_trip(model)), sort_keys=True)
         assert a == b
 
-    def test_loaded_model_has_no_oob(self):
+    def test_loaded_model_keeps_its_oob(self):
         data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=19)
         model = train_forest(data.features, data.labels, ForestConfig(n_trees=4),
                              seed=13)
-        with pytest.raises(ValueError):
-            _json_round_trip(model).oob_accuracy(data.features, data.labels)
+        assert _json_round_trip(model).oob_accuracy(data.features, data.labels) == \
+            model.oob_accuracy(data.features, data.labels)
+
+    def test_pickle_size_does_not_depend_on_the_training_rows(self):
+        # constant rows give single-leaf trees, so only the row count differs
+        config = ForestConfig(n_trees=50)
+        small, large = (train_forest(np.zeros((n, 2)), np.zeros(n), config, seed=3)
+                        for n in (100, 10_000))
+        assert len(pickle.dumps(large)) == len(pickle.dumps(small))
 
     def test_version_check(self, tmp_path):
         doc = {"format": 99}
