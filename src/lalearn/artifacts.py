@@ -1,37 +1,28 @@
 """File formats for experiment outputs.
 
-All writers are deterministic: floats are rendered with ``repr`` (shortest
-round-trip form), JSON keys are sorted, and row order follows canonical
-repetition/budget order, so identical runs produce identical bytes.
+All writers are deterministic: CSV cells follow ``atomic.write_csv``'s rule
+(floats in ``repr`` form, the shortest round-trip form), JSON keys are
+sorted, and row order follows canonical repetition/budget order, so
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_csv, write_csv
 from .harness import LearningCurve, MotivationCurve, SelectionTrace
 
 CURVE_FORMAT = 1
-
-
-def _f(value) -> str:
-    return repr(float(value))
+SELECTION_HEADER = ["repetition", "iteration", "index", "p0"]
 
 
 def curve_to_csv(curve: LearningCurve, path) -> None:
     """``budget, mean, std, rep_0..rep_{R-1}`` rows, one per budget."""
-    reps = curve.repetitions
-    mean, std = curve.mean(), curve.std()
-    with atomic_open(path) as fh:
-        fh.write("budget,mean,std," + ",".join(f"rep_{r}" for r in range(reps)) + "\n")
-        for j, budget in enumerate(curve.budgets):
-            row = [str(int(budget)), _f(mean[j]), _f(std[j])]
-            row += [_f(v) for v in curve.traces[:, j]]
-            fh.write(",".join(row) + "\n")
+    header = ["budget", "mean", "std"] + [f"rep_{r}" for r in range(curve.repetitions)]
+    write_csv(path, header, zip(curve.budgets, curve.mean(), curve.std(), *curve.traces))
 
 
 def curve_to_json(curve: LearningCurve, path) -> None:
@@ -53,48 +44,32 @@ def curve_to_json(curve: LearningCurve, path) -> None:
 
 def summary_to_csv(curves: dict[str, LearningCurve], path) -> None:
     """Long-format ``strategy,budget,mean,std`` table across all curves."""
-    with atomic_open(path) as fh:
-        fh.write("strategy,budget,mean,std\n")
-        for name, curve in curves.items():
-            mean, std = curve.mean(), curve.std()
-            for j, budget in enumerate(curve.budgets):
-                fh.write(f"{name},{int(budget)},{_f(mean[j])},{_f(std[j])}\n")
+    write_csv(path, ["strategy", "budget", "mean", "std"],
+              ((name, *row) for name, curve in curves.items()
+               for row in zip(curve.budgets, curve.mean(), curve.std())))
 
 
 def selection_traces_to_csv(traces: list[SelectionTrace], path) -> None:
-    with atomic_open(path) as fh:
-        fh.write("repetition,iteration,index,p0\n")
-        for r, trace in enumerate(traces):
-            for t, idx, p in zip(trace.iterations, trace.indices, trace.probabilities):
-                fh.write(f"{r},{int(t)},{int(idx)},{_f(p)}\n")
+    write_csv(path, SELECTION_HEADER,
+              ((r, *row) for r, trace in enumerate(traces)
+               for row in zip(trace.iterations, trace.indices, trace.probabilities)))
 
 
 def selection_traces_from_csv(path) -> list[SelectionTrace]:
     """Traces written by ``selection_traces_to_csv``; errors name the file and line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    with io.StringIO(text) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "repetition,iteration,index,p0":
-            raise ValueError(f"{path}: not a selection trace file")
-        rows: dict[int, list[tuple[int, int, float]]] = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != 4:
-                raise ValueError(f"{path} line {lineno}: expected 4 cells, got {len(cells)}")
-            try:
-                rep, it, idx, p = int(cells[0]), int(cells[1]), int(cells[2]), float(cells[3])
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: non-numeric cell in "
-                                 f"{line.strip()!r}") from None
-            if not 0.0 <= p <= 1.0:  # also rejects nan
-                raise ValueError(f"{path} line {lineno}: p0 {cells[3]!r} is not in [0, 1]")
-            rows.setdefault(rep, []).append((it, idx, p))
+    header, lines = read_csv(path)
+    if header != SELECTION_HEADER:
+        raise ValueError(f"{path}: not a selection trace file")
+    rows: dict[int, list[tuple[int, int, float]]] = {}
+    for lineno, cells in lines:
+        try:
+            rep, it, idx, p = int(cells[0]), int(cells[1]), int(cells[2]), float(cells[3])
+        except ValueError:
+            raise ValueError(f"{path} line {lineno}: non-numeric cell in "
+                             f"{','.join(cells).strip()!r}") from None
+        if not 0.0 <= p <= 1.0:  # also rejects nan
+            raise ValueError(f"{path} line {lineno}: p0 {cells[3]!r} is not in [0, 1]")
+        rows.setdefault(rep, []).append((it, idx, p))
     traces = []
     for rep in sorted(rows):
         its, idxs, ps = zip(*rows[rep])
@@ -106,21 +81,13 @@ def selection_traces_from_csv(path) -> list[SelectionTrace]:
 
 
 def motivation_to_csv(curve: MotivationCurve, path) -> None:
-    with atomic_open(path) as fh:
-        fh.write("p0_bin,mean_delta\n")
-        for center, delta in zip(curve.bin_centers, curve.mean_delta):
-            fh.write(f"{_f(center)},{_f(delta)}\n")
+    write_csv(path, ["p0_bin", "mean_delta"], zip(curve.bin_centers, curve.mean_delta))
 
 
 def histogram_to_csv(counts: np.ndarray, edges: np.ndarray, path) -> None:
-    with atomic_open(path) as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for j, count in enumerate(counts):
-            fh.write(f"{_f(edges[j])},{_f(edges[j + 1])},{int(count)}\n")
+    write_csv(path, ["bin_left", "bin_right", "count"],
+              ((edges[j], edges[j + 1], int(count)) for j, count in enumerate(counts)))
 
 
 def importance_report_to_csv(report: list[tuple[str, float]], path) -> None:
-    with atomic_open(path) as fh:
-        fh.write("feature,importance\n")
-        for name, weight in report:
-            fh.write(f"{name},{_f(weight)}\n")
+    write_csv(path, ["feature", "importance"], report)

@@ -1,17 +1,20 @@
-"""Files that appear whole or not at all.
+"""lalearn's text files: the one module that opens them.
 
-Every artifact writer opens its target through :func:`atomic_open`: the
-text goes to ``<path>.tmp`` next to the target, which replaces the target
-only once the writer has finished.  A writer that fails leaves neither a
-truncated file nor the temp file behind, and a target that existed before
-keeps its old bytes.  This module imports nothing from ``lalearn``, so every
-module that writes a file can use it.
+Every writer opens its target through :func:`atomic_open`: the text goes to
+``<path>.tmp``, which replaces the target only once the writer has finished,
+so a writer that fails leaves no truncated file or temp file behind, and an
+old target keeps its bytes.  :func:`write_csv` renders a cell by its type: a
+``str`` as it is, an integer in decimal, any other number as
+``repr(float(v))``, the shortest text that reads back to the same float.
+The readers name the file in every error.  This module imports nothing from
+``lalearn``, so every module that writes or reads a file can use it.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
+from numbers import Integral
 
 
 @contextmanager
@@ -26,3 +29,52 @@ def atomic_open(path):
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Integral):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the ``header`` names and then each row of cells, through ``atomic_open``."""
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def read_text(path) -> str:
+    """The UTF-8 text at ``path``; ``ValueError`` naming the file when it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_csv(path):
+    """The header cells at ``path`` and a lazy iterator of ``(line number, cells)`` rows.
+
+    Blank lines are skipped.  A row whose cell count differs from the
+    header's raises only when it is reached, so a caller checks the header first.
+    """
+    lines = read_text(path).split("\n")
+    if not lines[0].strip():
+        raise ValueError(f"{path}: missing header row")
+    header = lines[0].split(",")
+
+    def rows():
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{path} line {lineno}: expected {len(header)} cells, "
+                                 f"got {len(cells)}")
+            yield lineno, cells
+
+    return header, rows()

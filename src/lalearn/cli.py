@@ -30,6 +30,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import artifacts, svg
+from .atomic import read_text
 from .data import Dataset, gen_banana, gen_checkerboard, gen_gaussian_clouds, load_csv, split
 from .forest import CONFIG_SCHEMA, ForestConfig, regressor_config
 from .harness import check_repetition_splits, motivation_experiment, \
@@ -73,10 +74,10 @@ def _reading(what: str):
 
 def _load_config(path, **flags) -> dict:
     """The config object at ``path``, with the flags that are set overriding its fields."""
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
         _fail(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         _fail(f"config file {path} must contain a JSON object")

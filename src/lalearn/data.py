@@ -9,13 +9,12 @@ learning run.
 from __future__ import annotations
 
 import bisect
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import read_csv, write_csv
 from .seeding import derive_seed, rng_for
 
 WARM_START_ATTEMPTS = 16
@@ -193,11 +192,9 @@ def gen_banana(n: int, noise: float = 0.2, seed: int = 0) -> Dataset:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset as ``f0,...,f{D-1},label`` CSV (exact float round-trip)."""
-    d = dataset.n_features
-    with atomic_open(path) as fh:
-        fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\n")
-        for row, lab in zip(dataset.features, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
+    header = [f"f{j}" for j in range(dataset.n_features)] + ["label"]
+    write_csv(path, header,
+              ((*row, label) for row, label in zip(dataset.features, dataset.labels)))
 
 
 def load_csv(path, label_column: str = "label", name: str | None = None) -> Dataset:
@@ -206,49 +203,34 @@ def load_csv(path, label_column: str = "label", name: str | None = None) -> Data
     All columns except ``label_column`` are read as real-valued features in
     header order.  Errors name the file, and the offending line and column.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    with io.StringIO(text) as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
-            raise ValueError(f"{path}: missing header row")
-        header = [c.strip() for c in header_line.rstrip("\n").split(",")]
-        if label_column not in header:
-            raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
-        label_pos = header.index(label_column)
-        feature_pos = [j for j in range(len(header)) if j != label_pos]
-        if not feature_pos:
-            raise ValueError(f"{path}: no feature column besides the label column "
-                             f"{label_column!r}")
-        rows, labels = [], []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path} line {lineno}: expected {len(header)} cells, got {len(cells)}")
+    header, lines = read_csv(path)
+    header = [c.strip() for c in header]
+    if label_column not in header:
+        raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
+    label_pos = header.index(label_column)
+    feature_pos = [j for j in range(len(header)) if j != label_pos]
+    if not feature_pos:
+        raise ValueError(f"{path}: no feature column besides the label column "
+                         f"{label_column!r}")
+    rows, labels = [], []
+    for lineno, cells in lines:
+        try:
+            values = [float(cells[j]) for j in feature_pos]
+        except ValueError:
+            bad = next(j for j in feature_pos if not _is_float(cells[j]))
+            raise ValueError(f"{path} line {lineno}, column {header[bad]!r}: "
+                             f"non-numeric cell {cells[bad]!r}")
+        lab = cells[label_pos].strip()
+        if lab not in ("0", "1"):
             try:
-                values = [float(cells[j]) for j in feature_pos]
+                fl = float(lab)
             except ValueError:
-                bad = next(j for j in feature_pos if not _is_float(cells[j]))
-                raise ValueError(f"{path} line {lineno}, column {header[bad]!r}: "
-                                 f"non-numeric cell {cells[bad]!r}")
-            lab = cells[label_pos].strip()
-            if lab not in ("0", "1"):
-                try:
-                    fl = float(lab)
-                except ValueError:
-                    raise ValueError(f"{path} line {lineno}: non-numeric label {lab!r}")
-                if fl not in (0.0, 1.0):
-                    raise ValueError(f"{path} line {lineno}: label {lab!r} is not 0 or 1")
-                lab = str(int(fl))
-            rows.append(values)
-            labels.append(int(lab))
+                raise ValueError(f"{path} line {lineno}: non-numeric label {lab!r}")
+            if fl not in (0.0, 1.0):
+                raise ValueError(f"{path} line {lineno}: label {lab!r} is not 0 or 1")
+            lab = str(int(fl))
+        rows.append(values)
+        labels.append(int(lab))
     if len(rows) < 2:
         raise ValueError(f"{path}: fewer than 2 data rows")
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64),

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_text
 from .data import Dataset, PoolState
 from .features import FEATURE_NAMES, candidate_states, classifier_state
 from .forest import ForestModel, forest_from_doc, forest_to_doc
@@ -170,11 +170,9 @@ def save_strategy(strategy: Strategy, path) -> None:
 
 
 def load_strategy(path) -> Strategy:
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise FileNotFoundError(f"strategy file not found: {path}")
-    except ValueError as exc:  # not JSON, or not UTF-8
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt strategy file {path}: {exc}")
     return strategy_from_doc(doc)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_csv
 from .data import Dataset, PoolState, gen_gaussian_clouds, init_warm_start
 from .features import FEATURE_NAMES, candidate_states, classifier_state
 from .forest import ForestConfig, ForestModel, regressor_config, train_forest, \
@@ -99,12 +99,8 @@ class RegressionSet:
 
     def to_csv(self, path) -> None:
         header = [f"xi_{i}" for i in range(self.states.shape[1])] + ["delta", "tau", "q", "m"]
-        with atomic_open(path) as fh:
-            fh.write(",".join(header) + "\n")
-            for xi, delta, tag in zip(self.states, self.deltas, self.tags):
-                cells = [repr(float(v)) for v in xi] + [repr(float(delta))]
-                cells += [str(int(t)) for t in tag]
-                fh.write(",".join(cells) + "\n")
+        rows = zip(self.states, self.deltas, self.tags)
+        write_csv(path, header, ((*xi, delta, *tag) for xi, delta, tag in rows))
 
 
 class StrategyGrownSplit:

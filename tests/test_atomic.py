@@ -1,0 +1,75 @@
+"""The one module that opens files: the CSV cell rule, the readers' errors, and
+a guard that no other module opens a file itself."""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lalearn.atomic import read_csv, write_csv
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lalearn"
+
+FILE_METHODS = {"read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_write_csv_renders_each_cell_by_its_type(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["a", "b", "c", "d"],
+              [("name", 3, np.int64(-7), 0.1 + 0.2),
+               ("x", np.float64(-0.0), 2.0, np.float32(0.5)),
+               ("y", 1e16, float("nan"), 5e-324)])
+    assert path.read_bytes() == (b"a,b,c,d\n"
+                                 b"name,3,-7,0.30000000000000004\n"
+                                 b"x,-0.0,2.0,0.5\n"
+                                 b"y,1e+16,nan,5e-324\n")
+
+
+def test_read_csv_skips_blank_lines_and_numbers_the_rest(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b\n1,2\n\n  \n3,4\n")
+    header, rows = read_csv(path)
+    assert header == ["a", "b"]
+    assert list(rows) == [(2, ["1", "2"]), (5, ["3", "4"])]
+
+
+def test_read_csv_checks_the_cell_count_only_when_the_rows_are_read(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("a,b\n1,2\n3\n")
+    header, rows = read_csv(path)
+    assert header == ["a", "b"]
+    assert next(rows) == (2, ["1", "2"])
+    with pytest.raises(ValueError) as err:
+        next(rows)
+    assert str(err.value) == f"{path} line 3: expected 2 cells, got 1"
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \n1,2\n"])
+def test_read_csv_needs_a_header(tmp_path, text):
+    path = tmp_path / "headless.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing header row$"):
+        read_csv(path)
+
+
+def _file_calls(tree: ast.AST):
+    """Line numbers of the calls in ``tree`` that open, read or write a file."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            yield node.lineno
+        elif isinstance(func, ast.Attribute) and func.attr in FILE_METHODS | {"open"}:
+            yield node.lineno
+
+
+def test_only_the_atomic_module_opens_files():
+    found = {f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "atomic.py"
+             for line in _file_calls(ast.parse(path.read_text(encoding="utf-8")))}
+    assert not found, f"file I/O outside lalearn/atomic.py: {sorted(found)}"
+    atomic = ast.parse((PACKAGE / "atomic.py").read_text(encoding="utf-8"))
+    assert list(_file_calls(atomic)), "the guard no longer sees atomic.py's own opens"

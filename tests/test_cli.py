@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lalearn import artifacts
+from lalearn import atomic
 from lalearn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lalearn.data import gen_gaussian_clouds, save_csv
 from lalearn.forest import regressor_config, train_forest
@@ -499,16 +499,16 @@ class TestAtomicArtifacts:
         out = tmp_path / "out"
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         calls = []
-        real = artifacts._f
+        real = atomic._cell
 
         def fail_in_the_second_row(value):
-            # the first curve CSV renders 4 numbers a row
+            # the first curve CSV renders 5 cells a row: budget, mean, std, 2 repetitions
             calls.append(value)
-            if len(calls) == 6:
+            if len(calls) == 8:
                 raise RuntimeError("disk full")
             return real(value)
 
-        monkeypatch.setattr(artifacts, "_f", fail_in_the_second_row)
+        monkeypatch.setattr(atomic, "_cell", fail_in_the_second_row)
         assert main(["run", run, "--svg", "--force"]) == EXIT_RUNTIME
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
