@@ -38,15 +38,13 @@ from .harness import check_repetition_splits, motivation_experiment, \
 from .metrics import METRIC_IDS
 from .schema import REQUIRED, read_fields
 from .seeding import derive_seed
-from .strategies import BUILD_METHODS, LalStrategy, RandomStrategy, Strategy, \
-    UncertaintyStrategy, load_strategy, save_strategy
+from .strategies import BUILD_METHODS, BUILTIN_KINDS, LalStrategy, Strategy, \
+    load_strategy, save_strategy
 from .training import MonteCarloConfig, build_lal, cold_start_data
 
 CONFIG_FORMAT = 1
 OUTPUT_DIR_ENV = "LALEARN_OUTPUT_DIR"
 EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME = 0, 2, 3
-
-BUILTIN_STRATEGIES = ("random", "uncertainty")
 
 
 class ConfigError(Exception):
@@ -240,15 +238,13 @@ def _resolve_strategies(specs, what: str) -> list[Strategy]:
     for spec in specs:
         if not isinstance(spec, str):
             _fail(f"{what}: field 'strategies' must list names or files, got {spec!r}")
-        if spec == "random":
-            strategies.append(RandomStrategy())
-        elif spec == "uncertainty":
-            strategies.append(UncertaintyStrategy())
-        else:
-            if not Path(spec).exists():
-                _fail(f"{what}: strategy {spec!r} is neither a builtin "
-                      f"{BUILTIN_STRATEGIES} nor an existing file")
+        if spec in BUILTIN_KINDS:
+            strategies.append(BUILTIN_KINDS[spec]())
+        elif Path(spec).exists():
             strategies.append(load_strategy(spec))
+        else:
+            _fail(f"{what}: strategy {spec!r} is neither a builtin "
+                  f"{tuple(BUILTIN_KINDS)} nor an existing file")
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):
         _fail(f"{what}: field 'strategies' has duplicate names {names}")

@@ -200,11 +200,15 @@ def save_csv(dataset: Dataset, path) -> None:
 def load_csv(path, label_column: str = "label", name: str | None = None) -> Dataset:
     """Parse a headered CSV into a dataset.
 
-    All columns except ``label_column`` are read as real-valued features in
-    header order.  Errors name the file, and the offending line and column.
+    All columns except ``label_column`` are read as finite real-valued
+    features in header order.  Errors name the file, and the offending
+    line and column.
     """
     header, lines = read_csv(path)
     header = [c.strip() for c in header]
+    twice = next((c for j, c in enumerate(header) if c in header[:j]), None)
+    if twice is not None:
+        raise ValueError(f"{path}: column {twice!r} appears twice in the header")
     if label_column not in header:
         raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
     label_pos = header.index(label_column)
@@ -214,12 +218,11 @@ def load_csv(path, label_column: str = "label", name: str | None = None) -> Data
                          f"{label_column!r}")
     rows, labels = [], []
     for lineno, cells in lines:
-        try:
-            values = [float(cells[j]) for j in feature_pos]
-        except ValueError:
-            bad = next(j for j in feature_pos if not _is_float(cells[j]))
+        values = [_finite(cells[j]) for j in feature_pos]
+        if None in values:
+            bad = feature_pos[values.index(None)]
             raise ValueError(f"{path} line {lineno}, column {header[bad]!r}: "
-                             f"non-numeric cell {cells[bad]!r}")
+                             f"cell {cells[bad]!r} is not a finite number")
         lab = cells[label_pos].strip()
         if lab not in ("0", "1"):
             try:
@@ -237,12 +240,13 @@ def load_csv(path, label_column: str = "label", name: str | None = None) -> Data
                    name=name or str(path))
 
 
-def _is_float(cell: str) -> bool:
+def _finite(cell: str) -> float | None:
+    """``cell`` as a finite float, else ``None``."""
     try:
-        float(cell)
-        return True
+        value = float(cell)
     except ValueError:
-        return False
+        return None
+    return value if math.isfinite(value) else None
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:

@@ -139,6 +139,9 @@ class LalStrategy(Strategy):
         }
 
 
+# the strategies that need no file, by kind
+BUILTIN_KINDS = {cls.kind: cls for cls in (RandomStrategy, UncertaintyStrategy)}
+
 _DOC_SCHEMA = {"format": (int, REQUIRED), "kind": (str, REQUIRED)}
 _LAL_DOC_SCHEMA = {**_DOC_SCHEMA, "feature_schema": (list, REQUIRED),
                    "provenance": (str, REQUIRED), "training_metadata": (dict, {}),
@@ -154,10 +157,8 @@ def strategy_from_doc(doc: dict) -> Strategy:
     fields = read_fields(doc, _LAL_DOC_SCHEMA if lal else _DOC_SCHEMA, "strategy", "document")
     if fields["format"] != STRATEGY_FORMAT:
         raise ValueError(f"unsupported strategy format: {fields['format']!r}")
-    if fields["kind"] == "random":
-        return RandomStrategy()
-    if fields["kind"] == "uncertainty":
-        return UncertaintyStrategy()
+    if fields["kind"] in BUILTIN_KINDS:
+        return BUILTIN_KINDS[fields["kind"]]()
     if not lal:
         raise ValueError(f"unknown strategy kind {fields['kind']!r}")
     return LalStrategy(forest_from_doc(fields["regressor"]), fields["feature_schema"],

@@ -127,9 +127,11 @@ class TestRun:
         run = _run_config(tmp_path, metric="f1")
         assert main(["run", run]) == EXIT_CONFIG
 
-    def test_missing_strategy_file_rejected(self, tmp_path):
+    def test_missing_strategy_file_rejected(self, tmp_path, capsys):
         run = _run_config(tmp_path, strategies=["random", "missing.json"])
         assert main(["run", run]) == EXIT_CONFIG
+        assert ("strategy 'missing.json' is neither a builtin ('random', 'uncertainty') "
+                "nor an existing file") in capsys.readouterr().err
 
     def test_overwrite_needs_force(self, tmp_path):
         run = _run_config(tmp_path)
@@ -465,6 +467,18 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
     (lambda p: ["analyze", "--traces", _trace_file(p)], "--histogram-out"),
     (lambda p: ["analyze", "--traces", _bytes(p, "header.csv", b"rep,it\n0,0\n"),
                 "--histogram-out", str(p / "h.csv")], "header.csv"),
+    (lambda p: ["run", _run_config(p, dataset={"csv": _bytes(
+        p, "nan.csv", b"f0,f1,label\n" + b"1.0,2.0,0\n0.5,nan,1\n" * 20)})],
+     "nan.csv line 3, column 'f1': cell 'nan' is not a finite number"),
+    (lambda p: ["build-strategy", _build_config(p, representative={"csv": _bytes(
+        p, "inf.csv", b"f0,label\n" + b"1.0,0\n-inf,1\n" * 20)})],
+     "inf.csv line 3, column 'f0': cell '-inf' is not a finite number"),
+    (lambda p: ["run", _run_config(p, dataset={"csv": _bytes(
+        p, "dup.csv", b"f0,label,label\n" + b"1.0,0,0\n2.0,1,1\n" * 20)})],
+     "dup.csv: column 'label' appears twice in the header"),
+    (lambda p: ["build-strategy", _build_config(p, representative={"csv": _bytes(
+        p, "dup.csv", b"f0,f0,label\n" + b"1.0,1.0,0\n2.0,2.0,1\n" * 20)})],
+     "dup.csv: column 'f0' appears twice in the header"),
 ], ids=["run_label_only_csv", "build_label_only_csv", "build_output_in_missing_dir",
         "rows_out_in_missing_dir", "motivate_out_in_missing_dir",
         "motivate_svg_in_missing_dir", "importances_out_in_missing_dir",
@@ -479,7 +493,9 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
         "motivate_out_temp_is_a_directory_forced", "motivate_out_temp_exists",
         "motivate_svg_is_out_temp", "motivate_out_is_svg_temp", "config_is_a_json_list",
         "analyze_strategy_without_importances_out", "analyze_traces_without_histogram_out",
-        "trace_file_with_wrong_header"])
+        "trace_file_with_wrong_header", "run_csv_with_nan_feature",
+        "build_csv_with_inf_feature", "run_csv_with_label_column_twice",
+        "build_csv_with_feature_column_twice"])
 def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                           argv, named):
     monkeypatch.chdir(tmp_path)

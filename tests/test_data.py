@@ -179,6 +179,40 @@ class TestCsv:
         with pytest.raises(ValueError, match="label"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_file_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n\n1.0,{cell},1\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == (f"{path} line 4, column 'f1': "
+                                  f"cell {cell!r} is not a finite number")
+
+    @pytest.mark.parametrize("header, twice", [("f0,label,label", "label"),
+                                               ("f0,f1,f0,label", "f0"),
+                                               ("f0, label,label ", "label")])
+    def test_a_column_named_twice_is_rejected(self, tmp_path, header, twice):
+        # the second copy of the label would otherwise load as a feature
+        path = tmp_path / "dup.csv"
+        cells = len(header.split(","))
+        path.write_text(header + "\n" + ("1," * (cells - 1) + "0\n") * 3)
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: column {twice!r} appears twice in the header"
+
+    def test_bytes_of_edge_values_are_pinned_and_round_trip(self, tmp_path):
+        data = Dataset(np.array([[-0.0, 5e-324, 1e16], [0.1 + 0.2, -1.5, 2.0 ** 60]]),
+                       np.array([0, 1], dtype=np.int64))
+        path = tmp_path / "edge.csv"
+        save_csv(data, path)
+        assert path.read_bytes() == (b"f0,f1,f2,label\n"
+                                     b"-0.0,5e-324,1e+16,0\n"
+                                     b"0.30000000000000004,-1.5,1.152921504606847e+18,1\n")
+        loaded = load_csv(path)
+        assert loaded.features.tobytes() == data.features.tobytes()  # keeps the sign of -0.0
+        assert loaded.labels.dtype == np.int64
+        assert np.array_equal(loaded.labels, data.labels)
+
 
 class TestSplit:
     def test_sizes_and_coverage(self):
