@@ -3,7 +3,11 @@
 One run simulates the annotation loop against a ground-truth oracle and
 records the test metric after every acquisition.  Repeated runs re-split
 the data per repetition with derived seeds and give every strategy the
-same initial labeled set, so curves compare paired trajectories.
+same initial labeled set, so curves compare paired trajectories.  The
+strategies of a repetition step together in one ``run_al`` call: the
+shared first classifier is fit once, and each later step fits one
+classifier per strategy in a single grouped ``train_forests`` call, whose
+forests are bit-identical to fitting each set alone.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, init_cold_start, init_warm_start, merge, split
-from .forest import ForestConfig, train_forest
+from .data import Dataset, PoolState, init_cold_start, init_warm_start, merge, split
+from .forest import ForestConfig, train_forest, train_forests
 from .logistic import sigmoid, train_logistic_batch
 from .metrics import METRIC_IDS, evaluate_probability_metric
 from .parallel import parallel_map
@@ -85,39 +89,57 @@ class LearningCurve:
         return self.traces[:, pos]
 
 
-def run_al(train: Dataset, test: Dataset, strategy: Strategy, budget: int,
+def run_al(train: Dataset, test: Dataset, strategies: list[Strategy], budget: int,
            metric: str = "accuracy", seed: int = 0,
            classifier_config: ForestConfig | None = None,
-           warm_start_size: int | None = None) -> tuple[np.ndarray, SelectionTrace]:
-    """One active learning run; returns the metric trace and selections.
+           warm_start_size: int | None = None) -> list[tuple[np.ndarray, SelectionTrace]]:
+    """Paired active learning runs, one per strategy, stepped in lock-step.
 
-    The trace has ``budget + 1`` points: the metric is evaluated before
-    the first query and after each acquisition.  Labels revealed to the
+    Returns one ``(metric trace, selections)`` pair per strategy.  Each
+    trace has ``budget + 1`` points: the metric is evaluated before the
+    first query and after each acquisition.  Labels revealed to the
     learner always come from the dataset's ground truth.
+
+    Every run starts from the same labeled set and trains step ``t`` with
+    the seed ``derive_seed(seed, "train", t)``, so the first classifier is
+    fit once for all of them; each later step fits one classifier per run
+    in a single ``train_forests`` call.  A grouped forest is bit-identical
+    to fitting its set alone, so each run gives the bits it gives alone.
     """
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}")
     classifier_config = classifier_config or ForestConfig()
     if warm_start_size is None:
-        pool = init_cold_start(train, derive_seed(seed, "init"))
+        start = init_cold_start(train, derive_seed(seed, "init"))
     else:
-        pool = init_warm_start(train, warm_start_size, derive_seed(seed, "init"))
-    if budget > pool.n_unlabeled:
-        raise ValueError(f"budget {budget} exceeds the unlabeled pool ({pool.n_unlabeled})")
+        start = init_warm_start(train, warm_start_size, derive_seed(seed, "init"))
+    if budget > start.n_unlabeled:
+        raise ValueError(f"budget {budget} exceeds the unlabeled pool ({start.n_unlabeled})")
 
-    trace = np.empty(budget + 1)
-    chosen, probabilities = [], []
-    for t in range(budget + 1):
-        model = train_forest(train.features[pool.labeled], train.labels[pool.labeled],
-                             classifier_config, derive_seed(seed, "train", t))
-        trace[t] = evaluate_probability_metric(
-            metric, model.predict_proba_batch(test.features), test.labels)
-        if t < budget:
+    def score(model) -> float:
+        return evaluate_probability_metric(metric, model.predict_proba_batch(test.features),
+                                           test.labels)
+
+    pools = [PoolState(start.labeled, start.unlabeled) for _ in strategies]
+    traces = np.empty((len(strategies), budget + 1))
+    chosen = np.empty((len(strategies), budget), dtype=np.int64)
+    probabilities = np.empty((len(strategies), budget))
+    first = train_forest(train.features[start.labeled], train.labels[start.labeled],
+                         classifier_config, derive_seed(seed, "train", 0))
+    traces[:, 0] = score(first)
+    models = [first] * len(strategies)
+    for t in range(budget):
+        for e, (strategy, pool, model) in enumerate(zip(strategies, pools, models)):
             index = strategy.select(model, pool, train, rng_for(seed, "select", t))
-            chosen.append(index)
-            probabilities.append(model.predict_proba_batch(train.features[[index]])[0])
+            chosen[e, t] = index
+            probabilities[e, t] = model.predict_proba_batch(train.features[[index]])[0]
             pool.acquire(index)
-    return trace, SelectionTrace(np.arange(budget), chosen, probabilities)
+        models = train_forests([(train.features[pool.labeled], train.labels[pool.labeled],
+                                 derive_seed(seed, "train", t + 1)) for pool in pools],
+                               classifier_config)
+        traces[:, t + 1] = [score(model) for model in models]
+    return [(traces[e], SelectionTrace(np.arange(budget), chosen[e], probabilities[e]))
+            for e in range(len(strategies))]
 
 
 def _resplit(pooled: Dataset, test_fraction: float, rep_seed: int) -> tuple[Dataset, Dataset]:
@@ -128,11 +150,8 @@ def _repetition(args):
     (pooled, test_fraction, strategies, budget, metric, rep_seed,
      classifier_config, warm_start_size) = args
     train_r, test_r = _resplit(pooled, test_fraction, rep_seed)
-    out = []
-    for strategy in strategies:
-        out.append(run_al(train_r, test_r, strategy, budget, metric, rep_seed,
-                          classifier_config, warm_start_size))
-    return out
+    return run_al(train_r, test_r, strategies, budget, metric, rep_seed,
+                  classifier_config, warm_start_size)
 
 
 def check_repetition_splits(train: Dataset, test: Dataset, repetitions: int,

@@ -10,7 +10,10 @@ The two build methods differ in how labeled subsets are assembled:
 ``independent`` always partitions at random, while ``iterative`` grows
 each subset with the strategy learned from all smaller subsets, so the
 collected states reflect the selection bias a deployed strategy actually
-encounters.
+encounters.  A build hands each worker a block of one size's
+initializations; a strategy-grown block grows its labeled subsets in
+lock-step, one grouped ``train_forests`` call per step, so the bytes do
+not depend on how the initializations are blocked.
 """
 
 from __future__ import annotations
@@ -103,12 +106,21 @@ class RegressionSet:
         write_csv(path, header, ((*xi, delta, *tag) for xi, delta, tag in rows))
 
 
-class StrategyGrownSplit:
-    """Partition builder that grows the labeled set with a learned strategy.
+def random_splits(dataset: Dataset, labeled_size: int, seeds: list[int]) -> list[PoolState]:
+    """One random two-class labeled set of ``labeled_size`` per seed."""
+    return [init_warm_start(dataset, labeled_size, seed) for seed in seeds]
 
-    Starts from ``start_size`` random samples and adds points chosen by
-    the given regressor, retraining the classifier after each addition.
-    Instances are picklable so stage cells can run in worker processes.
+
+class StrategyGrownSplit:
+    """Partition builder that grows labeled sets with a learned strategy.
+
+    Each seed's set starts from ``start_size`` random samples and adds
+    points chosen by the given regressor, retraining the classifier after
+    each addition.  The sets of one call grow in lock-step: each step fits
+    every set's classifier in one ``train_forests`` call, and a grouped
+    forest is bit-identical to fitting its set alone, so a set's growth
+    does not depend on the seeds it shares a call with.  Instances are
+    picklable so blocks of cells can run in worker processes.
     """
 
     def __init__(self, regressor: ForestModel, classifier: ForestConfig, start_size: int):
@@ -116,34 +128,38 @@ class StrategyGrownSplit:
         self.classifier = classifier
         self.start_size = start_size
 
-    def __call__(self, dataset: Dataset, labeled_size: int, seed: int) -> PoolState:
+    def __call__(self, dataset: Dataset, labeled_size: int, seeds: list[int]) -> list[PoolState]:
         if labeled_size < self.start_size:
             raise ValueError("labeled_size is below the random start size")
-        pool = init_warm_start(dataset, self.start_size, derive_seed(seed, "start"))
+        pools = random_splits(dataset, self.start_size,
+                              [derive_seed(seed, "start") for seed in seeds])
         for step in range(labeled_size - self.start_size):
-            model = train_forest(dataset.features[pool.labeled], dataset.labels[pool.labeled],
-                                 self.classifier, derive_seed(seed, "grow", step))
-            pool.acquire(select_lal(self.regressor, model, pool, dataset))
-        return pool
+            models = train_forests([(dataset.features[pool.labeled], dataset.labels[pool.labeled],
+                                     derive_seed(seed, "grow", step))
+                                    for pool, seed in zip(pools, seeds)], self.classifier)
+            for pool, model in zip(pools, models):
+                pool.acquire(select_lal(self.regressor, model, pool, dataset))
+        return pools
 
 
 def data_monte_carlo(train: Dataset, test: Dataset, classifier_config: ForestConfig,
-                     split_fn, labeled_size: int, n_candidates: int, seed: int,
+                     pool: PoolState, n_candidates: int, seed: int,
                      test_loss: str = "zero_one", init_tag: int = 0) -> RegressionSet:
     """Measure loss reductions for candidate additions to one labeled subset.
 
-    Partitions ``train`` via ``split_fn`` and draws up to ``n_candidates``
-    unlabeled points without replacement.  The base classifier and one
-    classifier per candidate, retrained with that point added, all train in
-    one ``train_forests`` pass (the draw does not depend on the base
-    forest).  Each candidate records ``(state, base_loss - new_loss)``,
-    its state taken from the base classifier.
+    ``pool`` partitions ``train`` into the labeled subset and its
+    candidates; up to ``n_candidates`` unlabeled points are drawn without
+    replacement.  The base classifier and one classifier per candidate,
+    retrained with that point added, all train in one ``train_forests``
+    pass (the draw does not depend on the base forest).  Each candidate
+    records ``(state, base_loss - new_loss)``, its state taken from the
+    base classifier.
     """
     if not train.has_both_classes():
         raise ValueError("training data must contain both classes")
+    labeled_size = pool.n_labeled
     if not 2 <= labeled_size < len(train):
         raise ValueError(f"labeled_size must be in [2, {len(train) - 1}]")
-    pool = split_fn(train, labeled_size, derive_seed(seed, "split"))
     n_draws = min(n_candidates, pool.n_unlabeled)
     pos = rng_for(seed, "draw").choice(pool.n_unlabeled, size=n_draws, replace=False)
     drawn = pool.unlabeled[pos]
@@ -169,12 +185,14 @@ def data_monte_carlo(train: Dataset, test: Dataset, classifier_config: ForestCon
     return RegressionSet(states, deltas, tags)
 
 
-def _run_cell(args) -> RegressionSet:
-    train, test, config, split_fn, labeled_size, init_tag = args
-    return data_monte_carlo(
-        train, test, config.classifier, split_fn, labeled_size, config.candidates,
-        seed=derive_seed(config.seed, "cell", labeled_size, init_tag),
-        test_loss=config.test_loss, init_tag=init_tag)
+def _run_block(args) -> list[RegressionSet]:
+    """The cells of one size for the initializations ``tags``, their splits made together."""
+    train, test, config, split_fn, labeled_size, tags = args
+    seeds = [derive_seed(config.seed, "cell", labeled_size, q) for q in tags]
+    pools = split_fn(train, labeled_size, [derive_seed(seed, "split") for seed in seeds])
+    return [data_monte_carlo(train, test, config.classifier, pool, config.candidates, seed,
+                             config.test_loss, q)
+            for pool, seed, q in zip(pools, seeds, tags)]
 
 
 def cold_start_data(seed: int, n_train: int = 1000, n_test: int = 1000,
@@ -215,11 +233,16 @@ def build_lal(config: MonteCarloConfig, representative: Dataset, test: Dataset,
     leaf_size = config.regressor.min_leaf_size
     full = config.n_sizes * config.initializations * config.candidates
     parts: list[RegressionSet] = []
-    split_fn = init_warm_start
+    split_fn = random_splits
+    # one task per worker, each a block of initializations: a grown split
+    # steps its block in lock-step, and the task pickles its inputs once
+    blocks = np.array_split(np.arange(config.initializations),
+                            min(max(workers, 1), config.initializations))
     for size in range(config.size_min, config.size_max + 1):
-        tasks = [(representative, test, config, split_fn, size, q)
-                 for q in range(config.initializations)]
-        parts.extend(parallel_map(_run_cell, tasks, workers))
+        tasks = [(representative, test, config, split_fn, size, block.tolist())
+                 for block in blocks]
+        for block_parts in parallel_map(_run_block, tasks, workers):
+            parts.extend(block_parts)
         if method == "iterative" and size < config.size_max:
             rows = RegressionSet.concatenate(parts)
             # early stages hold few rows; keep the leaf size at the same

@@ -296,9 +296,9 @@ def test_criterion_8_bookkeeping_invariants():
     tags_ok = len({tuple(t) for t in rows.tags}) == len(rows)
     deltas_ok = bool(np.all(rows.deltas >= -1.0) and np.all(rows.deltas <= 1.0))
 
-    trace, selections = run_al(train, test, RandomStrategy(), budget=20,
-                               metric="accuracy", seed=811,
-                               classifier_config=ForestConfig(n_trees=10))
+    [(trace, selections)] = run_al(train, test, [RandomStrategy()], budget=20,
+                                   metric="accuracy", seed=811,
+                                   classifier_config=ForestConfig(n_trees=10))
     growth_ok = (len(trace) == 21 and len(selections) == 20
                  and len(np.unique(selections.indices)) == 20)
     _report("criterion 8 (bookkeeping invariants)",
@@ -318,9 +318,9 @@ def test_example_cold_start_selections_concentrate(lal_independent_2d):
     chosen = []
     for r in range(50):
         data = gen_gaussian_clouds(300, 0.5, 2.0, 2, seed=derive_seed(900, r))
-        _, selections = run_al(data, data, lal_independent_2d, budget=1,
-                               metric="accuracy", seed=derive_seed(901, r),
-                               classifier_config=CLASSIFIER)
+        [(_, selections)] = run_al(data, data, [lal_independent_2d], budget=1,
+                                   metric="accuracy", seed=derive_seed(901, r),
+                                   classifier_config=CLASSIFIER)
         chosen.append(float(selections.probabilities[0]))
     median = float(np.median(chosen))
     assert 0.35 <= median <= 0.65, f"median selected probability {median:.3f}"

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from lalearn.data import PoolState, gen_gaussian_clouds, init_cold_start
+from lalearn.data import PoolState, gen_gaussian_clouds, init_cold_start, init_warm_start
 from lalearn.features import FEATURE_NAMES, candidate_states, classifier_state
-from lalearn.forest import ForestConfig, train_forest
+from lalearn.forest import ForestConfig, train_forest, tree_mean
 
 
 def _state(model, pool, data):
     return classifier_state(model, pool, data)[0]
+
+
+def _fit(data, pool, config, seed):
+    return train_forest(data.features[pool.labeled], data.labels[pool.labeled], config, seed)
 
 
 def _trained_state(n=40, n_labeled=6, seed=0, n_trees=10):
@@ -70,6 +74,51 @@ class TestClassifierState:
         for seed in range(5):
             data, pool, model = _trained_state(n=30, n_labeled=2 + seed, seed=seed)
             assert np.all(np.isfinite(_state(model, pool, data)))
+
+
+class TestPerCellReduction:
+    """``classifier_state`` reduces the (T, C) cell matrix, not the (T, N) row matrix.
+
+    The pool variance and every p0 must keep the bits of the per-row
+    formula in each case: many cells, one cell holding many rows (which
+    numpy would sum pairwise as a lone column) and a single row.
+    """
+
+    @staticmethod
+    def _assert_per_row_bits(model, pool, data):
+        leaf = model.tree_predictions_batch(data.features[pool.unlabeled])
+        phi, p0 = classifier_state(model, pool, data)
+        assert phi[3].tobytes() == leaf.var(axis=0).mean().tobytes()
+        assert p0.tobytes() == tree_mean(leaf).tobytes()
+
+    @staticmethod
+    def _cells(model, pool, data):
+        return model._leaf_values(data.features[pool.unlabeled])[0].shape[1]
+
+    def test_many_cells(self):
+        for seed in range(10):
+            data = gen_gaussian_clouds(80, 0.5, 2.0, 2, seed=seed)
+            pool = init_warm_start(data, 10, seed)
+            model = _fit(data, pool, ForestConfig(n_trees=50), seed)
+            assert self._cells(model, pool, data) >= 2
+            self._assert_per_row_bits(model, pool, data)
+
+    def test_one_cell_of_many_rows(self):
+        # stumps put every row in one cell; 37 labels make leaf values
+        # whose pairwise and in-order sums differ
+        for seed in range(10):
+            data = gen_gaussian_clouds(60, 0.5, 0.5, 2, seed=seed)
+            pool = init_warm_start(data, 37, seed)
+            model = _fit(data, pool, ForestConfig(n_trees=50, max_depth=0), seed)
+            assert self._cells(model, pool, data) == 1
+            self._assert_per_row_bits(model, pool, data)
+
+    def test_one_row(self):
+        for seed in range(10):
+            data = gen_gaussian_clouds(40, 0.5, 0.5, 2, seed=seed)
+            pool = init_warm_start(data, 39, seed)
+            for config in (ForestConfig(n_trees=50), ForestConfig(n_trees=50, max_depth=0)):
+                self._assert_per_row_bits(_fit(data, pool, config, seed), pool, data)
 
 
 class TestAssembly:

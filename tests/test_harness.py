@@ -21,28 +21,37 @@ def gaussian_task():
     return split(data, 0.5, seed=3)
 
 
+@pytest.fixture(scope="module")
+def three_strategies():
+    """Random, uncertainty and a learned strategy that prefers p0 near 0.5."""
+    states = np.random.default_rng(10).random((400, 7))
+    regressor = train_forest(states, -np.abs(states[:, 6] - 0.5),
+                             regressor_config(n_trees=5, min_leaf_size=5), seed=11)
+    return [RandomStrategy(), UncertaintyStrategy(), LalStrategy(regressor)]
+
+
 class TestRunAl:
     def test_zero_budget_gives_single_point_trace(self, gaussian_task):
         train, test = gaussian_task
-        trace, selections = run_al(train, test, RandomStrategy(), budget=0,
-                                   classifier_config=FAST, seed=1)
+        [(trace, selections)] = run_al(train, test, [RandomStrategy()], budget=0,
+                                       classifier_config=FAST, seed=1)
         assert trace.shape == (1,)
         assert len(selections) == 0
 
     def test_labeled_set_grows_by_one_per_iteration(self, gaussian_task):
         train, test = gaussian_task
-        trace, selections = run_al(train, test, RandomStrategy(), budget=12,
-                                   classifier_config=FAST, seed=2)
+        [(trace, selections)] = run_al(train, test, [RandomStrategy()], budget=12,
+                                       classifier_config=FAST, seed=2)
         assert trace.shape == (13,)
         assert len(selections) == 12
         assert len(np.unique(selections.indices)) == 12  # no repeated queries
 
     def test_rerun_is_bit_identical(self, gaussian_task):
         train, test = gaussian_task
-        a = run_al(train, test, RandomStrategy(), budget=8, classifier_config=FAST,
-                   seed=3)
-        b = run_al(train, test, RandomStrategy(), budget=8, classifier_config=FAST,
-                   seed=3)
+        [a] = run_al(train, test, [RandomStrategy()], budget=8, classifier_config=FAST,
+                     seed=3)
+        [b] = run_al(train, test, [RandomStrategy()], budget=8, classifier_config=FAST,
+                     seed=3)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1].indices, b[1].indices)
         assert np.array_equal(a[1].probabilities, b[1].probabilities)
@@ -52,15 +61,15 @@ class TestRunAl:
         # pool hands back must be the dataset's ground truth, which we can
         # verify by replaying the selection order onto the labels
         train, test = gaussian_task
-        _, selections = run_al(train, test, UncertaintyStrategy(), budget=10,
-                               classifier_config=FAST, seed=4)
+        [(_, selections)] = run_al(train, test, [UncertaintyStrategy()], budget=10,
+                                   classifier_config=FAST, seed=4)
         revealed = train.labels[selections.indices]
         assert set(np.unique(revealed)) <= {0, 1}
 
     def test_budget_exceeding_pool_rejected(self, gaussian_task):
         train, test = gaussian_task
         with pytest.raises(ValueError, match="budget"):
-            run_al(train, test, RandomStrategy(), budget=len(train) - 1,
+            run_al(train, test, [RandomStrategy()], budget=len(train) - 1,
                    classifier_config=FAST, seed=5)
 
     def test_full_budget_reaches_identical_final_classifier(self, gaussian_task):
@@ -69,17 +78,18 @@ class TestRunAl:
         data = gen_gaussian_clouds(40, 0.5, 2.0, 2, seed=71)
         train, test = split(data, 0.4, seed=6)
         budget = len(train) - 2
-        t_rand, _ = run_al(train, test, RandomStrategy(), budget, "accuracy", 7, FAST)
-        t_unc, _ = run_al(train, test, UncertaintyStrategy(), budget, "accuracy", 7, FAST)
+        [(t_rand, _)] = run_al(train, test, [RandomStrategy()], budget, "accuracy", 7, FAST)
+        [(t_unc, _)] = run_al(train, test, [UncertaintyStrategy()], budget, "accuracy", 7, FAST)
         assert t_rand[-1] == t_unc[-1]
 
     def test_warm_start_size(self, gaussian_task):
         train, test = gaussian_task
-        trace, _ = run_al(train, test, RandomStrategy(), budget=3,
-                          classifier_config=FAST, seed=8, warm_start_size=30)
+        [(trace, _)] = run_al(train, test, [RandomStrategy()], budget=3,
+                              classifier_config=FAST, seed=8, warm_start_size=30)
         assert trace.shape == (4,)
 
-    def test_recorded_p0_equals_the_pool_walk_p0(self, gaussian_task, monkeypatch):
+    def test_recorded_p0_equals_the_pool_walk_p0(self, gaussian_task, three_strategies,
+                                                 monkeypatch):
         # the trace walks the chosen row alone; its p0 must match the pool
         # walk's bit for bit, and impure leaves make the summation order show
         import lalearn.strategies as strategies_module
@@ -92,17 +102,38 @@ class TestRunAl:
             return phi, p0
 
         monkeypatch.setattr(strategies_module, "classifier_state", recording_state)
-        # a regressor that prefers p0 near 0.5, where leaves are impure
-        states = np.random.default_rng(10).random((400, 7))
-        regressor = train_forest(states, -np.abs(states[:, 6] - 0.5),
-                                 regressor_config(n_trees=5, min_leaf_size=5), seed=11)
-        _, selections = run_al(train, test, LalStrategy(regressor), budget=10,
-                               classifier_config=ForestConfig(n_trees=100, max_depth=2),
-                               seed=9)
+        # the learned strategy prefers p0 near 0.5, where leaves are impure
+        lal = three_strategies[2]
+        [(_, selections)] = run_al(train, test, [lal], budget=10,
+                                   classifier_config=ForestConfig(n_trees=100, max_depth=2),
+                                   seed=9)
         walked = [p0[np.searchsorted(unlabeled, index)]
                   for (unlabeled, p0), index in zip(walks, selections.indices)]
         assert len(walked) == 10
         assert np.array_equal(selections.probabilities, walked)
+
+    def test_one_fit_at_the_start_then_one_grouped_fit_per_step(self, gaussian_task,
+                                                                 three_strategies,
+                                                                 monkeypatch):
+        train, test = gaussian_task
+        single, grouped = [], []
+        fit, fit_group = harness.train_forest, harness.train_forests
+
+        def counting_fit(*args, **kwargs):
+            single.append(1)
+            return fit(*args, **kwargs)
+
+        def counting_group(sets, config=None):
+            grouped.append(len(sets))
+            return fit_group(sets, config)
+
+        monkeypatch.setattr(harness, "train_forest", counting_fit)
+        monkeypatch.setattr(harness, "train_forests", counting_group)
+        runs = run_al(train, test, three_strategies, budget=5, classifier_config=FAST,
+                      seed=12)
+        assert len(runs) == 3
+        assert single == [1]
+        assert grouped == [3] * 5
 
     def test_selection_trace_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -139,12 +170,37 @@ class TestRunRepeated:
         # the same initial labels, so the curves coincide exactly
         assert np.array_equal(curves["random"].traces, curves["uncertainty"].traces)
 
-    def test_worker_count_does_not_change_results(self, gaussian_task):
+    def test_worker_count_does_not_change_results(self, gaussian_task, three_strategies):
         train, test = gaussian_task
         kwargs = dict(budget=4, repetitions=4, master_seed=12, classifier_config=FAST)
-        a, _ = run_repeated(train, test, [RandomStrategy()], workers=1, **kwargs)
-        b, _ = run_repeated(train, test, [RandomStrategy()], workers=2, **kwargs)
-        assert np.array_equal(a["random"].traces, b["random"].traces)
+        a, sel_a = run_repeated(train, test, three_strategies, workers=1, **kwargs)
+        b, sel_b = run_repeated(train, test, three_strategies, workers=2, **kwargs)
+        for s in three_strategies:
+            assert a[s.name].traces.tobytes() == b[s.name].traces.tobytes()
+            for x, y in zip(sel_a[s.name], sel_b[s.name]):
+                assert x.indices.tobytes() == y.indices.tobytes()
+                assert x.probabilities.tobytes() == y.probabilities.tobytes()
+
+    @pytest.mark.parametrize("warm_start_size", [None, 12])
+    def test_each_strategy_runs_as_it_runs_alone(self, gaussian_task, three_strategies,
+                                                 warm_start_size):
+        # the strategies of a repetition step together and share grouped
+        # forest fits; each must still get the bits of running alone
+        train, test = gaussian_task
+        kwargs = dict(budget=8, repetitions=3, master_seed=13, classifier_config=FAST,
+                      warm_start_size=warm_start_size)
+        curves, traces = run_repeated(train, test, three_strategies, **kwargs)
+        for s in three_strategies:
+            alone_curves, alone_traces = run_repeated(train, test, [s], **kwargs)
+            assert curves[s.name].traces.tobytes() == alone_curves[s.name].traces.tobytes()
+            for together, alone in zip(traces[s.name], alone_traces[s.name], strict=True):
+                assert together.iterations.tobytes() == alone.iterations.tobytes()
+                assert together.indices.tobytes() == alone.indices.tobytes()
+                assert together.probabilities.tobytes() == alone.probabilities.tobytes()
+        # the episodes diverge, so the grouped fits hold different sets
+        picks = {s.name: np.concatenate([t.indices for t in traces[s.name]])
+                 for s in three_strategies}
+        assert len({p.tobytes() for p in picks.values()}) == 3
 
     def test_duplicate_strategy_names_rejected(self, gaussian_task):
         train, test = gaussian_task

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from lalearn.data import gen_gaussian_clouds, init_warm_start
-from lalearn.forest import ForestConfig, regressor_config
+from lalearn.data import PoolState, gen_gaussian_clouds, init_warm_start
+from lalearn import training
+from lalearn.forest import ForestConfig, regressor_config, train_forest
 from lalearn.seeding import derive_seed
 from lalearn.training import (MonteCarloConfig, RegressionSet, StrategyGrownSplit,
                               build_lal, cold_start_data, data_monte_carlo)
@@ -17,6 +18,11 @@ def _fast_config(size_min=2, size_max=4, initializations=2, candidates=3, seed=0
     return MonteCarloConfig(size_min=size_min, size_max=size_max,
                             initializations=initializations, candidates=candidates,
                             classifier=FAST_CLF, regressor=FAST_REG, seed=seed)
+
+
+def _split(train, labeled_size, seed):
+    """The random labeled set that a build gives the cell with this seed."""
+    return init_warm_start(train, labeled_size, derive_seed(seed, "split"))
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +72,8 @@ class TestRegressionSet:
 class TestDataMonteCarlo:
     def test_row_exhaustion_when_candidates_exceed_pool(self, small_sets):
         train, test = small_sets
-        rs = data_monte_carlo(train, test, FAST_CLF, init_warm_start,
-                              labeled_size=len(train) - 3, n_candidates=50, seed=1)
+        rs = data_monte_carlo(train, test, FAST_CLF, _split(train, len(train) - 3, 1),
+                              n_candidates=50, seed=1)
         assert len(rs) == 3
 
     def test_delta_zero_when_predictions_cannot_change(self):
@@ -76,14 +82,14 @@ class TestDataMonteCarlo:
         # label leaves the 0/1 test loss (and therefore delta) at zero
         train = gen_gaussian_clouds(60, 0.5, 40.0, 2, seed=52)
         test = gen_gaussian_clouds(80, 0.5, 40.0, 2, seed=53)
-        rs = data_monte_carlo(train, test, FAST_CLF, init_warm_start,
-                              labeled_size=20, n_candidates=6, seed=2)
+        rs = data_monte_carlo(train, test, FAST_CLF, _split(train, 20, 2),
+                              n_candidates=6, seed=2)
         assert np.all(rs.deltas == 0.0)
 
     def test_tags_and_state_shape(self, small_sets):
         train, test = small_sets
-        rs = data_monte_carlo(train, test, FAST_CLF, init_warm_start,
-                              labeled_size=5, n_candidates=4, seed=3, init_tag=9)
+        rs = data_monte_carlo(train, test, FAST_CLF, _split(train, 5, 3),
+                              n_candidates=4, seed=3, init_tag=9)
         assert rs.states.shape == (4, 7)
         assert np.all(rs.tags[:, 0] == 5)
         assert np.all(rs.tags[:, 1] == 9)
@@ -91,8 +97,8 @@ class TestDataMonteCarlo:
 
     def test_zero_one_deltas_bounded(self, small_sets):
         train, test = small_sets
-        rs = data_monte_carlo(train, test, FAST_CLF, init_warm_start,
-                              labeled_size=3, n_candidates=10, seed=4)
+        rs = data_monte_carlo(train, test, FAST_CLF, _split(train, 3, 4),
+                              n_candidates=10, seed=4)
         assert np.all(rs.deltas >= -1.0) and np.all(rs.deltas <= 1.0)
 
     def test_informative_candidates_reduce_loss_more(self):
@@ -103,10 +109,10 @@ class TestDataMonteCarlo:
         test = gen_gaussian_clouds(1000, 0.5, 2.0, 2, seed=55)
         parts = []
         for q in range(8):
+            seed = derive_seed(60, "cell", q)
             parts.append(data_monte_carlo(
-                train, test, ForestConfig(n_trees=20), init_warm_start,
-                labeled_size=2, n_candidates=298,
-                seed=derive_seed(60, "cell", q), init_tag=q))
+                train, test, ForestConfig(n_trees=20), _split(train, 2, seed),
+                n_candidates=298, seed=seed, init_tag=q))
         rs = RegressionSet.concatenate(parts)
         psi = rs.states[:, 6]
         central = rs.deltas[np.abs(psi - 0.5) <= 0.05]
@@ -116,12 +122,13 @@ class TestDataMonteCarlo:
 
     def test_rejects_bad_sizes(self, small_sets):
         train, test = small_sets
+        n = len(train)
         with pytest.raises(ValueError):
-            data_monte_carlo(train, test, FAST_CLF, init_warm_start,
-                             labeled_size=len(train), n_candidates=2, seed=0)
+            data_monte_carlo(train, test, FAST_CLF, PoolState(list(range(n)), []),
+                             n_candidates=2, seed=0)
         with pytest.raises(ValueError):
-            data_monte_carlo(train, test, FAST_CLF, init_warm_start,
-                             labeled_size=1, n_candidates=2, seed=0)
+            data_monte_carlo(train, test, FAST_CLF, PoolState([0], np.arange(1, n)),
+                             n_candidates=2, seed=0)
 
 
 class TestIndependentBuilder:
@@ -188,7 +195,7 @@ class TestIterativeBuilder:
                               candidates=2, seed=11)
         strategy, _ = build_lal(config, train, test, "iterative")
         grower = StrategyGrownSplit(strategy.regressor, FAST_CLF, start_size=3)
-        pool = grower(train, 4, seed=12)
+        [pool] = grower(train, 4, [12])
         assert pool.n_labeled == 4
         start = init_warm_start(train, 3, derive_seed(12, "start"))
         assert pool.labeled == sorted(pool.labeled)
@@ -204,6 +211,41 @@ class TestIterativeBuilder:
         assert len(rows_a) == config.n_sizes * 2 * 2
         assert np.array_equal(rows_a.states, rows_b.states)
         assert np.array_equal(rows_a.deltas, rows_b.deltas)
+
+
+class TestGrownSplitLockStep:
+    @pytest.fixture(scope="class")
+    def grower(self):
+        # a regressor that prefers candidates with p0 near one half
+        states = np.random.default_rng(20).random((400, 7))
+        regressor = train_forest(states, -np.abs(states[:, 6] - 0.5),
+                                 regressor_config(n_trees=5, min_leaf_size=5), seed=21)
+        return StrategyGrownSplit(regressor, FAST_CLF, start_size=3)
+
+    def test_grouped_growth_equals_growth_alone(self, small_sets, grower):
+        train, _ = small_sets
+        seeds = [31, 32, 33]
+        pools = grower(train, 8, seeds)
+        for seed, pool in zip(seeds, pools, strict=True):
+            [alone] = grower(train, 8, [seed])
+            assert pool.labeled == alone.labeled
+            assert np.array_equal(pool.unlabeled, alone.unlabeled)
+            pool.check_partition(len(train))
+        assert len({tuple(pool.labeled) for pool in pools}) == 3
+
+    def test_one_grouped_fit_per_step(self, small_sets, grower, monkeypatch):
+        train, _ = small_sets
+        calls = []
+        original = training.train_forests
+
+        def counting(sets, config=None):
+            calls.append(len(sets))
+            return original(sets, config)
+
+        monkeypatch.setattr(training, "train_forests", counting)
+        pools = grower(train, 7, [41, 42, 43])
+        assert [pool.n_labeled for pool in pools] == [7, 7, 7]
+        assert calls == [3] * 4  # one fit of every set per step, 3 -> 7 labels
 
 
 class TestColdStart:
