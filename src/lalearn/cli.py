@@ -75,7 +75,7 @@ def _load_config(path, **flags) -> dict:
     text = read_text(path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
         _fail(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         _fail(f"config file {path} must contain a JSON object")
@@ -268,18 +268,17 @@ def cmd_run(args) -> int:
         classifier = _forest_config(config["classifier"], ForestConfig(), what)
         try:
             train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
-            check_repetition_splits(train, test, repetitions, seed)
+            n_train = len(train)
+            if warm is not None and warm >= n_train:
+                _fail(f"{what}: warm_start_size ({warm}) must be smaller than the "
+                      f"train split ({n_train} rows)")
+            initial = warm if warm is not None else 2
+            if budget > n_train - initial:
+                _fail(f"{what}: budget {budget} exceeds the unlabeled pool "
+                      f"({n_train - initial} after initialization)")
+            check_repetition_splits(train, test, repetitions, seed, warm)
         except ValueError as exc:
             _fail(f"{what}: test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
-
-        n_train = len(train)
-        if warm is not None and warm >= n_train:
-            _fail(f"{what}: warm_start_size ({warm}) must be smaller than the "
-                  f"train split ({n_train} rows)")
-        initial = warm if warm is not None else 2
-        if budget > n_train - initial:
-            _fail(f"{what}: budget {budget} exceeds the unlabeled pool "
-                  f"({n_train - initial} after initialization)")
 
         out = _output_dir(config["output_dir"], args.output_dir)
         targets = [out / "summary.csv"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset, PoolState
-from .forest import ForestModel, tree_mean
+from .forest import ForestModel
 
 FEATURE_NAMES = (
     "proportion_class0_in_labeled",
@@ -41,20 +41,15 @@ def classifier_state(model: ForestModel, pool: PoolState,
     proportion0 = float(np.mean(labels == 0))
     oob = model.oob_accuracy(dataset.features[pool.labeled], labels)
     importance_var = float(model.feature_importances().var())
-    # reduce per cell, then index by cell: numpy sums a C-contiguous
-    # (T, C >= 2) matrix down axis 0 one tree at a time, so each cell gets
-    # the bits of its rows in the per-row (T, N) matrix.  A lone cell
-    # column would sum pairwise, so it takes as many copies as the per-row
-    # matrix has columns, up to two (np.take keeps the copies C-contiguous)
-    leaf, cell = model._leaf_values(dataset.features[pool.unlabeled])
-    if leaf.shape[1] == 1:
-        leaf = np.take(leaf, cell[:2], axis=1)
+    # reduce per cell, then index by cell: the cell matrix has at least
+    # two columns, so each cell gets the tree-order bits of its rows
+    leaf, cell = model.tree_predictions_batch(dataset.features[pool.unlabeled])
     forest_var = float(leaf.var(axis=0)[cell].mean())
     phi = np.array([proportion0, oob, importance_var, forest_var,
                     model.avg_tree_depth(), float(pool.n_labeled)])
     if not np.all(np.isfinite(phi)):
         raise ValueError("non-finite classifier state")
-    return phi, tree_mean(leaf)[cell]
+    return phi, leaf.mean(axis=0)[cell]
 
 
 def candidate_states(phi, psis) -> np.ndarray:

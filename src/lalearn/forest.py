@@ -45,11 +45,12 @@ pair one level per step.  A leaf steps to itself, so a finished pair can
 ride along; finished pairs are dropped only once they are half of the
 pairs still walked, not at every step.  A forest fitted on a few dozen
 labels has few thresholds, so a thousand rows often fall into a few dozen
-cells.  Predictions keep their bits: ``tree_mean`` sums a row's leaf
-values in tree order at any batch size, so averaging the distinct columns
-and indexing the result gives what averaging every row would.  Rows must
-be finite: a NaN would rank above every threshold but fail every ``>``
-test.
+cells.  ``tree_predictions_batch``, the one read-out, returns the cells'
+(n_trees, C) leaf matrix, C-contiguous and at least two columns wide (a
+lone cell's column is copied): numpy sums such a matrix down axis 0 one
+tree at a time, but a single column pairwise, so a row's mean and
+variance over trees keep their bits at any batch size.  Rows must be
+finite: a NaN would rank above every threshold but fail every ``>`` test.
 
 Split semantics:
 
@@ -71,7 +72,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schema import REQUIRED, REQUIRED_OR_NULL, brief, read_fields
+from .schema import REQUIRED, REQUIRED_OR_NULL, brief, finite, read_fields
 from .seeding import derive_seed
 
 FOREST_FORMAT = 1
@@ -155,16 +156,15 @@ class ForestModel:
         return [(f, np.unique(self.threshold[self.feature == f]))
                 for f in np.unique(self.feature[self.feature >= 0]).tolist()]
 
-    def _leaf_values(self, X) -> tuple[np.ndarray, np.ndarray]:
+    def tree_predictions_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Leaf values of the threshold cells that the rows of ``X`` fall in.
 
-        Returns ``(leaf, cell)``: ``leaf`` has shape (n_trees, C), one
-        column per distinct cell, and row ``i`` reaches ``leaf[:, cell[i]]``.
-        The cell id combines the row's ranks feature by feature (see the
-        module docstring).  Rows with equal ranks on every split feature
-        answer every ``x > threshold`` test alike, so the walk takes the
-        first row of each cell and its leaves are exactly those of every
-        row in the cell.  Raises ``ValueError`` naming non-finite rows.
+        Returns ``(leaf, cell)``: row ``i`` reaches ``leaf[:, cell[i]]``, so
+        ``np.take(leaf, cell, axis=1)`` is the per-row (n_trees, N) matrix.
+        ``leaf`` has one C-contiguous column per cell, walked from the
+        cell's first row, and two of a lone cell, so reductions down axis 0
+        add the trees in order (see the module docstring).  Raises
+        ``ValueError`` naming non-finite rows.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
@@ -187,7 +187,10 @@ class ForestModel:
             cell = cell * (len(cuts) + 1) + np.searchsorted(cuts, X[:, f], side="left")
             radix *= len(cuts) + 1
         _, first, cell = np.unique(cell, return_index=True, return_inverse=True)
-        return self._walk(X[first]), cell
+        leaf = self._walk(X[first])
+        if len(first) == 1:
+            leaf = np.take(leaf, [0, 0], axis=1)
+        return leaf, cell
 
     @cached_property
     def _walk_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,24 +231,19 @@ class ForestModel:
                 node = nxt
         return self.value[reached].reshape(self.n_trees, n)
 
-    def tree_predictions_batch(self, X) -> np.ndarray:
-        """Per-tree predictions for a batch of rows, a C-contiguous (n_trees, N) matrix."""
-        leaf, cell = self._leaf_values(X)
-        return np.take(leaf, cell, axis=1)
-
     def predict_proba_batch(self, X) -> np.ndarray:
         """Class-0 probability (mean of leaf class-0 frequencies) per row."""
         if self.mode != "classification":
             raise ValueError("predict_proba requires a classification forest")
-        leaf, cell = self._leaf_values(X)
-        return tree_mean(leaf)[cell]
+        leaf, cell = self.tree_predictions_batch(X)
+        return leaf.mean(axis=0)[cell]
 
     def predict_regression_batch(self, X) -> np.ndarray:
         """Mean of leaf target means per row."""
         if self.mode != "regression":
             raise ValueError("predict_regression requires a regression forest")
-        leaf, cell = self._leaf_values(X)
-        return tree_mean(leaf)[cell]
+        leaf, cell = self.tree_predictions_batch(X)
+        return leaf.mean(axis=0)[cell]
 
     # ---- introspection ----------------------------------------------
 
@@ -267,7 +265,7 @@ class ForestModel:
         n = features.shape[0]
         if np.any(self.count[:self.n_trees] != n) or n != len(targets):
             raise ValueError("oob_accuracy expects the exact training set")
-        leaf, cell = self._leaf_values(features)
+        leaf, cell = self.tree_predictions_batch(features)
         votes = np.take(leaf < 0.5, cell, axis=1)
         included = np.zeros((self.n_trees, n), dtype=bool)
         included[np.arange(self.n_trees)[:, None],
@@ -294,19 +292,6 @@ class ForestModel:
     def avg_tree_depth(self) -> float:
         """Mean over trees of the maximum leaf depth."""
         return float(self.tree_depths.mean())
-
-
-def tree_mean(leaf: np.ndarray) -> np.ndarray:
-    """Mean over trees of a (n_trees, N) leaf matrix, summed in tree order.
-
-    A row gets the same bits whatever the batch size.  numpy sums a
-    (T, N >= 2) matrix down axis 0 one tree at a time but a single column
-    pairwise, so that column takes ``cumsum``, which always adds in order;
-    wide batches keep ``sum``, which is ~10x cheaper than ``cumsum`` there.
-    """
-    if leaf.shape[1] == 1:
-        return np.cumsum(leaf, axis=0)[-1] / leaf.shape[0]
-    return leaf.sum(axis=0) / leaf.shape[0]
 
 
 # ---- split scan --------------------------------------------------------
@@ -759,15 +744,8 @@ def _doc_floats(values: list, key: str) -> np.ndarray:
         else:
             if np.all(np.isfinite(array)):
                 return array
-    bad = next(v for v in values if type(v) not in (int, float) or not _finite(v))
+    bad = next(v for v in values if type(v) not in (int, float) or not finite(v))
     raise ValueError(f"forest field {key!r} must be a finite number, got {brief(bad)}")
-
-
-def _finite(number) -> bool:
-    try:
-        return math.isfinite(number)
-    except OverflowError:
-        return False
 
 
 # the forest seed may use all 64 bits: derived seeds do

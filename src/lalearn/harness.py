@@ -109,10 +109,7 @@ def run_al(train: Dataset, test: Dataset, strategies: list[Strategy], budget: in
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}")
     classifier_config = classifier_config or ForestConfig()
-    if warm_start_size is None:
-        start = init_cold_start(train, derive_seed(seed, "init"))
-    else:
-        start = init_warm_start(train, warm_start_size, derive_seed(seed, "init"))
+    start = _initial_pool(train, seed, warm_start_size)
     if budget > start.n_unlabeled:
         raise ValueError(f"budget {budget} exceeds the unlabeled pool ({start.n_unlabeled})")
 
@@ -142,6 +139,13 @@ def run_al(train: Dataset, test: Dataset, strategies: list[Strategy], budget: in
             for e in range(len(strategies))]
 
 
+def _initial_pool(train: Dataset, seed: int, warm_start_size: int | None) -> PoolState:
+    """The labeled set a repetition's runs start from: cold, or ``warm_start_size`` rows."""
+    if warm_start_size is None:
+        return init_cold_start(train, derive_seed(seed, "init"))
+    return init_warm_start(train, warm_start_size, derive_seed(seed, "init"))
+
+
 def _resplit(pooled: Dataset, test_fraction: float, rep_seed: int) -> tuple[Dataset, Dataset]:
     return split(pooled, test_fraction, derive_seed(rep_seed, "split"))
 
@@ -155,18 +159,24 @@ def _repetition(args):
 
 
 def check_repetition_splits(train: Dataset, test: Dataset, repetitions: int,
-                            master_seed: int) -> None:
-    """Make every re-split ``run_repeated`` would make, before any work.
+                            master_seed: int, warm_start_size: int | None = None) -> None:
+    """Make every re-split and initial labeled set ``run_repeated`` would make, before any work.
 
     Raises ``ValueError`` naming the first repetition whose split fails,
-    e.g. one that leaves a single-class part.
+    e.g. one that leaves a single-class part, or whose warm start cannot
+    draw both classes.
     """
     pooled = merge(train, test)
     for r in range(repetitions):
+        rep_seed = derive_seed(master_seed, "rep", r)
         try:
-            _resplit(pooled, len(test) / len(pooled), derive_seed(master_seed, "rep", r))
+            train_r, _ = _resplit(pooled, len(test) / len(pooled), rep_seed)
         except ValueError as exc:
             raise ValueError(f"repetition {r}: {exc}") from None
+        try:
+            _initial_pool(train_r, rep_seed, warm_start_size)
+        except ValueError as exc:
+            raise ValueError(f"repetition {r}: warm_start_size {warm_start_size}: {exc}") from None
 
 
 def run_repeated(train: Dataset, test: Dataset, strategies: list[Strategy],

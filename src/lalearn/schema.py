@@ -1,16 +1,19 @@
 """One reader for every JSON document: CLI configs, strategy files, forest files.
 
 A schema maps each key of a JSON object to ``(kind, default)``, where
-``kind`` is ``int``, ``float``, ``str``, ``list`` or ``dict``.  An integer
-field may add bounds, ``(int, default, lo)`` or ``(int, default, lo, hi)``,
-and then must lie in ``[lo, hi)``; ``hi`` is a power of two and defaults
-to ``2**63``, so such an integer fits in int64.  The default is
+``kind`` is ``int``, ``float``, ``str``, ``list`` or ``dict``.  A float
+field takes finite numbers only.  An integer field may add bounds,
+``(int, default, lo)`` or ``(int, default, lo, hi)``, and then must lie
+in ``[lo, hi)``; ``hi`` is a power of two and defaults to ``2**63``, so
+such an integer fits in int64.  The default is
 ``REQUIRED`` for a key that must be present, ``REQUIRED_OR_NULL`` for one
 that must be present but may be null, and otherwise the value a missing
 key takes.
 """
 
 from __future__ import annotations
+
+import math
 
 REQUIRED = object()
 REQUIRED_OR_NULL = object()
@@ -25,12 +28,21 @@ def brief(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def finite(number) -> bool:
+    """Whether ``number`` is finite; an integer beyond the float range is not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def read_fields(doc, schema: dict, what: str, label: str) -> dict:
     """``doc`` checked against ``schema``, defaults filled in; ``ValueError`` naming the key.
 
-    A ``float`` field accepts integers too; no field accepts a boolean, and
-    only a field whose default is ``None`` or ``REQUIRED_OR_NULL`` accepts
-    null.  ``what`` names the document and ``label`` the object in it.
+    A ``float`` field accepts integers too, but no non-finite number; no
+    field accepts a boolean, and only a field whose default is ``None`` or
+    ``REQUIRED_OR_NULL`` accepts null.  ``what`` names the document and
+    ``label`` the object in it.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{what}: {label} must be an object, got {brief(doc)}")
@@ -48,6 +60,9 @@ def read_fields(doc, schema: dict, what: str, label: str) -> dict:
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ValueError(f"{what}: field {key!r} must be {_KIND_NAMES[kind]}, "
+                             f"got {brief(value)}")
+        if kind is float and not finite(value):
+            raise ValueError(f"{what}: field {key!r} must be a finite number, "
                              f"got {brief(value)}")
         if bounds:
             lo, hi = bounds if len(bounds) == 2 else (bounds[0], 2 ** 63)

@@ -174,6 +174,6 @@ def load_strategy(path) -> Strategy:
     text = read_text(path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
         raise ValueError(f"corrupt strategy file {path}: {exc}")
     return strategy_from_doc(doc)

@@ -401,6 +401,18 @@ def _analyze_both(p):
     return ["analyze", "--strategy", _lal_strategy_file(p), "--traces", _trace_file(p)]
 
 
+def _deep_json(tmp_path, name):
+    """A JSON list nested 200,000 levels deep, beyond the decoder's recursion limit."""
+    return _bytes(tmp_path, name, b"[" * 200_000 + b"]" * 200_000)
+
+
+def _four_positive_csv(tmp_path):
+    """400 rows, 4 of class 1: a warm start of 2 misses class 1 in some repetition."""
+    rows = ["f0,f1,label"] + [f"{i}.0,{i % 7}.0,{int(i % 100 == 0)}" for i in range(400)]
+    (tmp_path / "four.csv").write_text("\n".join(rows) + "\n")
+    return str(tmp_path / "four.csv")
+
+
 _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
              "--pool-size", "30", "--test-size", "100"]
 
@@ -479,6 +491,24 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
     (lambda p: ["build-strategy", _build_config(p, representative={"csv": _bytes(
         p, "dup.csv", b"f0,f0,label\n" + b"1.0,1.0,0\n2.0,2.0,1\n" * 20)})],
      "dup.csv: column 'f0' appears twice in the header"),
+    # non-finite numbers in float fields
+    (lambda p: ["run", _run_config(p, dataset={"generator": "banana", "n": 200,
+                                               "noise": float("nan")})],
+     "field 'noise' must be a finite number, got nan"),
+    (lambda p: ["run", _run_config(p, test_fraction=float("inf"))],
+     "field 'test_fraction' must be a finite number, got inf"),
+    # JSON nested past the decoder's recursion limit
+    (lambda p: ["run", _deep_json(p, "deep.json")],
+     "deep.json is not valid JSON: maximum recursion depth"),
+    (lambda p: ["run", _run_config(p, strategies=["random", _deep_json(p, "deep_s.json")])],
+     "deep_s.json: maximum recursion depth"),
+    (lambda p: ["analyze", "--strategy", _deep_json(p, "deep_a.json"),
+                "--importances-out", str(p / "imp.csv")], "deep_a.json: maximum recursion depth"),
+    # a warm start that some repetition cannot draw with both classes
+    (lambda p: ["run", _run_config(p, dataset={"csv": _four_positive_csv(p)},
+                                   warm_start_size=2, repetitions=4, test_fraction=0.5,
+                                   seed=1)],
+     "repetition 0: warm_start_size 2: could not draw a two-class labeled set"),
 ], ids=["run_label_only_csv", "build_label_only_csv", "build_output_in_missing_dir",
         "rows_out_in_missing_dir", "motivate_out_in_missing_dir",
         "motivate_svg_in_missing_dir", "importances_out_in_missing_dir",
@@ -495,7 +525,9 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
         "analyze_strategy_without_importances_out", "analyze_traces_without_histogram_out",
         "trace_file_with_wrong_header", "run_csv_with_nan_feature",
         "build_csv_with_inf_feature", "run_csv_with_label_column_twice",
-        "build_csv_with_feature_column_twice"])
+        "build_csv_with_feature_column_twice", "nan_generator_noise",
+        "infinite_test_fraction", "deeply_nested_config", "deeply_nested_run_strategy",
+        "deeply_nested_analyze_strategy", "unreachable_warm_start"])
 def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                           argv, named):
     monkeypatch.chdir(tmp_path)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from lalearn.data import PoolState, gen_gaussian_clouds, init_cold_start, init_warm_start
+from lalearn.data import (Dataset, PoolState, gen_gaussian_clouds, init_cold_start,
+                          init_warm_start)
 from lalearn.features import FEATURE_NAMES, candidate_states, classifier_state
-from lalearn.forest import ForestConfig, train_forest, tree_mean
+from lalearn.forest import ForestConfig, train_forest
 
 
 def _state(model, pool, data):
@@ -46,7 +47,6 @@ class TestClassifierState:
 
     def test_importance_variance_for_single_informative_feature(self):
         # importances (1, 0) have population variance 0.25
-        from lalearn.data import Dataset
         X = np.zeros((20, 2))
         X[:, 0] = np.linspace(0, 1, 20)
         y = (X[:, 0] > 0.5).astype(int)
@@ -80,20 +80,23 @@ class TestPerCellReduction:
     """``classifier_state`` reduces the (T, C) cell matrix, not the (T, N) row matrix.
 
     The pool variance and every p0 must keep the bits of the per-row
-    formula in each case: many cells, one cell holding many rows (which
-    numpy would sum pairwise as a lone column) and a single row.
+    formula, trees summed in order, with many cells and with one cell
+    holding many rows (which numpy would sum pairwise as a lone column);
+    a single row must get the same bits as in a larger pool.
     """
 
     @staticmethod
     def _assert_per_row_bits(model, pool, data):
-        leaf = model.tree_predictions_batch(data.features[pool.unlabeled])
+        leaf, cell = model.tree_predictions_batch(data.features[pool.unlabeled])
+        per_row = np.take(leaf, cell, axis=1)
         phi, p0 = classifier_state(model, pool, data)
-        assert phi[3].tobytes() == leaf.var(axis=0).mean().tobytes()
-        assert p0.tobytes() == tree_mean(leaf).tobytes()
+        assert phi[3].tobytes() == per_row.var(axis=0).mean().tobytes()
+        in_order = np.cumsum(per_row, axis=0)[-1] / model.n_trees
+        assert p0.tobytes() == in_order.tobytes()
 
     @staticmethod
     def _cells(model, pool, data):
-        return model._leaf_values(data.features[pool.unlabeled])[0].shape[1]
+        return len(np.unique(model.tree_predictions_batch(data.features[pool.unlabeled])[1]))
 
     def test_many_cells(self):
         for seed in range(10):
@@ -114,11 +117,22 @@ class TestPerCellReduction:
             self._assert_per_row_bits(model, pool, data)
 
     def test_one_row(self):
+        # a lone unlabeled row gets the bits it gets beside a copy of
+        # itself, a two-row pool with one cell
         for seed in range(10):
             data = gen_gaussian_clouds(40, 0.5, 0.5, 2, seed=seed)
             pool = init_warm_start(data, 39, seed)
+            row = int(pool.unlabeled[0])
+            doubled = Dataset(np.vstack([data.features, data.features[row]]),
+                              np.append(data.labels, data.labels[row]))
+            pair = PoolState(pool.labeled, [row, len(data)])
             for config in (ForestConfig(n_trees=50), ForestConfig(n_trees=50, max_depth=0)):
-                self._assert_per_row_bits(_fit(data, pool, config, seed), pool, data)
+                model = _fit(data, pool, config, seed)
+                assert self._cells(model, pair, doubled) == 1
+                phi, p0 = classifier_state(model, pool, data)
+                phi2, p02 = classifier_state(model, pair, doubled)
+                assert phi.tobytes() == phi2.tobytes()
+                assert p02.tobytes() == np.repeat(p0, 2).tobytes()
 
 
 class TestAssembly:

@@ -493,15 +493,32 @@ def _threshold_grid_rows(model, rng, n):
     return np.column_stack(columns)
 
 
+def _per_row(model, X):
+    """The (n_trees, N) matrix of the leaf values every row of ``X`` reaches."""
+    leaf, cell = model.tree_predictions_batch(X)
+    return np.take(leaf, cell, axis=1)
+
+
 class TestPrediction:
     def test_proba_is_mean_of_tree_predictions(self):
         data = gen_gaussian_clouds(80, 0.5, 2.0, 2, seed=12)
         model = train_forest(data.features, data.labels, ForestConfig(n_trees=13),
                              seed=5)
         x = np.array([[0.3, -0.2]])
-        per_tree = model.tree_predictions_batch(x)
+        per_tree = _per_row(model, x)
         assert per_tree.shape == (13, 1)
         assert model.predict_proba_batch(x)[0] == per_tree[:, 0].mean()
+
+    def test_read_out_has_two_contiguous_columns_at_least(self):
+        # a lone cell's column is copied, so numpy sums the trees in order
+        data = gen_gaussian_clouds(80, 0.5, 2.0, 2, seed=12)
+        model = train_forest(data.features, data.labels, ForestConfig(n_trees=13),
+                             seed=5)
+        for X in (np.array([[0.3, -0.2]]), np.full((5, 2), 0.3), data.features):
+            leaf, cell = model.tree_predictions_batch(X)
+            assert leaf.flags.c_contiguous
+            assert leaf.shape[1] == max(2, len(np.unique(cell)))
+            assert np.array_equal(leaf.mean(axis=0), np.cumsum(leaf, axis=0)[-1] / 13)
 
     def test_batch_equals_single(self):
         # a row's mean over trees must not depend on the batch size; impure
@@ -537,11 +554,9 @@ class TestPrediction:
             top = max(model.threshold[model.feature >= 0]) + 1.0
             single_cell = top + rng.random((40, model.n_features))
             for X in (mixed, single_cell):
-                per_tree = model.tree_predictions_batch(X)
-                assert per_tree.flags.c_contiguous
+                per_tree = _per_row(model, X)
                 assert np.array_equal(per_tree, model._walk(X))
-                one_row = np.hstack([model.tree_predictions_batch(X[[i]])
-                                     for i in range(len(X))])
+                one_row = np.hstack([_per_row(model, X[[i]]) for i in range(len(X))])
                 assert np.array_equal(per_tree, one_row)
                 assert np.array_equal(predict(X),
                                       [predict(X[[i]])[0] for i in range(len(X))])
@@ -595,7 +610,7 @@ class TestPrediction:
         shifted = X.copy()
         shifted[:, 0] = (shifted[:, 0] + 1) % 4
         X = np.concatenate([X, shifted])
-        assert np.array_equal(model.tree_predictions_batch(X), model._walk(X))
+        assert np.array_equal(_per_row(model, X), model._walk(X))
         assert np.array_equal(model.predict_proba_batch(X),
                               [model.predict_proba_batch(X[[i]])[0] for i in range(len(X))])
 
@@ -662,7 +677,7 @@ class TestIntrospection:
         X = np.round(rng.normal(size=(n, 2)), 1)
         y = rng.integers(0, 2, n)
         model = train_forest(X, y, ForestConfig(n_trees=9), seed=seed)
-        votes = model.tree_predictions_batch(X) < 0.5
+        votes = _per_row(model, X) < 0.5
         bags = [set(_reference_bootstrap(derive_seed(seed, "tree", t), n).tolist())
                 for t in range(model.n_trees)]
         correct = covered = 0
@@ -781,7 +796,7 @@ class TestHandBuiltForests:
             model = train_forest(data.features, targets, config, seed=25)
             doc = forest_to_doc(model)
             grid = rng.normal(size=(30, 3))
-            batch = model.tree_predictions_batch(grid)
+            batch = _per_row(model, grid)
             for t, tree in enumerate(doc["trees"]):
                 expected = np.array([walk(tree, x) for x in grid])
                 assert np.array_equal(batch[t], expected)
@@ -822,7 +837,7 @@ class TestHandBuiltForests:
 
         expected = np.array([[walk(tree, x) for x in X] for tree in trees])
         assert np.array_equal(model._walk(X), expected)
-        assert np.array_equal(model.tree_predictions_batch(X), expected)
+        assert np.array_equal(_per_row(model, X), expected)
 
 
 def _json_round_trip(model):

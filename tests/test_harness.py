@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from lalearn import harness
-from lalearn.data import gen_gaussian_clouds, split
+from lalearn.data import Dataset, gen_gaussian_clouds, split
 from lalearn.features import classifier_state
 from lalearn.forest import ForestConfig, regressor_config, train_forest
-from lalearn.harness import (LearningCurve, SelectionTrace, motivation_experiment,
-                             probability_histogram, regressor_importance_report,
-                             run_al, run_repeated)
+from lalearn.harness import (LearningCurve, SelectionTrace, check_repetition_splits,
+                             motivation_experiment, probability_histogram,
+                             regressor_importance_report, run_al, run_repeated)
 from lalearn.strategies import LalStrategy, RandomStrategy, UncertaintyStrategy
 
 FAST = ForestConfig(n_trees=10)
@@ -201,6 +201,29 @@ class TestRunRepeated:
         picks = {s.name: np.concatenate([t.indices for t in traces[s.name]])
                  for s in three_strategies}
         assert len({p.tobytes() for p in picks.values()}) == 3
+
+    def test_split_check_fails_exactly_where_the_run_fails(self):
+        # 4 rows of class 1 in 400: at some seeds a repetition's split or
+        # its warm start of 2 cannot hold both classes
+        features = np.arange(800, dtype=float).reshape(400, 2)
+        data = Dataset(features, (np.arange(400) % 100 == 0).astype(int))
+        train, test = split(data, 0.5, seed=0)
+        outcomes = []
+        for seed in range(12):
+            try:
+                check_repetition_splits(train, test, 1, seed, warm_start_size=2)
+                checked = "ok"
+            except ValueError as exc:
+                checked = "warm start" if "warm_start_size 2" in str(exc) else "split"
+            try:
+                run_repeated(train, test, [RandomStrategy()], budget=0, repetitions=1,
+                             master_seed=seed, classifier_config=FAST, warm_start_size=2)
+                ran = True
+            except ValueError:
+                ran = False
+            assert ran == (checked == "ok"), seed
+            outcomes.append(checked)
+        assert set(outcomes) == {"ok", "split", "warm start"}
 
     def test_duplicate_strategy_names_rejected(self, gaussian_task):
         train, test = gaussian_task
