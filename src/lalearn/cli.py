@@ -33,8 +33,8 @@ from . import artifacts, svg
 from .atomic import read_text
 from .data import Dataset, gen_banana, gen_checkerboard, gen_gaussian_clouds, load_csv, split
 from .forest import CONFIG_SCHEMA, ForestConfig, regressor_config
-from .harness import check_repetition_splits, motivation_experiment, \
-    probability_histogram, regressor_importance_report, run_repeated
+from .harness import motivation_experiment, probability_histogram, \
+    regressor_importance_report, run_repeated
 from .metrics import METRIC_IDS
 from .schema import REQUIRED, read_fields
 from .seeding import derive_seed
@@ -268,17 +268,16 @@ def cmd_run(args) -> int:
         classifier = _forest_config(config["classifier"], ForestConfig(), what)
         try:
             train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
-            n_train = len(train)
-            if warm is not None and warm >= n_train:
-                _fail(f"{what}: warm_start_size ({warm}) must be smaller than the "
-                      f"train split ({n_train} rows)")
-            initial = warm if warm is not None else 2
-            if budget > n_train - initial:
-                _fail(f"{what}: budget {budget} exceeds the unlabeled pool "
-                      f"({n_train - initial} after initialization)")
-            check_repetition_splits(train, test, repetitions, seed, warm)
         except ValueError as exc:
             _fail(f"{what}: test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
+        n_train = len(train)
+        if warm is not None and warm >= n_train:
+            _fail(f"{what}: warm_start_size ({warm}) must be smaller than the "
+                  f"train split ({n_train} rows)")
+        initial = warm if warm is not None else 2
+        if budget > n_train - initial:
+            _fail(f"{what}: budget {budget} exceeds the unlabeled pool "
+                  f"({n_train - initial} after initialization)")
 
         out = _output_dir(config["output_dir"], args.output_dir)
         targets = [out / "summary.csv"]

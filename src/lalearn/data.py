@@ -40,16 +40,17 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        if self.labels.shape != (self.features.shape[0],):
+        if labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be one per feature row")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite values")
-        bad = ~np.isin(self.labels, (0, 1))
+        bad = ~np.isin(labels, (0, 1))  # before the cast, which would truncate 0.7 to 0
         if bad.any():
             raise ValueError(f"labels must be 0 or 1 (first bad row: {int(np.flatnonzero(bad)[0])})")
+        self.labels = np.asarray(labels, dtype=np.int64)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -250,23 +251,33 @@ def _finite(cell: str) -> float | None:
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Shuffle and split into disjoint, exhaustive train/test parts.
+    """Shuffle and split into disjoint, exhaustive train/test parts, each with both classes.
 
-    Both parts must contain both classes; a degenerate split raises.
+    The parts are the two ends of one seeded permutation.  If that leaves
+    a part with a single class, the first row of each class (in
+    permutation order) moves to the front of the test part and the second
+    to the front of the train part; every other row keeps its order.
+    Besides a ``test_fraction`` outside (0, 1), it raises only when no
+    two-class split exists: a class with fewer than 2 rows, or a part with
+    fewer than 2.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     n = len(dataset)
     n_test = int(round(n * test_fraction))
-    if n_test == 0 or n_test == n:
-        raise ValueError("test_fraction produces an empty part")
+    counts = np.bincount(dataset.labels, minlength=2)
+    if counts.min() < 2 or not 2 <= n_test <= n - 2:
+        raise ValueError(f"no split holds both classes in both parts: {counts[0]} rows of "
+                         f"class 0 and {counts[1]} of class 1 into a test part of {n_test} "
+                         f"rows and a train part of {n - n_test}")
     perm = rng_for(seed).permutation(n)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    train = dataset.subset(train_idx, name=f"{dataset.name}/train")
-    test = dataset.subset(test_idx, name=f"{dataset.name}/test")
-    if not train.has_both_classes() or not test.has_both_classes():
-        raise ValueError("split left a single-class part; use a different seed or fraction")
-    return train, test
+    labels = dataset.labels[perm]
+    if np.ptp(labels[:n_test]) == 0 or np.ptp(labels[n_test:]) == 0:
+        first, second = np.sort([np.flatnonzero(labels == c)[:2] for c in (0, 1)], axis=0).T
+        rest = np.delete(perm, np.concatenate([first, second]))
+        perm = np.concatenate([perm[first], rest[:n_test - 2], perm[second], rest[n_test - 2:]])
+    return (dataset.subset(perm[n_test:], name=f"{dataset.name}/train"),
+            dataset.subset(perm[:n_test], name=f"{dataset.name}/test"))
 
 
 def _unlabeled(n: int, labeled) -> np.ndarray:
@@ -276,21 +287,31 @@ def _unlabeled(n: int, labeled) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def init_cold_start(train: Dataset, seed: int = 0) -> PoolState:
-    """Label one random sample from each class."""
-    if not train.has_both_classes():
-        raise ValueError("cold start needs both classes in the training set")
-    rng = rng_for(seed)
+def _two_class_start(train: Dataset, n0: int, rng: np.random.Generator) -> PoolState:
+    """Label one random row of each class, then ``n0 - 2`` more random rows."""
+    counts = np.bincount(train.labels, minlength=2)
+    if counts.min() == 0:
+        raise ValueError(f"a start needs both classes; the training set has {counts[0]} "
+                         f"rows of class 0 and {counts[1]} of class 1")
     idx0 = int(rng.choice(np.flatnonzero(train.labels == 0)))
     idx1 = int(rng.choice(np.flatnonzero(train.labels == 1)))
-    return PoolState(labeled=[idx0, idx1], unlabeled=_unlabeled(len(train), [idx0, idx1]))
+    rest = rng.choice(_unlabeled(len(train), [idx0, idx1]), size=n0 - 2, replace=False)
+    chosen = [idx0, idx1, *rest.tolist()]
+    return PoolState(labeled=chosen, unlabeled=_unlabeled(len(train), chosen))
+
+
+def init_cold_start(train: Dataset, seed: int = 0) -> PoolState:
+    """Label one random sample from each class; raises only when ``train`` lacks a class."""
+    return _two_class_start(train, 2, rng_for(seed))
 
 
 def init_warm_start(train: Dataset, n0: int, seed: int = 0) -> PoolState:
-    """Label ``n0`` random samples, retrying until both classes appear.
+    """Label ``n0`` random samples, at least one of each class.
 
-    Resamples up to ``WARM_START_ATTEMPTS`` times before giving up; a
-    silently single-class start would break everything downstream.
+    Draws ``n0`` rows uniformly up to ``WARM_START_ATTEMPTS`` times and
+    keeps the first draw that holds both classes.  If none does, it labels
+    one random row of each class and ``n0 - 2`` more random rows, so the
+    start fails only when ``train`` lacks a class.
     """
     n = len(train)
     if not 2 <= n0 < n:
@@ -302,8 +323,7 @@ def init_warm_start(train: Dataset, n0: int, seed: int = 0) -> PoolState:
         if (picked == 0).any() and (picked == 1).any():
             return PoolState(labeled=[int(i) for i in chosen],
                              unlabeled=_unlabeled(n, chosen))
-    raise ValueError(f"could not draw a two-class labeled set of size {n0} "
-                     f"in {WARM_START_ATTEMPTS} attempts")
+    return _two_class_start(train, n0, rng_for(derive_seed(seed, "warm", WARM_START_ATTEMPTS)))
 
 
 def merge(a: Dataset, b: Dataset, name: str | None = None) -> Dataset:

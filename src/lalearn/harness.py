@@ -3,7 +3,9 @@
 One run simulates the annotation loop against a ground-truth oracle and
 records the test metric after every acquisition.  Repeated runs re-split
 the data per repetition with derived seeds and give every strategy the
-same initial labeled set, so curves compare paired trajectories.  The
+same initial labeled set, so curves compare paired trajectories.  Splits
+and starts hold both classes whenever the data allow it, so a repetition
+never fails on its draws.  The
 strategies of a repetition step together in one ``run_al`` call: the
 shared first classifier is fit once, and each later step fits one
 classifier per strategy in a single grouped ``train_forests`` call, whose
@@ -109,7 +111,8 @@ def run_al(train: Dataset, test: Dataset, strategies: list[Strategy], budget: in
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}")
     classifier_config = classifier_config or ForestConfig()
-    start = _initial_pool(train, seed, warm_start_size)
+    start = (init_cold_start(train, derive_seed(seed, "init")) if warm_start_size is None
+             else init_warm_start(train, warm_start_size, derive_seed(seed, "init")))
     if budget > start.n_unlabeled:
         raise ValueError(f"budget {budget} exceeds the unlabeled pool ({start.n_unlabeled})")
 
@@ -139,44 +142,12 @@ def run_al(train: Dataset, test: Dataset, strategies: list[Strategy], budget: in
             for e in range(len(strategies))]
 
 
-def _initial_pool(train: Dataset, seed: int, warm_start_size: int | None) -> PoolState:
-    """The labeled set a repetition's runs start from: cold, or ``warm_start_size`` rows."""
-    if warm_start_size is None:
-        return init_cold_start(train, derive_seed(seed, "init"))
-    return init_warm_start(train, warm_start_size, derive_seed(seed, "init"))
-
-
-def _resplit(pooled: Dataset, test_fraction: float, rep_seed: int) -> tuple[Dataset, Dataset]:
-    return split(pooled, test_fraction, derive_seed(rep_seed, "split"))
-
-
 def _repetition(args):
     (pooled, test_fraction, strategies, budget, metric, rep_seed,
      classifier_config, warm_start_size) = args
-    train_r, test_r = _resplit(pooled, test_fraction, rep_seed)
+    train_r, test_r = split(pooled, test_fraction, derive_seed(rep_seed, "split"))
     return run_al(train_r, test_r, strategies, budget, metric, rep_seed,
                   classifier_config, warm_start_size)
-
-
-def check_repetition_splits(train: Dataset, test: Dataset, repetitions: int,
-                            master_seed: int, warm_start_size: int | None = None) -> None:
-    """Make every re-split and initial labeled set ``run_repeated`` would make, before any work.
-
-    Raises ``ValueError`` naming the first repetition whose split fails,
-    e.g. one that leaves a single-class part, or whose warm start cannot
-    draw both classes.
-    """
-    pooled = merge(train, test)
-    for r in range(repetitions):
-        rep_seed = derive_seed(master_seed, "rep", r)
-        try:
-            train_r, _ = _resplit(pooled, len(test) / len(pooled), rep_seed)
-        except ValueError as exc:
-            raise ValueError(f"repetition {r}: {exc}") from None
-        try:
-            _initial_pool(train_r, rep_seed, warm_start_size)
-        except ValueError as exc:
-            raise ValueError(f"repetition {r}: warm_start_size {warm_start_size}: {exc}") from None
 
 
 def run_repeated(train: Dataset, test: Dataset, strategies: list[Strategy],
@@ -190,7 +161,9 @@ def run_repeated(train: Dataset, test: Dataset, strategies: list[Strategy],
     proportions) and the initial labeled set from seeds derived
     ``(master_seed, repetition)``; within a repetition all strategies see
     the same split, the same initial labels, and the same per-iteration
-    training seeds.
+    training seeds.  A re-split has the part sizes of ``train`` and
+    ``test``, so when both of them hold both classes every repetition's
+    parts and start do too: no repetition fails on a draw.
     """
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):

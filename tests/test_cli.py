@@ -407,10 +407,18 @@ def _deep_json(tmp_path, name):
 
 
 def _four_positive_csv(tmp_path):
-    """400 rows, 4 of class 1: a warm start of 2 misses class 1 in some repetition."""
+    """400 rows, 4 of class 1: most uniform warm starts of 2 miss class 1."""
     rows = ["f0,f1,label"] + [f"{i}.0,{i % 7}.0,{int(i % 100 == 0)}" for i in range(400)]
     (tmp_path / "four.csv").write_text("\n".join(rows) + "\n")
     return str(tmp_path / "four.csv")
+
+
+def _two_positive_csv(tmp_path):
+    """42 rows, 2 of class 1: many permutations put both in one half."""
+    rows = (["f0,f1,label"] + [f"{i}.0,0.0,0" for i in range(40)]
+            + ["98.0,1.0,1", "99.0,1.0,1"])
+    (tmp_path / "skewed.csv").write_text("\n".join(rows) + "\n")
+    return str(tmp_path / "skewed.csv")
 
 
 _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
@@ -504,11 +512,10 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
      "deep_s.json: maximum recursion depth"),
     (lambda p: ["analyze", "--strategy", _deep_json(p, "deep_a.json"),
                 "--importances-out", str(p / "imp.csv")], "deep_a.json: maximum recursion depth"),
-    # a warm start that some repetition cannot draw with both classes
-    (lambda p: ["run", _run_config(p, dataset={"csv": _four_positive_csv(p)},
-                                   warm_start_size=2, repetitions=4, test_fraction=0.5,
-                                   seed=1)],
-     "repetition 0: warm_start_size 2: could not draw a two-class labeled set"),
+    # no split of a single class-1 row holds both classes in both parts
+    (lambda p: ["build-strategy", _build_config(p, representative={"csv": _bytes(
+        p, "one.csv", b"f0,label\n" + b"1.0,0\n" * 40 + b"2.0,1\n")}, test_fraction=0.5)],
+     "no split holds both classes in both parts: 40 rows of class 0 and 1 of class 1"),
 ], ids=["run_label_only_csv", "build_label_only_csv", "build_output_in_missing_dir",
         "rows_out_in_missing_dir", "motivate_out_in_missing_dir",
         "motivate_svg_in_missing_dir", "importances_out_in_missing_dir",
@@ -527,7 +534,7 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
         "build_csv_with_inf_feature", "run_csv_with_label_column_twice",
         "build_csv_with_feature_column_twice", "nan_generator_noise",
         "infinite_test_fraction", "deeply_nested_config", "deeply_nested_run_strategy",
-        "deeply_nested_analyze_strategy", "unreachable_warm_start"])
+        "deeply_nested_analyze_strategy", "build_csv_with_one_class_1_row"])
 def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                           argv, named):
     monkeypatch.chdir(tmp_path)
@@ -537,6 +544,42 @@ def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: config") and named in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestImbalancedData:
+    """Splits and starts hold both classes whenever the data have two rows of each."""
+
+    @staticmethod
+    def _run_at_1_and_2_workers(tmp_path, **overrides):
+        for workers in ("1", "2"):
+            run = _run_config(tmp_path, out_name=f"w{workers}", **overrides)
+            assert main(["run", run, "--workers", workers]) == EXIT_OK
+        written = sorted(path.name for path in (tmp_path / "w1").iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "w2").iterdir())
+        for name in written:
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+    def test_two_positive_rows_run_at_every_repetition(self, tmp_path):
+        # the benchmark split at seed 1 keeps one class-1 row in each part;
+        # repetition 0's permutation puts both in one part
+        self._run_at_1_and_2_workers(tmp_path, dataset={"csv": _two_positive_csv(tmp_path)},
+                                     budget=2, test_fraction=0.5, repetitions=5, seed=1)
+
+    def test_four_positive_rows_warm_start_of_two_runs(self, tmp_path):
+        self._run_at_1_and_2_workers(tmp_path, dataset={"csv": _four_positive_csv(tmp_path)},
+                                     warm_start_size=2, repetitions=4, test_fraction=0.5,
+                                     seed=1)
+
+    def test_four_positive_rows_build_at_every_seed(self, tmp_path):
+        csv = _four_positive_csv(tmp_path)
+        for seed in range(1, 6):
+            for workers in ("1", "2"):
+                config = _build_config(tmp_path, seed=seed, representative={"csv": csv},
+                                       test_fraction=0.5,
+                                       output=str(tmp_path / f"s{seed}_w{workers}.json"))
+                assert main(["build-strategy", config, "--workers", workers]) == EXIT_OK, seed
+            assert ((tmp_path / f"s{seed}_w1.json").read_bytes()
+                    == (tmp_path / f"s{seed}_w2.json").read_bytes())
 
 
 class TestAtomicArtifacts:
@@ -623,21 +666,7 @@ class TestConfigFormat:
         err = capsys.readouterr().err
         assert err.startswith("error: config")
         assert "test_fraction" in err and "skewed.csv" in err
-        assert not (tmp_path / "out").exists()
-
-    def test_single_class_repetition_split_is_config_error(self, tmp_path, capsys):
-        # two class-1 rows: the benchmark split at seed 1 keeps one in each
-        # part, but repetition 0's re-split puts both in the same part
-        csv = tmp_path / "skewed.csv"
-        rows = (["f0,f1,label"] + [f"{i}.0,0.0,0" for i in range(40)]
-                + ["98.0,1.0,1", "99.0,1.0,1"])
-        csv.write_text("\n".join(rows) + "\n")
-        run = _run_config(tmp_path, dataset={"csv": str(csv)}, budget=2,
-                          test_fraction=0.5, repetitions=5, seed=1)
-        assert main(["run", run]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: config")
-        assert "test_fraction" in err and "repetition 0" in err and "skewed.csv" in err
+        assert "40 rows of class 0 and 1 of class 1" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, overrides, field", [

@@ -7,9 +7,9 @@ from lalearn import harness
 from lalearn.data import Dataset, gen_gaussian_clouds, split
 from lalearn.features import classifier_state
 from lalearn.forest import ForestConfig, regressor_config, train_forest
-from lalearn.harness import (LearningCurve, SelectionTrace, check_repetition_splits,
-                             motivation_experiment, probability_histogram,
-                             regressor_importance_report, run_al, run_repeated)
+from lalearn.harness import (LearningCurve, SelectionTrace, motivation_experiment,
+                             probability_histogram, regressor_importance_report, run_al,
+                             run_repeated)
 from lalearn.strategies import LalStrategy, RandomStrategy, UncertaintyStrategy
 
 FAST = ForestConfig(n_trees=10)
@@ -202,28 +202,23 @@ class TestRunRepeated:
                  for s in three_strategies}
         assert len({p.tobytes() for p in picks.values()}) == 3
 
-    def test_split_check_fails_exactly_where_the_run_fails(self):
-        # 4 rows of class 1 in 400: at some seeds a repetition's split or
-        # its warm start of 2 cannot hold both classes
+    def test_imbalanced_repetitions_run_at_every_seed(self):
+        # 4 rows of class 1 in 400: at many seeds a repetition's permutation
+        # leaves a single-class part, or every uniform warm start of 2 misses
+        # class 1; the draws still hold both classes and no repetition fails
         features = np.arange(800, dtype=float).reshape(400, 2)
         data = Dataset(features, (np.arange(400) % 100 == 0).astype(int))
         train, test = split(data, 0.5, seed=0)
-        outcomes = []
-        for seed in range(12):
-            try:
-                check_repetition_splits(train, test, 1, seed, warm_start_size=2)
-                checked = "ok"
-            except ValueError as exc:
-                checked = "warm start" if "warm_start_size 2" in str(exc) else "split"
-            try:
-                run_repeated(train, test, [RandomStrategy()], budget=0, repetitions=1,
-                             master_seed=seed, classifier_config=FAST, warm_start_size=2)
-                ran = True
-            except ValueError:
-                ran = False
-            assert ran == (checked == "ok"), seed
-            outcomes.append(checked)
-        assert set(outcomes) == {"ok", "split", "warm start"}
+        kwargs = dict(budget=2, repetitions=3, classifier_config=FAST, warm_start_size=2)
+        runs = [run_repeated(train, test, [RandomStrategy()], master_seed=seed, **kwargs)
+                for seed in range(12)]
+        assert all(curves["random"].traces.shape == (3, 3) for curves, _ in runs)
+        a, sel_a = runs[1]
+        b, sel_b = run_repeated(train, test, [RandomStrategy()], master_seed=1, workers=2,
+                                **kwargs)
+        assert a["random"].traces.tobytes() == b["random"].traces.tobytes()
+        for x, y in zip(sel_a["random"], sel_b["random"], strict=True):
+            assert x.indices.tobytes() == y.indices.tobytes()
 
     def test_duplicate_strategy_names_rejected(self, gaussian_task):
         train, test = gaussian_task
