@@ -8,11 +8,9 @@ identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .atomic import atomic_open, read_csv, write_csv
+from .atomic import read_csv, write_csv, write_json
 from .harness import LearningCurve, MotivationCurve, SelectionTrace
 
 CURVE_FORMAT = 1
@@ -38,8 +36,7 @@ def curve_to_json(curve: LearningCurve, path) -> None:
         "std": [float(v) for v in curve.std()],
         "traces": [[float(v) for v in row] for row in curve.traces],
     }
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
+    write_json(path, doc)
 
 
 def summary_to_csv(curves: dict[str, LearningCurve], path) -> None:

@@ -6,12 +6,14 @@ so a writer that fails leaves no truncated file or temp file behind, and an
 old target keeps its bytes.  :func:`write_csv` renders a cell by its type: a
 ``str`` as it is, an integer in decimal, any other number as
 ``repr(float(v))``, the shortest text that reads back to the same float.
+:func:`write_json` writes a document as one line with sorted keys.
 The readers name the file in every error.  This module imports nothing from
 ``lalearn``, so every module that writes or reads a file can use it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager, suppress
 from numbers import Integral
@@ -45,6 +47,17 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def write_json(path, doc) -> None:
+    """Write ``json.dumps(doc, sort_keys=True)`` through ``atomic_open``.
+
+    ``json.dump`` to a file runs the pure-Python encoder; ``json.dumps``
+    runs the C one and gives the same text several times faster.
+    """
+    text = json.dumps(doc, sort_keys=True)
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def read_text(path) -> str:

@@ -207,8 +207,12 @@ def cmd_build_strategy(args) -> int:
                 seed, **read_fields(cold or {}, _COLD_START, what, "cold_start"))
         else:
             dataset = _dataset_from_spec(representative, seed, what)
-            train, test = split(dataset, config["test_fraction"],
-                                derive_seed(seed, "representative_split"))
+            test_fraction = config["test_fraction"]
+            try:
+                train, test = split(dataset, test_fraction,
+                                    derive_seed(seed, "representative_split"))
+            except ValueError as exc:
+                _fail(f"{what}: test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
         if mc.size_max >= len(train):
             _fail(f"{what}: size_max ({mc.size_max}) must be smaller than the "
                   f"representative train set ({len(train)} rows)")

@@ -34,23 +34,36 @@ order, left child then right child.  So a level's nodes have consecutive
 ids, training builds each level's table as its own arrays, and the
 forest's table is their concatenation.
 
-Prediction walks one row per cell of the forest's threshold grid.  A
+Prediction reads one row per cell of the forest's threshold grid.  A
 row's cell is its rank, on every feature some node splits on, among the
 sorted distinct thresholds of that feature (``searchsorted`` with
 ``side="left"`` counts the thresholds strictly below the value).  Two rows
 of one cell answer every ``x > threshold`` test alike, so they reach the
-same leaf in every tree: the walk visits one representative per cell and
-each row takes its cell's leaf values.  The walk moves every (tree, row)
-pair one level per step.  A leaf steps to itself, so a finished pair can
-ride along; finished pairs are dropped only once they are half of the
-pairs still walked, not at every step.  A forest fitted on a few dozen
+same leaf in every tree: the read-out takes one representative per cell
+and each row takes its cell's leaf values.  A forest fitted on a few dozen
 labels has few thresholds, so a thousand rows often fall into a few dozen
-cells.  ``tree_predictions_batch``, the one read-out, returns the cells'
-(n_trees, C) leaf matrix, C-contiguous and at least two columns wide (a
-lone cell's column is copied): numpy sums such a matrix down axis 0 one
-tree at a time, but a single column pairwise, so a row's mean and
-variance over trees keep their bits at any batch size.  Rows must be
-finite: a NaN would rank above every threshold but fail every ``>`` test.
+cells.
+
+When no tree has more than 64 leaves, the cells are read from a bitvector
+table, as QuickScorer does (Lucchese et al., SIGIR 2015).  Each tree's
+leaves are numbered left to right, one bit of a ``uint64`` each.  For every
+feature, rank and tree, one word marks the leaves that a row of that rank
+cannot reach: the left subtrees of the tree's nodes on that feature that
+send the row right.  A row's exit leaf in a tree is the lowest leaf that
+none of its words marks, so a read gathers one word per feature and costs
+the same at any depth.  The table is built once per forest from the level-
+ordered node table, one vectorised step per level.  A forest with a larger
+tree is walked instead: the walk moves every (tree, row) pair one level
+per step.  A leaf steps to itself, so a finished pair can ride along;
+finished pairs are dropped only once they are half of the pairs still
+walked, not at every step.  Both paths return the same leaf values.
+
+``tree_predictions_batch``, the one read-out, returns the cells' (n_trees,
+C) leaf matrix, C-contiguous and at least two columns wide (a lone cell's
+column is copied): numpy sums such a matrix down axis 0 one tree at a
+time, but a single column pairwise, so a row's mean and variance over
+trees keep their bits at any batch size.  Rows must be finite: a NaN
+would rank above every threshold but fail every ``>`` test.
 
 Split semantics:
 
@@ -67,6 +80,7 @@ Split semantics:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -76,6 +90,12 @@ from .schema import REQUIRED, REQUIRED_OR_NULL, brief, finite, read_fields
 from .seeding import derive_seed
 
 FOREST_FORMAT = 1
+
+_ALL_LEAVES = np.uint64(2 ** 64 - 1)
+# the top six bits of (1 << i) * _DE_BRUIJN differ for every i < 64
+_DE_BRUIJN = np.uint64(0x03F79D71B4CB0A89)
+_BIT_SLOT = (((np.uint64(1) << np.arange(64, dtype=np.uint64)) * _DE_BRUIJN)
+             >> np.uint64(58)).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -125,9 +145,10 @@ class ForestModel:
     The bootstraps are not stored: out-of-bag accuracy regenerates them
     from the seed, so a trained and a reloaded forest hold the same state.
     Models are immutable after training and safe to share between
-    processes; the per-feature thresholds that prediction ranks rows by,
-    and the walk's node arrays, are computed on the first prediction and
-    kept.
+    processes.  The read-out state is computed on the first prediction and
+    kept, but not pickled: the per-feature thresholds that prediction ranks
+    rows by, and the bitvector table when no tree has more than 64 leaves,
+    else the walk's node arrays (see the module docstring).
     """
 
     def __init__(self, *, config, seed, n_features, feature, threshold, left,
@@ -150,6 +171,11 @@ class ForestModel:
 
     # ---- prediction -------------------------------------------------
 
+    def __getstate__(self) -> dict:
+        # the read-out caches are rebuilt on the first read after unpickling
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_cuts", "_walk_nodes", "_bitvectors")}
+
     @cached_property
     def _cuts(self) -> list[tuple[int, np.ndarray]]:
         """``(feature, sorted distinct thresholds)`` of every feature that splits."""
@@ -161,7 +187,7 @@ class ForestModel:
 
         Returns ``(leaf, cell)``: row ``i`` reaches ``leaf[:, cell[i]]``, so
         ``np.take(leaf, cell, axis=1)`` is the per-row (n_trees, N) matrix.
-        ``leaf`` has one C-contiguous column per cell, walked from the
+        ``leaf`` has one C-contiguous column per cell, read out for the
         cell's first row, and two of a lone cell, so reductions down axis 0
         add the trees in order (see the module docstring).  Raises
         ``ValueError`` naming non-finite rows.
@@ -175,22 +201,108 @@ class ForestModel:
                              f"first rows {bad[:5].tolist()}")
         if len(X) == 0:
             return np.empty((self.n_trees, 0)), np.empty(0, dtype=np.int64)
+        ranks = np.empty((len(X), len(self._cuts)), dtype=np.int64)
         # a mixed-radix key over the features' ranks, ordered as the rank
         # tuples are; it is densified (to at most len(X) values) only when
         # the next digit could push it past int64
         cell = np.zeros(len(X), dtype=np.int64)
         radix = 1
-        for f, cuts in self._cuts:
+        for i, (f, cuts) in enumerate(self._cuts):
             if radix * (len(cuts) + 1) > 2 ** 62:
                 _, cell = np.unique(cell, return_inverse=True)
                 radix = int(cell.max()) + 1
-            cell = cell * (len(cuts) + 1) + np.searchsorted(cuts, X[:, f], side="left")
+            ranks[:, i] = np.searchsorted(cuts, X[:, f], side="left")
+            cell = cell * (len(cuts) + 1) + ranks[:, i]
             radix *= len(cuts) + 1
         _, first, cell = np.unique(cell, return_index=True, return_inverse=True)
-        leaf = self._walk(X[first])
+        leaf = self._cell_leaves(X[first], ranks[first])
         if len(first) == 1:
             leaf = np.take(leaf, [0, 0], axis=1)
         return leaf, cell
+
+    def _cell_leaves(self, X: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Leaf value reached in every tree by every row of ``X``: (n_trees, N).
+
+        ``ranks[:, i]`` are the rows' ranks among ``_cuts[i]``'s thresholds.
+        The bitvector table reads them when it exists, else ``_walk`` walks
+        ``X``.
+        """
+        if self._bitvectors is None:
+            return self._walk(X)
+        gone, offsets, slots = self._bitvectors
+        # the leaves each row cannot reach in each tree: the OR of one
+        # gathered word per feature (of none in a forest of single leaves).
+        # The exit leaf is the lowest leaf left, and the lowest clear bit,
+        # isolated, is a power of two whose de Bruijn product's top six
+        # bits name it
+        lost = np.bitwise_or.reduce(gone[ranks + offsets], axis=1)
+        slot = (((lost + np.uint64(1)) & ~lost) * _DE_BRUIJN) >> np.uint64(58)
+        slot = slot.astype(np.intp) + 64 * np.arange(self.n_trees)
+        return np.ascontiguousarray(slots[slot].T)
+
+    @cached_property
+    def _bitvectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(gone, offsets, slots)`` of the bitvector read-out, or ``None``.
+
+        ``None`` when a tree has more than 64 leaves.  Each tree's leaves
+        are numbered left to right, one bit each.  Row ``offsets[i] + r`` of
+        the (R, n_trees) uint64 ``gone`` marks, per tree, the leaves that a
+        row of rank ``r`` among ``_cuts[i]``'s thresholds cannot reach: the
+        left subtrees of the tree's nodes on that feature whose thresholds
+        rank below ``r``, the nodes that send such a row right.
+        ``slots[64 * t + s]`` is the value of the leaf of tree ``t`` whose
+        bit hashes to ``s`` (see ``_cell_leaves``).
+        """
+        T, n = self.n_trees, len(self.feature)
+        split = self.feature >= 0
+        s = np.flatnonzero(split)
+        # split j's children are nodes T + 2j and T + 2j + 1, so level k + 1
+        # holds the children of the splits s[ends[k - 1]:ends[k]]
+        ids, ends = s.tolist(), [0]
+        while (end := bisect_left(ids, T + 2 * ends[-1])) > ends[-1]:
+            ends.append(end)
+        levels = list(zip(ends, ends[1:]))
+        # leaves per subtree, bottom up
+        size = np.ones(n, dtype=np.int64)
+        for lo, hi in reversed(levels):
+            children = size[T + 2 * lo:T + 2 * hi]
+            size[s[lo:hi]] = children[0::2] + children[1::2]
+        if size[:T].max() > 64:
+            return None
+        # 64 * tree + the number of its first leaf, top down
+        first = np.zeros(n, dtype=np.int64)
+        first[:T] = np.arange(0, 64 * T, 64)
+        for lo, hi in levels:
+            parent = first[s[lo:hi]]
+            first[T + 2 * lo:T + 2 * hi:2] = parent
+            first[T + 2 * lo + 1:T + 2 * hi:2] = parent + size[T + 2 * lo:T + 2 * hi:2]
+        leaf = first[~split]
+        slots = np.zeros(64 * T)
+        slots[(leaf & ~63) + _BIT_SLOT[leaf & 63]] = self.value[~split]
+        # a split's left subtree holds the leaves [first, first + size)
+        first = first[s]
+        mask = ((_ALL_LEAVES >> (np.uint64(64) - size[T::2].astype(np.uint64)))
+                << (first & 63).astype(np.uint64))
+        # a node of rank j among feature slot i's thresholds sends rows of
+        # rank j + 1 and above right: its mask joins row offsets[i] + j + 1
+        widths = [len(cuts) + 1 for _, cuts in self._cuts]
+        offsets = np.cumsum([0] + widths[:-1], dtype=np.int64)
+        feature, threshold = self.feature[s], self.threshold[s]
+        key = np.empty(len(s), dtype=np.int64)
+        for i, (f, cuts) in enumerate(self._cuts):
+            on = feature == f
+            key[on] = offsets[i] + 1 + np.searchsorted(cuts, threshold[on])
+        key = key * T + (first >> 6)
+        gone = np.zeros((sum(widths), T), dtype=np.uint64)
+        flat = gone.reshape(-1)
+        flat[key] = mask
+        # a tree that splits one feature twice at one threshold writes one
+        # word twice: OR in the masks that the last write overwrote
+        lost = np.flatnonzero(flat[key] != mask)
+        np.bitwise_or.at(flat, key[lost], mask[lost])
+        for lo, width in zip(offsets.tolist(), widths):
+            np.bitwise_or.accumulate(gone[lo:lo + width], axis=0, out=gone[lo:lo + width])
+        return gone, offsets, slots
 
     @cached_property
     def _walk_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

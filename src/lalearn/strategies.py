@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .atomic import atomic_open, read_text
+from .atomic import read_text, write_json
 from .data import Dataset, PoolState
 from .features import FEATURE_NAMES, candidate_states, classifier_state
 from .forest import ForestModel, forest_from_doc, forest_to_doc
@@ -166,8 +166,7 @@ def strategy_from_doc(doc: dict) -> Strategy:
 
 
 def save_strategy(strategy: Strategy, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(strategy.to_doc(), fh, sort_keys=True)
+    write_json(path, strategy.to_doc())
 
 
 def load_strategy(path) -> Strategy:

@@ -2,13 +2,14 @@
 a guard that no other module opens a file itself."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lalearn.atomic import read_csv, write_csv
+from lalearn.atomic import read_csv, write_csv, write_json
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lalearn"
 
@@ -25,6 +26,26 @@ def test_write_csv_renders_each_cell_by_its_type(tmp_path):
                                  b"name,3,-7,0.30000000000000004\n"
                                  b"x,-0.0,2.0,0.5\n"
                                  b"y,1e+16,nan,5e-324\n")
+
+
+def test_write_json_writes_what_json_dump_writes(tmp_path):
+    doc = {"z": [0.1 + 0.2, -0.0, 5e-324, 1e16, 2 ** 64], "a": {"é": None, "b": [True, "\n"]},
+           "m": [[1.5, 2], []]}
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+    assert json.loads(path.read_text(encoding="utf-8")) == doc
+
+
+def test_write_json_that_cannot_encode_leaves_the_target(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("old")
+    with pytest.raises(TypeError):
+        write_json(path, {"x": object()})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+    assert path.read_text() == "old"
 
 
 def test_read_csv_skips_blank_lines_and_numbers_the_rest(tmp_path):

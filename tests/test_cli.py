@@ -515,7 +515,7 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
     # no split of a single class-1 row holds both classes in both parts
     (lambda p: ["build-strategy", _build_config(p, representative={"csv": _bytes(
         p, "one.csv", b"f0,label\n" + b"1.0,0\n" * 40 + b"2.0,1\n")}, test_fraction=0.5)],
-     "no split holds both classes in both parts: 40 rows of class 0 and 1 of class 1"),
+     "one.csv: no split holds both classes in both parts: 40 rows of class 0 and 1 of class 1"),
 ], ids=["run_label_only_csv", "build_label_only_csv", "build_output_in_missing_dir",
         "rows_out_in_missing_dir", "motivate_out_in_missing_dir",
         "motivate_svg_in_missing_dir", "importances_out_in_missing_dir",

@@ -561,34 +561,43 @@ class TestPrediction:
                 assert np.array_equal(predict(X),
                                       [predict(X[[i]])[0] for i in range(len(X))])
 
-    def test_walks_one_row_per_cell(self, monkeypatch):
-        walked = []
-        walk = ForestModel._walk
+    @pytest.mark.parametrize("path", ["table", "walk"])
+    def test_reads_one_row_per_cell(self, monkeypatch, path):
+        # the read-out kernel gets one row per cell, whether the bitvector
+        # table or the walk serves the forest
+        read = []
+        kernel = ForestModel._cell_leaves
 
-        def counting_walk(model, X):
-            walked.append(len(X))
-            return walk(model, X)
+        def counting_kernel(model, X, ranks):
+            read.append(len(X))
+            return kernel(model, X, ranks)
 
-        monkeypatch.setattr(ForestModel, "_walk", counting_walk)
-        # stumps that all split feature 0 at 0.5 leave two cells
+        monkeypatch.setattr(ForestModel, "_cell_leaves", counting_kernel)
+        # stumps that all split feature 0 at 0.5 leave two cells; a tree of
+        # 65 leaves sends the forest down the walk
+        extra = [_random_tree(np.random.default_rng(35), 65, 2)] if path == "walk" else []
         stumps = forest_from_doc(_forest_doc([
             {"feature": 0, "threshold": 0.5, "count": 2,
-             "left": _leaf(v), "right": _leaf(1.0 - v)} for v in (0.25, 0.5, 1.0)]))
+             "left": _leaf(v), "right": _leaf(1.0 - v)} for v in (0.25, 0.5, 1.0)] + extra))
+        assert (stumps._bitvectors is None) == (path == "walk")
         X = np.random.default_rng(35).random((1000, 2))
-        p0 = stumps.predict_proba_batch(X)
-        assert walked == [2]
-        assert np.array_equal(p0, np.where(X[:, 0] > 0.5, 1.25 / 3, 1.75 / 3))
+        leaf, cell = stumps.tree_predictions_batch(X)
+        assert read == [len(leaf[0])]
+        assert np.array_equal(leaf[:3].mean(axis=0)[cell],
+                              np.where(X[:, 0] > 0.5, 1.25 / 3, 1.75 / 3))
+        if path == "walk":
+            return
 
-        # a trained forest walks one row per distinct rank vector
+        # a trained forest reads one row per distinct rank vector
         data = gen_gaussian_clouds(12, 0.5, 1.0, 2, seed=36)
         model = train_forest(data.features, data.labels, ForestConfig(n_trees=50), seed=37)
         ranks = np.column_stack([
             np.searchsorted(np.unique(model.threshold[model.feature == f]), X[:, f])
             for f in range(2)])
-        walked.clear()
+        read.clear()
         model.tree_predictions_batch(X)
-        assert walked == [len(np.unique(ranks, axis=0))]
-        assert walked[0] < 100
+        assert read == [len(np.unique(ranks, axis=0))]
+        assert read[0] < 100
 
     def test_cell_key_densifies_before_int64_overflow(self):
         # 40 features with 3 thresholds each make a radix product of 4**40;
@@ -756,6 +765,30 @@ def _forest_doc(trees, mode="classification", n_features=2):
             "importances": [0.0] * n_features, "trees": trees}
 
 
+def _random_tree(rng, leaves, d, thresholds=4):
+    """A tree document with ``leaves`` leaves, split points drawn from few values.
+
+    Thresholds come from ``range(thresholds)``, so one tree often splits a
+    feature twice at one threshold, nested or side by side.
+    """
+    if leaves == 1:
+        return _leaf(float(rng.random()))
+    left = int(rng.integers(1, leaves))
+    return {"feature": int(rng.integers(d)), "threshold": float(rng.integers(thresholds)),
+            "count": 2, "left": _random_tree(rng, left, d, thresholds),
+            "right": _random_tree(rng, leaves - left, d, thresholds)}
+
+
+def _reference_walk(doc, X):
+    """Every tree of a forest document walked row by row: (n_trees, N)."""
+    def walk(node, x):
+        while "value" not in node:
+            node = node["right"] if x[node["feature"]] > node["threshold"] else node["left"]
+        return node["value"]
+
+    return np.array([[walk(tree, x) for x in X] for tree in doc["trees"]])
+
+
 class TestHandBuiltForests:
     def test_probability_is_mean_of_leaf_values(self):
         model = forest_from_doc(_forest_doc([_leaf(0.2), _leaf(0.6)]))
@@ -826,18 +859,89 @@ class TestHandBuiltForests:
                  "chain_and_stumps": [stump(), chain(30)] + [stump() for _ in range(5)],
                  "stumps": [stump() for _ in range(4)],
                  "leaves": [_leaf(0.2), _leaf(0.9)]}[shape]
-        model = forest_from_doc(_forest_doc(trees))
+        doc = _forest_doc(trees)
+        model = forest_from_doc(doc)
         X = np.concatenate([np.repeat(np.arange(-1.0, 31.0, 0.5)[:, None], 2, axis=1),
                             rng.uniform(-1.0, 31.0, (64, 2)), rng.integers(0, 30, (64, 2))])
-
-        def walk(node, x):
-            while "value" not in node:
-                node = node["right"] if x[node["feature"]] > node["threshold"] else node["left"]
-            return node["value"]
-
-        expected = np.array([[walk(tree, x) for x in X] for tree in trees])
+        expected = _reference_walk(doc, X)
         assert np.array_equal(model._walk(X), expected)
         assert np.array_equal(_per_row(model, X), expected)
+
+
+class TestBitvectorReadOut:
+    """The bitvector table reads every forest of at most 64 leaves per tree
+    exactly as the walk does."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("max_depth", [None, 1, 3])
+    def test_trained_forests_read_as_the_walk(self, d, max_depth):
+        rng = np.random.default_rng(60 + d)
+        X = np.round(rng.normal(size=(48, d)), 1)
+        y = (X.sum(axis=1) + rng.normal(scale=0.5, size=48) > 0).astype(int)
+        forests = [
+            train_forest(X, y, ForestConfig(n_trees=20, max_depth=max_depth), seed=d),
+            train_forest(X, rng.random(48),
+                         regressor_config(n_trees=20, min_leaf_size=2, max_depth=max_depth),
+                         seed=d),
+        ]
+        for model in forests:
+            assert model._bitvectors is not None
+            rows = np.concatenate([_threshold_grid_rows(model, rng, 200),
+                                   rng.normal(size=(50, d))])
+            assert np.array_equal(_per_row(model, rows), model._walk(rows))
+            loaded = _json_round_trip(model)
+            assert np.array_equal(_per_row(loaded, rows), model._walk(rows))
+
+    @pytest.mark.parametrize("leaves", [63, 64, 65])
+    def test_the_table_holds_trees_of_at_most_64_leaves(self, leaves, monkeypatch):
+        rng = np.random.default_rng(leaves)
+        doc = _forest_doc([_random_tree(rng, leaves, 3)]
+                          + [_random_tree(rng, int(n), 3) for n in rng.integers(1, 30, 6)],
+                          n_features=3)
+        model = forest_from_doc(doc)
+        assert (model._bitvectors is None) == (leaves > 64)
+        walked = []
+        walk = ForestModel._walk
+
+        def counting_walk(model, X):
+            walked.append(len(X))
+            return walk(model, X)
+
+        monkeypatch.setattr(ForestModel, "_walk", counting_walk)
+        # rows sit on the thresholds 0-3, halfway between them or beyond them
+        X = rng.choice(np.arange(-1.0, 4.5, 0.5), size=(300, 3))
+        assert np.array_equal(_per_row(model, X), _reference_walk(doc, X))
+        assert bool(walked) == (leaves > 64)
+
+    def test_forests_of_single_leaves(self):
+        doc = _forest_doc([_leaf(0.25), _leaf(0.5), _leaf(1.0)])
+        model = forest_from_doc(doc)
+        assert model._bitvectors is not None
+        X = np.random.default_rng(61).random((7, 2))
+        assert np.array_equal(_per_row(model, X), _reference_walk(doc, X))
+
+    def test_repeated_thresholds_within_a_tree(self):
+        # feature 0 at 1.0 splits the root, again in its left subtree (whose
+        # right side no row reaches) and in its right subtree, so three
+        # masks share one word of the table
+        def node(f, cut, left, right):
+            return {"feature": f, "threshold": cut, "count": 2, "left": left, "right": right}
+
+        tree = node(0, 1.0, node(0, 1.0, node(1, 1.0, _leaf(0.1), _leaf(0.2)), _leaf(0.3)),
+                    node(1, 1.0, node(0, 1.0, _leaf(0.4), _leaf(0.5)), _leaf(0.6)))
+        rng = np.random.default_rng(62)
+        doc = _forest_doc([tree] + [_random_tree(rng, 40, 2, thresholds=2) for _ in range(5)])
+        model = forest_from_doc(doc)
+        X = rng.choice([0.0, 1.0, np.nextafter(1.0, 2.0), 2.0], size=(200, 2))
+        assert np.array_equal(_per_row(model, X), _reference_walk(doc, X))
+
+    def test_unpickled_forests_read_as_the_walk(self):
+        data = gen_gaussian_clouds(40, 0.5, 1.0, 2, seed=63)
+        model = train_forest(data.features, data.labels, ForestConfig(n_trees=30), seed=64)
+        X = _threshold_grid_rows(model, np.random.default_rng(65), 300)
+        before = _per_row(model, X)
+        assert np.array_equal(_per_row(pickle.loads(pickle.dumps(model)), X), before)
+        assert np.array_equal(before, model._walk(X))
 
 
 def _json_round_trip(model):
@@ -886,6 +990,17 @@ class TestSerialization:
                              seed=13)
         assert _json_round_trip(model).oob_accuracy(data.features, data.labels) == \
             model.oob_accuracy(data.features, data.labels)
+
+    def test_read_out_leaves_the_pickle_unchanged(self):
+        # the thresholds, the walk's nodes and the bitvector table are
+        # rebuilt after unpickling, so a read forest pickles as a fresh one
+        data = gen_gaussian_clouds(60, 0.5, 1.0, 2, seed=20)
+        model = train_forest(data.features, data.labels, ForestConfig(n_trees=20), seed=14)
+        fresh = pickle.dumps(model)
+        model.predict_proba_batch(data.features)
+        model._walk(data.features)
+        assert model._bitvectors is not None
+        assert pickle.dumps(model) == fresh
 
     def test_pickle_size_does_not_depend_on_the_training_rows(self):
         # constant rows give single-leaf trees, so only the row count differs

@@ -1,5 +1,7 @@
 """Selection rules: entropy, uncertainty, learned selection, persistence."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,20 @@ class TestPersistence:
                                              seed=100 + trial)
             assert (strategy.select(model, pool, data)
                     == loaded.select(model, pool, data))
+
+    def test_selection_leaves_the_pickle_unchanged(self):
+        # a strategy shipped to workers carries its node table, not the
+        # read-out state its selections cache
+        rng = np.random.default_rng(25)
+        states = rng.random((400, 7))
+        regressor = train_forest(states, states[:, 6],
+                                 regressor_config(n_trees=20, min_leaf_size=20), seed=26)
+        strategy = LalStrategy(regressor, FEATURE_NAMES, "iterative")
+        fresh = pickle.dumps(strategy)
+        data, pool, model = _toy_problem(n=30, seed=27)
+        strategy.select(model, pool, data)
+        assert regressor._bitvectors is not None
+        assert pickle.dumps(strategy) == fresh
 
     def test_classification_forest_rejected_as_regressor(self):
         data, pool, model = _toy_problem(seed=25)
