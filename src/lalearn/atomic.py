@@ -61,9 +61,9 @@ def write_json(path, doc) -> None:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text at ``path``; ``ValueError`` naming the file when it is not UTF-8."""
+    """The UTF-8 text at ``path``, a leading byte-order mark dropped; else ``ValueError``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None

@@ -25,7 +25,7 @@ FEATURE_NAMES = (
 
 def classifier_state(model: ForestModel, pool: PoolState,
                      dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Classifier state and every candidate's p0, from one walk over the pool.
+    """Classifier state and every candidate's p0, from one read of ``dataset``.
 
     Returns ``(phi, p0)``.  ``phi`` holds, in order: class-0 proportion of
     the labeled set, out-of-bag accuracy, population variance of the
@@ -33,23 +33,23 @@ def classifier_state(model: ForestModel, pool: PoolState,
     across-tree prediction variance, average tree depth, and labeled-set
     size.  ``p0[i]`` is the class-0 probability of ``pool.unlabeled[i]``,
     bit for bit what ``model.predict_proba_batch`` gives that row.  The
-    model must be the one trained on the current labeled set.
+    model must be the one trained on the current labeled set, which with
+    the pool partitions ``dataset``: the labeled rows' cells of the one
+    read give the out-of-bag votes, the pool's the variance and p0.
     """
     if pool.n_unlabeled == 0:
         raise ValueError("unlabeled pool is empty; stop the active learning loop")
     labels = dataset.labels[pool.labeled]
-    proportion0 = float(np.mean(labels == 0))
-    oob = model.oob_accuracy(dataset.features[pool.labeled], labels)
-    importance_var = float(model.feature_importances().var())
+    leaf, cell = model.tree_predictions_batch(dataset.features)
     # reduce per cell, then index by cell: the cell matrix has at least
     # two columns, so each cell gets the tree-order bits of its rows
-    leaf, cell = model.tree_predictions_batch(dataset.features[pool.unlabeled])
-    forest_var = float(leaf.var(axis=0)[cell].mean())
-    phi = np.array([proportion0, oob, importance_var, forest_var,
-                    model.avg_tree_depth(), float(pool.n_labeled)])
+    in_pool = cell[pool.unlabeled]
+    phi = np.array([np.mean(labels == 0), model.oob_accuracy(leaf, cell[pool.labeled], labels),
+                    model.feature_importances().var(), leaf.var(axis=0)[in_pool].mean(),
+                    model.avg_tree_depth(), pool.n_labeled], dtype=np.float64)
     if not np.all(np.isfinite(phi)):
         raise ValueError("non-finite classifier state")
-    return phi, leaf.mean(axis=0)[cell]
+    return phi, leaf.mean(axis=0)[in_pool]
 
 
 def candidate_states(phi, psis) -> np.ndarray:

@@ -62,8 +62,10 @@ walked, not at every step.  Both paths return the same leaf values.
 C) leaf matrix, C-contiguous and at least two columns wide (a lone cell's
 column is copied): numpy sums such a matrix down axis 0 one tree at a
 time, but a single column pairwise, so a row's mean and variance over
-trees keep their bits at any batch size.  Rows must be finite: a NaN
-would rank above every threshold but fail every ``>`` test.
+trees keep their bits at any batch size.  So one read serves a learning
+state: ``oob_accuracy`` votes from that read's training rows, and reads
+nothing.  Rows must be finite: a NaN would rank above every threshold but
+fail every ``>`` test.
 
 Split semantics:
 
@@ -359,36 +361,34 @@ class ForestModel:
 
     # ---- introspection ----------------------------------------------
 
-    def oob_accuracy(self, features, targets) -> float:
-        """Out-of-bag accuracy on the training set.
+    def oob_accuracy(self, leaf, cell, targets) -> float:
+        """Out-of-bag accuracy on the training set, from its read-out.
 
-        Each sample is voted on by the trees whose bootstrap excludes it
-        (one hard vote per tree, ties toward class 0).  The bootstraps are
-        regenerated from the seed, as training drew them.  Samples in every
-        bootstrap are skipped; when no sample has an excluding tree the
-        accuracy is 1.0, so the learning-state feature stays finite on
-        tiny labeled sets.  Raises ``ValueError`` unless the set has as
-        many rows as every root counted, the training set's size.
+        ``(leaf, cell)`` is ``tree_predictions_batch`` of the training rows,
+        or of a larger set with ``cell`` cut to them, so one read serves a
+        whole learning state.  Each sample is voted on by the trees whose
+        bootstrap excludes it (one hard vote per tree, ties toward class 0).
+        The bootstraps are regenerated from the seed, as training drew them.
+        Samples in every bootstrap are skipped; when no sample has an
+        excluding tree the accuracy is 1.0, so the learning-state feature
+        stays finite on tiny labeled sets.  Raises ``ValueError`` unless
+        ``cell`` has as many rows as every root counted, and ``targets`` too.
         """
         if self.mode != "classification":
             raise ValueError("oob_accuracy requires a classification forest")
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         targets = np.asarray(targets)
-        n = features.shape[0]
+        n = len(cell)
         if np.any(self.count[:self.n_trees] != n) or n != len(targets):
             raise ValueError("oob_accuracy expects the exact training set")
-        leaf, cell = self.tree_predictions_batch(features)
-        votes = np.take(leaf < 0.5, cell, axis=1)
-        included = np.zeros((self.n_trees, n), dtype=bool)
-        included[np.arange(self.n_trees)[:, None],
-                 bootstrap_matrix(tree_seeds(self.seed, self.n_trees), n)] = True
-        excluding = ~included
+        excluding = np.ones((self.n_trees, n), dtype=bool)
+        excluding[np.arange(self.n_trees)[:, None],
+                  bootstrap_matrix(tree_seeds(self.seed, self.n_trees), n)] = False
         n_votes = excluding.sum(axis=0)
-        votes_class1 = (votes & excluding).sum(axis=0)
+        votes_class1 = ((np.take(leaf, cell, axis=1) < 0.5) & excluding).sum(axis=0)
         covered = n_votes > 0
         if not covered.any():
             return 1.0
-        predicted = np.where(votes_class1 * 2 > n_votes, 1, 0)
+        predicted = (votes_class1 * 2 > n_votes).astype(np.int64)
         return float(np.mean(predicted[covered] == targets[covered]))
 
     def feature_importances(self) -> np.ndarray:

@@ -177,6 +177,25 @@ class TestRun:
                           warm_start_size=10, budget=2)
         assert main(["run", run]) == EXIT_OK
 
+    def test_byte_order_marks_are_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" and some editors start a file with a BOM
+        data = gen_gaussian_clouds(100, 0.5, 2.0, 2, seed=11)
+        text = "label,x,y\n" + "".join(f"{label},{x!r},{y!r}\n" for (x, y), label
+                                       in zip(data.features.tolist(), data.labels.tolist()))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        run = _run_config(tmp_path, out_name="plain", dataset={"csv": str(plain)})
+        assert main(["run", run]) == EXIT_OK
+        run = Path(_run_config(tmp_path, out_name="marked", dataset={"csv": str(marked)}))
+        run.write_text(run.read_text(), encoding="utf-8-sig")
+        assert main(["run", str(run)]) == EXIT_OK
+        # the curve JSON records the dataset's file name, so it differs
+        for name in ("random_curve.csv", "uncertainty_curve.csv", "random_selections.csv",
+                     "uncertainty_selections.csv", "summary.csv"):
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "marked" / name).read_bytes())
+
     @pytest.mark.parametrize("field", ["feature", "regressor", "provenance",
                                        "feature_schema", "training_metadata"])
     def test_corrupt_strategy_file_is_config_error(self, tmp_path, capsys, field):

@@ -6,7 +6,8 @@ import pytest
 from lalearn.data import (Dataset, PoolState, gen_gaussian_clouds, init_cold_start,
                           init_warm_start)
 from lalearn.features import FEATURE_NAMES, candidate_states, classifier_state
-from lalearn.forest import ForestConfig, train_forest
+from lalearn.forest import (ForestConfig, ForestModel, bootstrap_matrix, train_forest,
+                            tree_seeds)
 
 
 def _state(model, pool, data):
@@ -70,6 +71,28 @@ class TestClassifierState:
         b = _state(model, pool, data)
         assert np.array_equal(a, b)
 
+    def test_one_read_per_state(self, monkeypatch):
+        # one read of the whole dataset; the out-of-bag votes reuse it
+        data, pool, model = _trained_state()
+        reads, during_oob = [], []
+        read, oob = ForestModel.tree_predictions_batch, ForestModel.oob_accuracy
+
+        def counted_read(self, X):
+            reads.append(len(X))
+            return read(self, X)
+
+        def counted_oob(self, *args):
+            before = len(reads)
+            result = oob(self, *args)
+            during_oob.append(len(reads) - before)
+            return result
+
+        monkeypatch.setattr(ForestModel, "tree_predictions_batch", counted_read)
+        monkeypatch.setattr(ForestModel, "oob_accuracy", counted_oob)
+        classifier_state(model, pool, data)
+        assert reads == [len(data)]
+        assert during_oob == [0]
+
     def test_state_is_finite_on_reachable_pools(self):
         for seed in range(5):
             data, pool, model = _trained_state(n=30, n_labeled=2 + seed, seed=seed)
@@ -82,16 +105,34 @@ class TestPerCellReduction:
     The pool variance and every p0 must keep the bits of the per-row
     formula, trees summed in order, with many cells and with one cell
     holding many rows (which numpy would sum pairwise as a lone column);
-    a single row must get the same bits as in a larger pool.
+    a single row must get the same bits as in a larger pool.  The whole
+    state must match a reference that reads the labeled rows and the pool
+    separately, as ``classifier_state`` once did.
     """
 
     @staticmethod
     def _assert_per_row_bits(model, pool, data):
+        # a two-read reference: the labeled rows read for a brute-force
+        # out-of-bag vote, the pool read for the per-row formula
+        labels = data.labels[pool.labeled]
+        leaf, cell = model.tree_predictions_batch(data.features[pool.labeled])
+        votes = np.take(leaf, cell, axis=1) < 0.5
+        bags = bootstrap_matrix(tree_seeds(model.seed, model.n_trees), len(labels))
+        correct = covered = 0
+        for i, label in enumerate(labels):
+            mine = [votes[t, i] for t in range(model.n_trees) if i not in bags[t]]
+            if mine:
+                covered += 1
+                correct += int(2 * sum(mine) > len(mine)) == label
         leaf, cell = model.tree_predictions_batch(data.features[pool.unlabeled])
         per_row = np.take(leaf, cell, axis=1)
-        phi, p0 = classifier_state(model, pool, data)
-        assert phi[3].tobytes() == per_row.var(axis=0).mean().tobytes()
         in_order = np.cumsum(per_row, axis=0)[-1] / model.n_trees
+        spread = np.cumsum((per_row - in_order) ** 2, axis=0)[-1] / model.n_trees
+        expected = np.array([np.mean(labels == 0), correct / covered if covered else 1.0,
+                             model.feature_importances().var(), spread.mean(),
+                             model.avg_tree_depth(), pool.n_labeled], dtype=np.float64)
+        phi, p0 = classifier_state(model, pool, data)
+        assert phi.tobytes() == expected.tobytes()
         assert p0.tobytes() == in_order.tobytes()
 
     @staticmethod
@@ -129,6 +170,8 @@ class TestPerCellReduction:
             for config in (ForestConfig(n_trees=50), ForestConfig(n_trees=50, max_depth=0)):
                 model = _fit(data, pool, config, seed)
                 assert self._cells(model, pair, doubled) == 1
+                self._assert_per_row_bits(model, pool, data)
+                self._assert_per_row_bits(model, pair, doubled)
                 phi, p0 = classifier_state(model, pool, data)
                 phi2, p02 = classifier_state(model, pair, doubled)
                 assert phi.tobytes() == phi2.tobytes()

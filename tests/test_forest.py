@@ -77,6 +77,11 @@ def _draws(model, n):
     return bootstrap_matrix(tree_seeds(model.seed, model.n_trees), n)
 
 
+def _oob(model, X, y):
+    """``oob_accuracy`` on a read-out of the training rows ``X``."""
+    return model.oob_accuracy(*model.tree_predictions_batch(X), y)
+
+
 def _reference_subset(tree_seed, node_id, d, k):
     """The k features with the smallest per-feature node hashes."""
     hashes = [_mix((tree_seed + node_id * _WEYL + (f + 1) * _GOLD) & _MASK)
@@ -357,7 +362,7 @@ def _assert_same_forest(grouped, single, X, y):
     for rows in (X, grid):
         assert grouped.predict_proba_batch(rows).tobytes() == \
             single.predict_proba_batch(rows).tobytes()
-    assert grouped.oob_accuracy(X, y) == single.oob_accuracy(X, y)
+    assert _oob(grouped, X, y) == _oob(single, X, y)
 
 
 def _mixed_sets(rng, d):
@@ -667,7 +672,7 @@ class TestIntrospection:
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         y = np.array([1, 1])
         model = train_forest(X, y, ForestConfig(n_trees=30), seed=2)
-        assert model.oob_accuracy(X, y) == 1.0
+        assert _oob(model, X, y) == 1.0
 
     def test_oob_fallback_when_every_sample_is_in_every_bag(self):
         X = np.array([[0.0], [1.0]])
@@ -675,7 +680,7 @@ class TestIntrospection:
         for seed in range(200):
             model = train_forest(X, y, ForestConfig(n_trees=1), seed=seed)
             if len(set(_draws(model, 2)[0].tolist())) == 2:
-                assert model.oob_accuracy(X, y) == 1.0
+                assert _oob(model, X, y) == 1.0
                 return
         pytest.fail("no seed produced a bootstrap covering both samples")
 
@@ -695,7 +700,7 @@ class TestIntrospection:
             if mine:
                 covered += 1
                 correct += int(2 * sum(mine) > len(mine)) == y[i]
-        assert model.oob_accuracy(X, y) == (correct / covered if covered else 1.0)
+        assert _oob(model, X, y) == (correct / covered if covered else 1.0)
 
     def test_oob_requires_the_exact_training_set(self):
         data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=19)
@@ -706,14 +711,14 @@ class TestIntrospection:
             for rows, labels in ((X[:-1], y[:-1]), (np.vstack([X, X[:1]]), np.append(y, 0)),
                                  (X, y[:-1])):
                 with pytest.raises(ValueError, match="exact training set"):
-                    forest.oob_accuracy(rows, labels)
+                    _oob(forest, rows, labels)
 
     def test_oob_tracks_heldout_accuracy(self):
         data = gen_gaussian_clouds(1000, 0.5, 2.0, 2, seed=31)
         train, test = split(data, 0.5, seed=9)
         model = train_forest(train.features, train.labels, ForestConfig(n_trees=50),
                              seed=10)
-        oob = model.oob_accuracy(train.features, train.labels)
+        oob = _oob(model, train.features, train.labels)
         predicted = (model.predict_proba_batch(test.features) < 0.5).astype(int)
         heldout = float(np.mean(predicted == test.labels))
         assert abs(oob - heldout) <= 0.05
@@ -988,8 +993,8 @@ class TestSerialization:
         data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=19)
         model = train_forest(data.features, data.labels, ForestConfig(n_trees=4),
                              seed=13)
-        assert _json_round_trip(model).oob_accuracy(data.features, data.labels) == \
-            model.oob_accuracy(data.features, data.labels)
+        assert _oob(_json_round_trip(model), data.features, data.labels) == \
+            _oob(model, data.features, data.labels)
 
     def test_read_out_leaves_the_pickle_unchanged(self):
         # the thresholds, the walk's nodes and the bitvector table are
