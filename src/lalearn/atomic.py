@@ -6,9 +6,9 @@ so a writer that fails leaves no truncated file or temp file behind, and an
 old target keeps its bytes.  :func:`write_csv` renders a cell by its type: a
 ``str`` as it is, an integer in decimal, any other number as
 ``repr(float(v))``, the shortest text that reads back to the same float.
-:func:`write_json` writes a document as one line with sorted keys.
-The readers name the file in every error.  This module imports nothing from
-``lalearn``, so every module that writes or reads a file can use it.
+:func:`write_json` writes a document as one line with sorted keys, and
+:func:`read_json` decodes one; every reader names the file in its errors.
+This module imports nothing from ``lalearn``, so any module can use it.
 """
 
 from __future__ import annotations
@@ -67,6 +67,15 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_json(path):
+    """The JSON document at ``path``; ``ValueError`` naming the file when it does not decode."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:   # RecursionError: deep nesting
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def read_csv(path):

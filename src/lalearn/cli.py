@@ -6,12 +6,13 @@ selected flags override config fields.  Every command is a pure function
 of (config, input files, seed): reruns produce byte-identical outputs.
 
 Each command reads and checks all of its inputs and output paths in one
-input phase, ``with _reading(...)``, before it does any work or writes any
-file.  One rule maps that phase's failures: any ``ValueError`` or
-``OSError`` raised in it, by the CLI's own checks or by a reader (config,
-dataset CSV, strategy or trace file, generator, ``split``), is invalid
-input, exit 2, with an error that names the document once.  Anything that
-fails after the phase is a runtime failure, exit 3.
+input phase, ``with _reading(command)``, before it does any work or writes
+any file.  Input is rejected one way: a check raises a plain ``ValueError``
+naming the problem, a reader (config, dataset CSV, strategy or trace file,
+generator, ``split``) a ``ValueError`` or ``OSError`` naming its file, and
+``_reading`` alone turns it into a ``ConfigError``, exit 2, printed as
+``error: config: <command>: <problem>``.  Anything that fails after the
+phase is a runtime failure, exit 3.
 
 Exit codes: 0 success, 2 config validation failure, 3 runtime failure.
 The only environment dependence is ``LALEARN_OUTPUT_DIR``, which overrides
@@ -21,7 +22,6 @@ the output directory.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -30,7 +30,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import artifacts, svg
-from .atomic import read_text
+from .atomic import read_json
 from .data import Dataset, gen_banana, gen_checkerboard, gen_gaussian_clouds, load_csv, split
 from .forest import CONFIG_SCHEMA, ForestConfig, regressor_config
 from .harness import motivation_experiment, probability_histogram, \
@@ -51,36 +51,26 @@ class ConfigError(Exception):
     """Invalid configuration or inputs; maps to exit code 2."""
 
 
-def _fail(message: str) -> None:
-    raise ConfigError(message)
-
-
 @contextmanager
-def _reading(what: str):
+def _reading(command: str):
     """A command's input phase: a ``ValueError`` or ``OSError`` in it is a ``ConfigError``.
 
-    The error names the document ``what`` once, whether or not the reader
-    that raised it named the document already.
+    Its message is the exception's, with ``command`` in front.
     """
     try:
         yield
     except (ValueError, OSError) as exc:
-        message = str(exc)
-        raise ConfigError(message if message.startswith(f"{what}:")
-                          else f"{what}: {message}") from None
+        raise ConfigError(f"{command}: {exc}") from None
 
 
 def _load_config(path, **flags) -> dict:
     """The config object at ``path``, with the flags that are set overriding its fields."""
-    text = read_text(path)
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
-        _fail(f"config file {path} is not valid JSON: {exc}")
+    doc = read_json(path)
     if not isinstance(doc, dict):
-        _fail(f"config file {path} must contain a JSON object")
+        raise ValueError(f"config file {path} must contain a JSON object")
     if doc.get("config_format") != CONFIG_FORMAT:
-        _fail(f"config_format must be {CONFIG_FORMAT}, got {doc.get('config_format')!r}")
+        raise ValueError(f"{path}: config_format must be {CONFIG_FORMAT}, "
+                         f"got {doc.get('config_format')!r}")
     return {**doc, **{key: value for key, value in flags.items() if value is not None}}
 
 
@@ -96,7 +86,7 @@ _MONTE_CARLO = {"size_min": (int, 2), "size_max": (int, 32), "initializations": 
                 "candidates": (int, 10), "test_loss": (str, "zero_one")}
 _BUILD_CONFIG = {
     "config_format": (int, REQUIRED), "seed": (int, REQUIRED), "method": (str, REQUIRED),
-    "output": (str, None), **_MONTE_CARLO, "classifier": (dict, None),
+    "output": (str, REQUIRED), **_MONTE_CARLO, "classifier": (dict, None),
     "regressor": (dict, None), "representative": (dict, {"cold_start": None}),
     "test_fraction": (float, 0.5),
 }
@@ -127,8 +117,8 @@ def _dataset_from_spec(spec: dict, seed: int, what: str) -> Dataset:
         return load_csv(spec["csv"], spec["label_column"])
     generator = spec.get("generator")
     if not isinstance(generator, str) or generator not in _GENERATOR_SPECS:
-        _fail(f"{what}: dataset spec with keys {sorted(spec)} needs 'csv' or a known "
-              f"'generator' ({' | '.join(_GENERATOR_SPECS)})")
+        raise ValueError(f"dataset spec with keys {sorted(spec)} needs 'csv' or a known "
+                         f"'generator' ({' | '.join(_GENERATOR_SPECS)})")
     schema = {"generator": (str, REQUIRED), "seed": (int, derive_seed(seed, "dataset")),
               **_GENERATOR_SPECS[generator]}
     kwargs = read_fields(spec, schema, what, "dataset")
@@ -150,32 +140,32 @@ def _check_overwrite(paths: list, force: bool) -> None:
     for name, path in names:
         first = seen.setdefault(name.resolve(), path)
         if first is not path:
-            _fail(f"two outputs name the same file: {first} and {path}")
+            raise ValueError(f"two outputs name the same file: {first} and {path}")
         if not path.parent.is_dir():
-            _fail(f"output directory of {path} does not exist")
+            raise ValueError(f"output directory of {path} does not exist")
         if name.is_dir():
-            _fail(f"output {name} is a directory")
+            raise ValueError(f"output {name} is a directory")
     existing = [str(name) for name, _ in names if name.exists()]
     if existing and not force:
-        _fail(f"output already exists (pass --force to overwrite): {existing[0]}")
+        raise ValueError(f"output already exists (pass --force to overwrite): {existing[0]}")
 
 
 def _output_dir(doc_value, flag_value) -> Path:
     """The flag, else a non-empty ``LALEARN_OUTPUT_DIR``, else the config field."""
     if flag_value == "":
-        _fail("run: --output-dir must not be empty")
+        raise ValueError("--output-dir must not be empty")
     if doc_value == "":
-        _fail("run config: field 'output_dir' must not be empty")
+        raise ValueError("field 'output_dir' must not be empty")
     env = os.environ.get(OUTPUT_DIR_ENV)
     chosen = flag_value or env or doc_value
     source = "--output-dir" if flag_value else OUTPUT_DIR_ENV if env else "field 'output_dir'"
     if chosen is None:
-        _fail("no output directory configured")
+        raise ValueError("no output directory configured")
     out = Path(chosen)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        _fail(f"run: cannot create output directory {out} from {source}: {exc.strerror}")
+        raise ValueError(f"cannot create output directory {out} from {source}: {exc.strerror}")
     return out
 
 
@@ -183,13 +173,13 @@ def _output_dir(doc_value, flag_value) -> Path:
 
 
 def cmd_build_strategy(args) -> int:
-    what = "build config"
-    with _reading(what):
+    what = args.config   # read_fields names the config file in its errors
+    with _reading("build-strategy"):
         doc = _load_config(args.config, seed=args.seed, output=args.output)
         config = read_fields(doc, _BUILD_CONFIG, what, "config")
         seed, method = config["seed"], config["method"]
         if method not in BUILD_METHODS:
-            _fail(f"{what}: method must be independent or iterative, got {method!r}")
+            raise ValueError(f"method must be independent or iterative, got {method!r}")
         mc = MonteCarloConfig(
             **{key: config[key] for key in _MONTE_CARLO},
             classifier=_forest_config(config["classifier"], ForestConfig(), what),
@@ -201,8 +191,8 @@ def cmd_build_strategy(args) -> int:
             cold = read_fields(representative, _COLD_START_REPRESENTATIVE, what,
                                "representative")["cold_start"]
             if "test_fraction" in doc:
-                _fail(f"{what}: field 'test_fraction' needs a dataset representative, "
-                      f"not cold_start")
+                raise ValueError("field 'test_fraction' needs a dataset representative, "
+                                 "not cold_start")
             train, test = cold_start_data(
                 seed, **read_fields(cold or {}, _COLD_START, what, "cold_start"))
         else:
@@ -212,12 +202,12 @@ def cmd_build_strategy(args) -> int:
                 train, test = split(dataset, test_fraction,
                                     derive_seed(seed, "representative_split"))
             except ValueError as exc:
-                _fail(f"{what}: test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
+                raise ValueError(f"test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
         if mc.size_max >= len(train):
-            _fail(f"{what}: size_max ({mc.size_max}) must be smaller than the "
-                  f"representative train set ({len(train)} rows)")
+            raise ValueError(f"size_max ({mc.size_max}) must be smaller than the "
+                             f"representative train set ({len(train)} rows)")
 
-        output = Path(config["output"] or _fail(f"{what}: missing 'output'"))
+        output = Path(config["output"])
         _check_overwrite([output, args.rows_out], args.force)
     strategy, rows = build_lal(mc, train, test, method, workers=args.workers)
 
@@ -235,53 +225,53 @@ def cmd_build_strategy(args) -> int:
 # ---- run ----------------------------------------------------------------
 
 
-def _resolve_strategies(specs, what: str) -> list[Strategy]:
+def _resolve_strategies(specs) -> list[Strategy]:
     if not specs:
-        _fail(f"{what}: field 'strategies' must name at least one strategy")
+        raise ValueError("field 'strategies' must name at least one strategy")
     strategies: list[Strategy] = []
     for spec in specs:
         if not isinstance(spec, str):
-            _fail(f"{what}: field 'strategies' must list names or files, got {spec!r}")
+            raise ValueError(f"field 'strategies' must list names or files, got {spec!r}")
         if spec in BUILTIN_KINDS:
             strategies.append(BUILTIN_KINDS[spec]())
         elif Path(spec).exists():
             strategies.append(load_strategy(spec))
         else:
-            _fail(f"{what}: strategy {spec!r} is neither a builtin "
-                  f"{tuple(BUILTIN_KINDS)} nor an existing file")
+            raise ValueError(f"strategy {spec!r} is neither a builtin "
+                             f"{tuple(BUILTIN_KINDS)} nor an existing file")
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):
-        _fail(f"{what}: field 'strategies' has duplicate names {names}")
+        raise ValueError(f"field 'strategies' has duplicate names {names}")
     return strategies
 
 
 def cmd_run(args) -> int:
-    what = "run config"
-    with _reading(what):
+    what = args.config
+    with _reading("run"):
         config = read_fields(_load_config(args.config, seed=args.seed, budget=args.budget,
                                           repetitions=args.repetitions),
                              _RUN_CONFIG, what, "config")
         seed, budget, repetitions = config["seed"], config["budget"], config["repetitions"]
         metric = config["metric"]
         if metric not in METRIC_IDS:
-            _fail(f"{what}: unknown metric {metric!r}")
+            raise ValueError(f"unknown metric {metric!r}")
         test_fraction, warm = config["test_fraction"], config["warm_start_size"]
 
-        strategies = _resolve_strategies(config["strategies"], what)
+        strategies = _resolve_strategies(config["strategies"])
         dataset = _dataset_from_spec(config["dataset"], seed, what)
         classifier = _forest_config(config["classifier"], ForestConfig(), what)
         try:
             train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
         except ValueError as exc:
-            _fail(f"{what}: test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
+            raise ValueError(f"test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
         n_train = len(train)
         if warm is not None and warm >= n_train:
-            _fail(f"{what}: warm_start_size ({warm}) must be smaller than the "
-                  f"train split ({n_train} rows)")
+            raise ValueError(f"warm_start_size ({warm}) must be smaller than the "
+                             f"train split ({n_train} rows)")
         initial = warm if warm is not None else 2
         if budget > n_train - initial:
-            _fail(f"{what}: budget {budget} exceeds the unlabeled pool "
-                  f"({n_train - initial} after initialization)")
+            raise ValueError(f"budget {budget} exceeds the unlabeled pool "
+                             f"({n_train - initial} after initialization)")
 
         out = _output_dir(config["output_dir"], args.output_dir)
         targets = [out / "summary.csv"]
@@ -317,15 +307,15 @@ def cmd_run(args) -> int:
 def cmd_motivate(args) -> int:
     with _reading("motivate"):
         if args.repetitions < 1:
-            _fail("motivate: --repetitions must be at least 1")
+            raise ValueError("--repetitions must be at least 1")
         if args.bins < 2:
-            _fail("motivate: --bins must be at least 2")
+            raise ValueError("--bins must be at least 2")
         if args.pool_size < 3:
-            _fail("motivate: --pool-size must be at least 3 (two seed labels and a candidate)")
+            raise ValueError("--pool-size must be at least 3 (two seed labels and a candidate)")
         if args.test_size < 2:
-            _fail("motivate: --test-size must be at least 2")
+            raise ValueError("--test-size must be at least 2")
         if not 0.0 < args.separation < math.inf:
-            _fail("motivate: --separation must be a positive number")
+            raise ValueError("--separation must be a positive number")
         _check_overwrite([args.out, args.svg], args.force)
     curve = motivation_experiment(
         balanced=args.balanced, repetitions=args.repetitions, n_bins=args.bins,
@@ -349,18 +339,18 @@ def cmd_motivate(args) -> int:
 def cmd_analyze(args) -> int:
     with _reading("analyze"):
         if not args.strategy and not args.traces:
-            _fail("analyze: provide --strategy and/or --traces")
+            raise ValueError("provide --strategy and/or --traces")
         if args.bins < 1:
-            _fail("analyze: --bins must be at least 1")
+            raise ValueError("--bins must be at least 1")
         if args.strategy and not args.importances_out:
-            _fail("analyze: --strategy needs --importances-out")
+            raise ValueError("--strategy needs --importances-out")
         if args.traces and not args.histogram_out:
-            _fail("analyze: --traces needs --histogram-out")
+            raise ValueError("--traces needs --histogram-out")
         if args.strategy:
             strategy = load_strategy(args.strategy)
             if not isinstance(strategy, LalStrategy):
-                _fail(f"analyze: {args.strategy} is a {strategy.kind} strategy; "
-                      f"only learned strategies carry a regressor")
+                raise ValueError(f"{args.strategy} is a {strategy.kind} strategy; "
+                                 f"only learned strategies carry a regressor")
         traces = [trace for path in args.traces
                   for trace in artifacts.selection_traces_from_csv(path)]
         _check_overwrite([args.importances_out if args.strategy else None,
@@ -443,8 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:
-            _fail(f"{args.command}: --workers must be at least 1")
+        with _reading(args.command):
+            if getattr(args, "workers", 1) < 1:
+                raise ValueError("--workers must be at least 1")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

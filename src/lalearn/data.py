@@ -225,16 +225,14 @@ def load_csv(path, label_column: str = "label", name: str | None = None) -> Data
             raise ValueError(f"{path} line {lineno}, column {header[bad]!r}: "
                              f"cell {cells[bad]!r} is not a finite number")
         lab = cells[label_pos].strip()
-        if lab not in ("0", "1"):
-            try:
-                fl = float(lab)
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: non-numeric label {lab!r}")
-            if fl not in (0.0, 1.0):
-                raise ValueError(f"{path} line {lineno}: label {lab!r} is not 0 or 1")
-            lab = str(int(fl))
+        try:
+            label = float(lab)
+        except ValueError:
+            raise ValueError(f"{path} line {lineno}: non-numeric label {lab!r}") from None
+        if label not in (0.0, 1.0):
+            raise ValueError(f"{path} line {lineno}: label {lab!r} is not 0 or 1")
         rows.append(values)
-        labels.append(int(lab))
+        labels.append(label)
     if len(rows) < 2:
         raise ValueError(f"{path}: fewer than 2 data rows")
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64),

@@ -9,11 +9,9 @@ and is checked by the same reader, ``schema.read_fields``.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .atomic import read_text, write_json
+from .atomic import read_json, write_json
 from .data import Dataset, PoolState
 from .features import FEATURE_NAMES, candidate_states, classifier_state
 from .forest import ForestModel, forest_from_doc, forest_to_doc
@@ -51,14 +49,11 @@ def select_lal(regressor: ForestModel, model: ForestModel, pool: PoolState,
     forest fitted on few labels gives few distinct p0 values.  This is
     exact, because equal states reach equal leaves and a row's mean over
     trees does not depend on the batch size.  Returns the argmax (ties
-    toward the smallest index).
+    toward the smallest index).  The regressor itself rejects a forest
+    that is not a regression forest over the learning state.
     """
     if pool.n_unlabeled == 0:
         raise ValueError("unlabeled pool is empty")
-    if regressor.mode != "regression":
-        raise ValueError("learned selection needs a regression forest")
-    if regressor.n_features != len(FEATURE_NAMES):
-        raise ValueError("regressor feature schema does not match the learning state")
     phi, p0 = classifier_state(model, pool, dataset)
     distinct, inverse = np.unique(p0, return_inverse=True)
     scores = regressor.predict_regression_batch(candidate_states(phi, distinct))
@@ -170,9 +165,9 @@ def save_strategy(strategy: Strategy, path) -> None:
 
 
 def load_strategy(path) -> Strategy:
-    text = read_text(path)
+    """The strategy in the file at ``path``; ``ValueError`` naming the file when malformed."""
+    doc = read_json(path)
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
-        raise ValueError(f"corrupt strategy file {path}: {exc}")
-    return strategy_from_doc(doc)
+        return strategy_from_doc(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,5 +1,6 @@
 """The one module that opens files: the CSV cell rule, the readers' errors, and
-a guard that no other module opens a file itself."""
+guards that no other module opens a file or decodes JSON itself, and that the
+CLI rejects input one way."""
 
 import ast
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lalearn.atomic import read_csv, write_csv, write_json
+from lalearn.atomic import read_csv, read_json, write_csv, write_json
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lalearn"
 
@@ -75,6 +76,17 @@ def test_read_csv_needs_a_header(tmp_path, text):
         read_csv(path)
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("{oops", "not valid JSON: Expecting property name"),
+    ("[" * 200_000 + "]" * 200_000, "not valid JSON: maximum recursion depth"),
+], ids=["malformed", "deeply_nested"])
+def test_read_json_names_the_file_it_cannot_decode(tmp_path, text, problem):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}"):
+        read_json(path)
+
+
 def _file_calls(tree: ast.AST):
     """Line numbers of the calls in ``tree`` that open, read or write a file."""
     for node in ast.walk(tree):
@@ -94,3 +106,39 @@ def test_only_the_atomic_module_opens_files():
     assert not found, f"file I/O outside lalearn/atomic.py: {sorted(found)}"
     atomic = ast.parse((PACKAGE / "atomic.py").read_text(encoding="utf-8"))
     assert list(_file_calls(atomic)), "the guard no longer sees atomic.py's own opens"
+
+
+def _json_decodes(tree: ast.AST):
+    """Line numbers of the ``json.load`` and ``json.loads`` calls in ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("load", "loads")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+              and {alias.name for alias in node.names} & {"load", "loads"}):
+            yield node.lineno
+
+
+def test_only_the_atomic_module_decodes_json():
+    found = {f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "atomic.py"
+             for line in _json_decodes(ast.parse(path.read_text(encoding="utf-8")))}
+    assert not found, f"JSON decoding outside lalearn/atomic.py: {sorted(found)}"
+    atomic = ast.parse((PACKAGE / "atomic.py").read_text(encoding="utf-8"))
+    assert list(_json_decodes(atomic)), "the guard no longer sees atomic.py's own decode"
+
+
+def _config_errors(tree: ast.AST) -> list:
+    """Line numbers of the ``ConfigError(...)`` calls in ``tree``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "ConfigError")
+
+
+def test_the_cli_constructs_config_errors_only_in_reading():
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    reading = next(node for node in cli.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_reading")
+    assert _config_errors(reading), "the guard no longer sees _reading's own ConfigError"
+    assert _config_errors(cli) == _config_errors(reading), "ConfigError outside _reading"

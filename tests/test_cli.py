@@ -390,6 +390,13 @@ def _lal_strategy_file(tmp_path):
     return str(path)
 
 
+def _strategy_without_provenance(tmp_path):
+    """``_lal_strategy_file``'s strategy without ``provenance``, as noprov.json."""
+    doc = json.loads(Path(_lal_strategy_file(tmp_path)).read_text())
+    del doc["provenance"]
+    return _write(tmp_path / "noprov.json", doc)
+
+
 def _file_in_the_way(tmp_path):
     (tmp_path / "file").write_text("")
     return str(tmp_path / "file" / "out")
@@ -526,15 +533,21 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
      "field 'test_fraction' must be a finite number, got inf"),
     # JSON nested past the decoder's recursion limit
     (lambda p: ["run", _deep_json(p, "deep.json")],
-     "deep.json is not valid JSON: maximum recursion depth"),
+     "deep.json: not valid JSON: maximum recursion depth"),
     (lambda p: ["run", _run_config(p, strategies=["random", _deep_json(p, "deep_s.json")])],
-     "deep_s.json: maximum recursion depth"),
+     "deep_s.json: not valid JSON: maximum recursion depth"),
     (lambda p: ["analyze", "--strategy", _deep_json(p, "deep_a.json"),
-                "--importances-out", str(p / "imp.csv")], "deep_a.json: maximum recursion depth"),
+                "--importances-out", str(p / "imp.csv")],
+     "deep_a.json: not valid JSON: maximum recursion depth"),
     # no split of a single class-1 row holds both classes in both parts
     (lambda p: ["build-strategy", _build_config(p, representative={"csv": _bytes(
         p, "one.csv", b"f0,label\n" + b"1.0,0\n" * 40 + b"2.0,1\n")}, test_fraction=0.5)],
      "one.csv: no split holds both classes in both parts: 40 rows of class 0 and 1 of class 1"),
+    (lambda p: ["run", _run_config(p, config_format=2)], "config_format must be 1, got 2"),
+    # a strategy file's error names that file, not just the document
+    (lambda p: ["run", _run_config(p, strategies=[_lal_strategy_file(p),
+                                                  _strategy_without_provenance(p)])],
+     "noprov.json: strategy: missing required field 'provenance'"),
 ], ids=["run_label_only_csv", "build_label_only_csv", "build_output_in_missing_dir",
         "rows_out_in_missing_dir", "motivate_out_in_missing_dir",
         "motivate_svg_in_missing_dir", "importances_out_in_missing_dir",
@@ -553,7 +566,8 @@ _MOTIVATE = ["motivate", "--balanced", "--repetitions", "2", "--seed", "1",
         "build_csv_with_inf_feature", "run_csv_with_label_column_twice",
         "build_csv_with_feature_column_twice", "nan_generator_noise",
         "infinite_test_fraction", "deeply_nested_config", "deeply_nested_run_strategy",
-        "deeply_nested_analyze_strategy", "build_csv_with_one_class_1_row"])
+        "deeply_nested_analyze_strategy", "build_csv_with_one_class_1_row",
+        "config_format_2", "second_strategy_file_without_provenance"])
 def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                           argv, named):
     monkeypatch.chdir(tmp_path)
@@ -561,7 +575,8 @@ def test_bad_input_or_output_path_exits_2_before_any_work(tmp_path, monkeypatch,
     before = sorted(tmp_path.rglob("*"))
     assert main(args) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: config") and named in err
+    assert err.startswith(f"error: config: {args[0]}: ") and err.count(f"{args[0]}:") == 1
+    assert named in err
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -725,7 +740,8 @@ class TestConfigFormat:
         write = _run_config if command == "run" else _build_config
         assert main([command, write(tmp_path, **overrides), *flags]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: config") and field in err
+        assert err.startswith(f"error: config: {command}: ") and err.count(f"{command}:") == 1
+        assert field in err
 
     @pytest.mark.parametrize("command", ["run", "build-strategy"])
     def test_every_field_rejects_wrong_types_and_misspellings(self, tmp_path, capsys,

@@ -1,0 +1,135 @@
+"""Fuzz the determinism contract: drawn small configs give the same bytes at 1 and
+3 workers, and a strategy's regressor is the fit of its exported rows.
+
+Each config is drawn from a fixed seed, so a failure replays; the failure
+message prints the drawn config.  Three workers cut uneven blocks of
+initializations and repetitions.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from lalearn.cli import EXIT_OK, main
+from lalearn.data import gen_gaussian_clouds, save_csv
+from lalearn.forest import forest_to_doc, regressor_config, train_forest
+from lalearn.metrics import METRIC_IDS
+from lalearn.seeding import derive_seed
+
+N_CONFIGS = 6
+
+
+def _forest(rng) -> dict:
+    return {"n_trees": int(rng.integers(3, 9)),
+            "max_depth": [None, 2][rng.integers(2)],
+            "features_per_split": [None, 1][rng.integers(2)],
+            "min_leaf_size": int(rng.integers(1, 6))}
+
+
+def _dataset(rng, kind: str) -> dict:
+    """A generator spec, or ``imbalanced`` for a CSV written by the test."""
+    seed = int(rng.integers(2 ** 31))
+    if kind == "imbalanced":
+        return {"imbalanced": round(float(rng.uniform(0.8, 0.92)), 2),
+                "n": int(rng.integers(90, 140)), "seed": seed}
+    return {"generator": kind, "n": int(rng.integers(90, 140)), "seed": seed}
+
+
+def _shuffled(rng, values) -> list:
+    """``values`` repeated to ``N_CONFIGS`` entries, in a drawn order."""
+    return [values[i % len(values)] for i in rng.permutation(N_CONFIGS)]
+
+
+def _draws():
+    """The drawn configs; each kind of dataset, start and method is drawn at least once."""
+    rng = np.random.default_rng(23)
+    kinds = _shuffled(rng, ["gaussian_clouds", "checkerboard", "banana", "imbalanced"])
+    warm_starts = _shuffled(rng, [True, False])
+    methods = _shuffled(rng, ["independent", "iterative"])
+    for kind, warm, method in zip(kinds, warm_starts, methods):
+        yield {
+            "seed": int(rng.integers(2 ** 31)),
+            "dataset": _dataset(rng, kind),
+            "test_fraction": round(float(rng.uniform(0.3, 0.6)), 2),
+            "method": method,
+            "size_max": int(rng.integers(2, 6)),
+            "initializations": int(rng.integers(1, 6)),
+            "candidates": int(rng.integers(1, 5)),
+            "classifier": _forest(rng),
+            "regressor": _forest(rng),
+            "warm_start_size": int(rng.integers(2, 5)) if warm else None,
+            "metric": METRIC_IDS[rng.integers(len(METRIC_IDS))],
+            "budget": int(rng.integers(2, 7)),
+            "repetitions": int(rng.integers(1, 4)),
+        }
+
+
+def _dataset_spec(drawn: dict, tmp_path) -> dict:
+    spec = drawn["dataset"]
+    if "imbalanced" not in spec:
+        return spec
+    data = gen_gaussian_clouds(spec["n"], spec["imbalanced"], 2.0, seed=spec["seed"])
+    save_csv(data, tmp_path / "imbalanced.csv")
+    return {"csv": str(tmp_path / "imbalanced.csv")}
+
+
+def _configs(drawn: dict, tmp_path) -> tuple[dict, dict]:
+    """The build and run configs of one draw.
+
+    A warm draw builds on the run's dataset and starts each run from
+    ``warm_start_size`` labels; a cold one builds on cold-start clouds and
+    starts each run from 2 labels.
+    """
+    dataset = _dataset_spec(drawn, tmp_path)
+    build = {"config_format": 1, "seed": drawn["seed"], "method": drawn["method"],
+             "size_max": drawn["size_max"], "initializations": drawn["initializations"],
+             "candidates": drawn["candidates"], "test_loss": drawn["metric"],
+             "classifier": drawn["classifier"], "regressor": drawn["regressor"]}
+    if drawn["warm_start_size"] is None:
+        build["representative"] = {"cold_start": {"n_train": 60, "n_test": 50}}
+    else:
+        build.update(representative=dataset, test_fraction=drawn["test_fraction"])
+    run = {"config_format": 1, "seed": drawn["seed"], "dataset": dataset,
+           "test_fraction": drawn["test_fraction"], "metric": drawn["metric"],
+           "budget": drawn["budget"], "repetitions": drawn["repetitions"],
+           "warm_start_size": drawn["warm_start_size"], "classifier": drawn["classifier"]}
+    return build, run
+
+
+def _files(directory) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())
+            if path.is_file()}
+
+
+@pytest.mark.parametrize("index, drawn", enumerate(_draws()),
+                         ids=[f"draw{i}" for i in range(N_CONFIGS)])
+def test_drawn_config_is_worker_independent_and_its_rows_refit_the_regressor(
+        tmp_path, index, drawn):
+    replay = f"draw {index} of default_rng(23): {json.dumps(drawn, sort_keys=True)}"
+    build, run = _configs(drawn, tmp_path)
+    (tmp_path / "build.json").write_text(json.dumps(build))
+    outputs = {}
+    for workers in ("1", "3"):
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        assert main(["build-strategy", str(tmp_path / "build.json"), "--workers", workers,
+                     "--output", str(out / "strategy.json"),
+                     "--rows-out", str(out / "rows.csv")]) == EXIT_OK, replay
+        run_path = tmp_path / f"run_w{workers}.json"
+        run_path.write_text(json.dumps({**run, "output_dir": str(out / "run"),
+                                        "strategies": ["random", "uncertainty",
+                                                       str(out / "strategy.json")]}))
+        assert main(["run", str(run_path), "--workers", workers]) == EXIT_OK, replay
+        outputs[workers] = {**_files(out), **_files(out / "run")}
+    assert sorted(outputs["1"]) == sorted(outputs["3"]), replay
+    for name, data in outputs["1"].items():
+        assert data == outputs["3"][name], f"{name} differs; {replay}"
+
+    lines = outputs["1"]["rows.csv"].decode().splitlines()
+    assert lines[0].startswith("xi_0,xi_1,xi_2,xi_3,xi_4,xi_5,xi_6,delta,"), replay
+    table = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    refit = train_forest(table[:, :7], table[:, 7], regressor_config(**drawn["regressor"]),
+                         derive_seed(drawn["seed"], "regressor"))
+    strategy = json.loads(outputs["1"]["strategy.json"])
+    assert json.loads(json.dumps(forest_to_doc(refit))) == strategy["regressor"], replay
