@@ -197,12 +197,8 @@ def cmd_build_strategy(args) -> int:
                 seed, **read_fields(cold or {}, _COLD_START, what, "cold_start"))
         else:
             dataset = _dataset_from_spec(representative, seed, what)
-            test_fraction = config["test_fraction"]
-            try:
-                train, test = split(dataset, test_fraction,
-                                    derive_seed(seed, "representative_split"))
-            except ValueError as exc:
-                raise ValueError(f"test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
+            train, test = split(dataset, config["test_fraction"],
+                                derive_seed(seed, "representative_split"))
         if mc.size_max >= len(train):
             raise ValueError(f"size_max ({mc.size_max}) must be smaller than the "
                              f"representative train set ({len(train)} rows)")
@@ -255,15 +251,13 @@ def cmd_run(args) -> int:
         metric = config["metric"]
         if metric not in METRIC_IDS:
             raise ValueError(f"unknown metric {metric!r}")
-        test_fraction, warm = config["test_fraction"], config["warm_start_size"]
+        warm = config["warm_start_size"]
 
         strategies = _resolve_strategies(config["strategies"])
         dataset = _dataset_from_spec(config["dataset"], seed, what)
         classifier = _forest_config(config["classifier"], ForestConfig(), what)
-        try:
-            train, test = split(dataset, test_fraction, derive_seed(seed, "benchmark_split"))
-        except ValueError as exc:
-            raise ValueError(f"test_fraction {test_fraction} on dataset {dataset.name}: {exc}")
+        train, test = split(dataset, config["test_fraction"],
+                            derive_seed(seed, "benchmark_split"))
         n_train = len(train)
         if warm is not None and warm >= n_train:
             raise ValueError(f"warm_start_size ({warm}) must be smaller than the "

@@ -257,17 +257,19 @@ def split(dataset: Dataset, test_fraction: float, seed: int = 0) -> tuple[Datase
     to the front of the train part; every other row keeps its order.
     Besides a ``test_fraction`` outside (0, 1), it raises only when no
     two-class split exists: a class with fewer than 2 rows, or a part with
-    fewer than 2.
+    fewer than 2.  Either error starts with the fraction and the dataset's
+    name.
     """
+    context = f"test_fraction {test_fraction} on dataset {dataset.name}"
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie strictly between 0 and 1")
+        raise ValueError(f"{context}: test_fraction must lie strictly between 0 and 1")
     n = len(dataset)
     n_test = int(round(n * test_fraction))
     counts = np.bincount(dataset.labels, minlength=2)
     if counts.min() < 2 or not 2 <= n_test <= n - 2:
-        raise ValueError(f"no split holds both classes in both parts: {counts[0]} rows of "
-                         f"class 0 and {counts[1]} of class 1 into a test part of {n_test} "
-                         f"rows and a train part of {n - n_test}")
+        raise ValueError(f"{context}: no split holds both classes in both parts: "
+                         f"{counts[0]} rows of class 0 and {counts[1]} of class 1 into a "
+                         f"test part of {n_test} rows and a train part of {n - n_test}")
     perm = rng_for(seed).permutation(n)
     labels = dataset.labels[perm]
     if np.ptp(labels[:n_test]) == 0 or np.ptp(labels[n_test:]) == 0:
@@ -324,10 +326,9 @@ def init_warm_start(train: Dataset, n0: int, seed: int = 0) -> PoolState:
     return _two_class_start(train, n0, rng_for(derive_seed(seed, "warm", WARM_START_ATTEMPTS)))
 
 
-def merge(a: Dataset, b: Dataset, name: str | None = None) -> Dataset:
-    """Concatenate two datasets over the same feature space."""
+def merge(a: Dataset, b: Dataset) -> Dataset:
+    """Concatenate two datasets over the same feature space, under ``a``'s name."""
     if a.n_features != b.n_features:
         raise ValueError("feature dimensions differ")
     return Dataset(np.vstack([a.features, b.features]),
-                   np.concatenate([a.labels, b.labels]),
-                   name=name or a.name)
+                   np.concatenate([a.labels, b.labels]), name=a.name)

@@ -115,16 +115,17 @@ class ForestConfig:
     mode: str = "classification"
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be at least 1")
-        if self.min_leaf_size < 1:
-            raise ValueError("min_leaf_size must be at least 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be non-negative")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be at least 1")
+        read_fields({key: getattr(self, key) for key in CONFIG_SCHEMA}, CONFIG_SCHEMA,
+                    "forest", "config")
         if self.mode not in ("classification", "regression"):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+
+# the one statement of a forest config's fields and bounds, as
+# schema.read_fields takes them; ForestConfig checks itself against it
+CONFIG_SCHEMA = {"n_trees": (int, REQUIRED, 1), "max_depth": (int, REQUIRED_OR_NULL, 0),
+                 "min_leaf_size": (int, REQUIRED, 1),
+                 "features_per_split": (int, REQUIRED_OR_NULL, 1), "mode": (str, REQUIRED)}
 
 
 def regressor_config(n_trees: int = 100, min_leaf_size: int = 80, **kwargs) -> ForestConfig:
@@ -201,8 +202,6 @@ class ForestModel:
             bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
             raise ValueError(f"{len(bad)} prediction rows hold non-finite values, "
                              f"first rows {bad[:5].tolist()}")
-        if len(X) == 0:
-            return np.empty((self.n_trees, 0)), np.empty(0, dtype=np.int64)
         ranks = np.empty((len(X), len(self._cuts)), dtype=np.int64)
         # a mixed-radix key over the features' ranks, ordered as the rank
         # tuples are; it is densified (to at most len(X) values) only when
@@ -211,8 +210,8 @@ class ForestModel:
         radix = 1
         for i, (f, cuts) in enumerate(self._cuts):
             if radix * (len(cuts) + 1) > 2 ** 62:
-                _, cell = np.unique(cell, return_inverse=True)
-                radix = int(cell.max()) + 1
+                distinct, cell = np.unique(cell, return_inverse=True)
+                radix = len(distinct)
             ranks[:, i] = np.searchsorted(cuts, X[:, f], side="left")
             cell = cell * (len(cuts) + 1) + ranks[:, i]
             radix *= len(cuts) + 1
@@ -816,17 +815,10 @@ def forest_to_doc(model: ForestModel) -> dict:
     The node table, config and seed are the whole forest, so a reloaded
     model predicts and gives out-of-bag accuracy exactly as the trained one.
     """
-    cfg = model.config
     return {
         "format": FOREST_FORMAT,
         "mode": model.mode,
-        "config": {
-            "n_trees": cfg.n_trees,
-            "max_depth": cfg.max_depth,
-            "min_leaf_size": cfg.min_leaf_size,
-            "features_per_split": cfg.features_per_split,
-            "mode": cfg.mode,
-        },
+        "config": {key: getattr(model.config, key) for key in CONFIG_SCHEMA},
         "seed": int(model.seed),
         "n_features": int(model.n_features),
         "importances": [float(v) for v in model.importances_raw],
@@ -864,9 +856,6 @@ def _doc_floats(values: list, key: str) -> np.ndarray:
 _DOC_SCHEMA = {"format": (int, REQUIRED), "mode": (str, REQUIRED), "config": (dict, REQUIRED),
                "seed": (int, REQUIRED, 0, 2 ** 64), "n_features": (int, REQUIRED, 1),
                "importances": (list, REQUIRED), "trees": (list, REQUIRED)}
-CONFIG_SCHEMA = {"n_trees": (int, REQUIRED, 1), "max_depth": (int, REQUIRED_OR_NULL, 0),
-                 "min_leaf_size": (int, REQUIRED, 1),
-                 "features_per_split": (int, REQUIRED_OR_NULL, 1), "mode": (str, REQUIRED)}
 
 
 def forest_from_doc(doc: dict) -> ForestModel:

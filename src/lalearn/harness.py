@@ -110,6 +110,8 @@ def run_al(train: Dataset, test: Dataset, strategies: list[Strategy], budget: in
     """
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     classifier_config = classifier_config or ForestConfig()
     start = (init_cold_start(train, derive_seed(seed, "init")) if warm_start_size is None
              else init_warm_start(train, warm_start_size, derive_seed(seed, "init")))
@@ -165,6 +167,8 @@ def run_repeated(train: Dataset, test: Dataset, strategies: list[Strategy],
     ``test``, so when both of them hold both classes every repetition's
     parts and start do too: no repetition fails on a draw.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate strategy names: {names}")

@@ -14,10 +14,12 @@ key takes.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 REQUIRED = object()
 REQUIRED_OR_NULL = object()
 
+_ACCEPTED = {int: Integral, float: (Integral, float)}
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
                dict: "an object"}
 
@@ -39,7 +41,8 @@ def finite(number) -> bool:
 def read_fields(doc, schema: dict, what: str, label: str) -> dict:
     """``doc`` checked against ``schema``, defaults filled in; ``ValueError`` naming the key.
 
-    A ``float`` field accepts integers too, but no non-finite number; no
+    An ``int`` field accepts any integer type, numpy's included; a
+    ``float`` field accepts integers too, but no non-finite number; no
     field accepts a boolean, and only a field whose default is ``None`` or
     ``REQUIRED_OR_NULL`` accepts null.  ``what`` names the document and
     ``label`` the object in it.
@@ -57,8 +60,7 @@ def read_fields(doc, schema: dict, what: str, label: str) -> dict:
         value = doc[key]
         if value is None and (default is None or default is REQUIRED_OR_NULL):
             continue
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
             raise ValueError(f"{what}: field {key!r} must be {_KIND_NAMES[kind]}, "
                              f"got {brief(value)}")
         if kind is float and not finite(value):

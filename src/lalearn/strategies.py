@@ -50,10 +50,9 @@ def select_lal(regressor: ForestModel, model: ForestModel, pool: PoolState,
     exact, because equal states reach equal leaves and a row's mean over
     trees does not depend on the batch size.  Returns the argmax (ties
     toward the smallest index).  The regressor itself rejects a forest
-    that is not a regression forest over the learning state.
+    that is not a regression forest over the learning state, and
+    ``classifier_state`` an empty pool.
     """
-    if pool.n_unlabeled == 0:
-        raise ValueError("unlabeled pool is empty")
     phi, p0 = classifier_state(model, pool, dataset)
     distinct, inverse = np.unique(p0, return_inverse=True)
     scores = regressor.predict_regression_batch(candidate_states(phi, distinct))

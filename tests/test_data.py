@@ -289,6 +289,18 @@ class TestSplit:
         with pytest.raises(ValueError, match="a test part of 1 rows and a train part of 9"):
             split(data, 0.1, seed=0)
 
+    @pytest.mark.parametrize("fraction, problem", [
+        (1.5, "test_fraction must lie strictly between 0 and 1"),
+        (0.1, "no split holds both classes in both parts"),
+    ])
+    def test_errors_name_the_fraction_and_the_dataset(self, fraction, problem):
+        data = Dataset(np.arange(20, dtype=float).reshape(10, 2), np.array([0, 1] * 5),
+                       name="ten_rows")
+        with pytest.raises(ValueError) as info:
+            split(data, fraction, seed=0)
+        assert str(info.value).startswith(f"test_fraction {fraction} on dataset ten_rows: "
+                                          f"{problem}")
+
     @pytest.mark.parametrize("data_name", ["four_of_400", "two_of_42", "three_zeros_of_30"])
     @pytest.mark.parametrize("fraction", [0.5, 0.3])
     def test_imbalanced_split_holds_both_classes_at_every_seed(self, data_name, fraction):

@@ -8,10 +8,11 @@ import pickle
 import numpy as np
 import pytest
 
+from lalearn import forest
 from lalearn.data import gen_gaussian_clouds, split
-from lalearn.forest import (ForestConfig, ForestModel, best_split, bootstrap_matrix,
-                            forest_from_doc, forest_to_doc, regressor_config, train_forest,
-                            train_forests, tree_seeds)
+from lalearn.forest import (CONFIG_SCHEMA, ForestConfig, ForestModel, best_split,
+                            bootstrap_matrix, forest_from_doc, forest_to_doc, regressor_config,
+                            train_forest, train_forests, tree_seeds)
 from lalearn.seeding import derive_seed
 
 
@@ -264,6 +265,22 @@ class TestBestSplit:
             best_split(np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             best_split(np.array([1.0, 2.0]), np.array([0.0, 0.5]), "gini")
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("n_trees", True), ("n_trees", 2.5), ("min_leaf_size", 1.5), ("max_depth", -1),
+        ("features_per_split", 0),
+    ])
+    def test_rejects_what_a_forest_file_may_not_hold(self, field, value):
+        with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
+            ForestConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = ForestConfig(n_trees=np.int64(5), max_depth=np.int32(3),
+                              min_leaf_size=np.uint8(2), features_per_split=np.int64(1))
+        data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=5)
+        assert train_forest(data.features, data.labels, config, seed=1).n_trees == 5
 
 
 def _exhaustive_best(x, y, criterion, min_leaf_size):
@@ -627,6 +644,31 @@ class TestPrediction:
         assert np.array_equal(_per_row(model, X), model._walk(X))
         assert np.array_equal(model.predict_proba_batch(X),
                               [model.predict_proba_batch(X[[i]])[0] for i in range(len(X))])
+
+    @pytest.mark.parametrize("kind", ["table", "walk", "single_leaf"])
+    def test_zero_rows_read_as_an_empty_batch(self, kind):
+        rng = np.random.default_rng(46)
+        X = rng.normal(size=(1000, 8))
+        if kind == "table":
+            model = train_forest(X[:40], (X[:40, 0] > 0).astype(int),
+                                 ForestConfig(n_trees=5), seed=1)
+            assert model._bitvectors is not None
+        elif kind == "walk":
+            # trees of hundreds of leaves, and a cell key densified on the way
+            model = train_forest(X, X[:, 0], regressor_config(n_trees=3, min_leaf_size=1),
+                                 seed=2)
+            assert model._bitvectors is None
+            assert math.prod(len(cuts) + 1 for _, cuts in model._cuts) > 2 ** 62
+        else:
+            model = train_forest(np.zeros((10, 8)), np.zeros(10), ForestConfig(n_trees=5),
+                                 seed=3)
+            assert not model._cuts
+        leaf, cell = model.tree_predictions_batch(np.empty((0, 8)))
+        assert leaf.shape == (model.n_trees, 0) and leaf.flags.c_contiguous
+        assert cell.shape == (0,) and cell.dtype == np.int64
+        predict = (model.predict_proba_batch if model.mode == "classification"
+                   else model.predict_regression_batch)
+        assert predict(np.empty((0, 8))).shape == (0,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_are_rejected(self, bad):
@@ -1055,3 +1097,13 @@ class TestSerialization:
         assert doc["mode"] == "classification"
         assert len(doc["trees"]) == 3
         json.dumps(doc)  # must be serializable as-is
+
+    def test_config_is_written_from_the_schema(self, monkeypatch):
+        data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=21)
+        model = train_forest(data.features, data.labels, ForestConfig(n_trees=3), seed=15)
+        assert list(forest_to_doc(model)["config"]) == list(CONFIG_SCHEMA)
+        # the schema is the only list of the fields: one dropped from it
+        # drops out of the document too
+        monkeypatch.setattr(forest, "CONFIG_SCHEMA",
+                            {k: v for k, v in CONFIG_SCHEMA.items() if k != "max_depth"})
+        assert "max_depth" not in forest_to_doc(model)["config"]

@@ -1,5 +1,6 @@
-"""Fuzz the determinism contract: drawn small configs give the same bytes at 1 and
-3 workers, and a strategy's regressor is the fit of its exported rows.
+"""Fuzz the determinism contract: drawn small configs give the same bytes at 1, 2
+and 3 workers, each strategy of a run gives the files it gives run alone, and a
+strategy's regressor is the fit of its exported rows.
 
 Each config is drawn from a fixed seed, so a failure replays; the failure
 message prints the drawn config.  Three workers cut uneven blocks of
@@ -16,6 +17,7 @@ from lalearn.data import gen_gaussian_clouds, save_csv
 from lalearn.forest import forest_to_doc, regressor_config, train_forest
 from lalearn.metrics import METRIC_IDS
 from lalearn.seeding import derive_seed
+from lalearn.strategies import load_strategy
 
 N_CONFIGS = 6
 
@@ -102,6 +104,14 @@ def _files(directory) -> dict:
             if path.is_file()}
 
 
+def _run(run: dict, strategies: list, out, workers: str, replay: str) -> dict:
+    """The files that ``run`` writes for ``strategies`` into ``out``; its config sits beside."""
+    path = out.with_suffix(".json")
+    path.write_text(json.dumps({**run, "output_dir": str(out), "strategies": strategies}))
+    assert main(["run", str(path), "--workers", workers]) == EXIT_OK, replay
+    return _files(out)
+
+
 @pytest.mark.parametrize("index, drawn", enumerate(_draws()),
                          ids=[f"draw{i}" for i in range(N_CONFIGS)])
 def test_drawn_config_is_worker_independent_and_its_rows_refit_the_regressor(
@@ -110,21 +120,27 @@ def test_drawn_config_is_worker_independent_and_its_rows_refit_the_regressor(
     build, run = _configs(drawn, tmp_path)
     (tmp_path / "build.json").write_text(json.dumps(build))
     outputs = {}
-    for workers in ("1", "3"):
+    for workers in ("1", "2", "3"):
         out = tmp_path / f"w{workers}"
         out.mkdir()
         assert main(["build-strategy", str(tmp_path / "build.json"), "--workers", workers,
                      "--output", str(out / "strategy.json"),
                      "--rows-out", str(out / "rows.csv")]) == EXIT_OK, replay
-        run_path = tmp_path / f"run_w{workers}.json"
-        run_path.write_text(json.dumps({**run, "output_dir": str(out / "run"),
-                                        "strategies": ["random", "uncertainty",
-                                                       str(out / "strategy.json")]}))
-        assert main(["run", str(run_path), "--workers", workers]) == EXIT_OK, replay
-        outputs[workers] = {**_files(out), **_files(out / "run")}
-    assert sorted(outputs["1"]) == sorted(outputs["3"]), replay
-    for name, data in outputs["1"].items():
-        assert data == outputs["3"][name], f"{name} differs; {replay}"
+        strategies = ["random", "uncertainty", str(out / "strategy.json")]
+        outputs[workers] = {**_files(out), **_run(run, strategies, tmp_path / f"run_w{workers}",
+                                                  workers, replay)}
+    for workers in ("2", "3"):
+        assert sorted(outputs[workers]) == sorted(outputs["1"]), replay
+        for name, data in outputs["1"].items():
+            assert data == outputs[workers][name], f"{name} differs at {workers}; {replay}"
+
+    lal = str(tmp_path / "w1" / "strategy.json")
+    for i, spec in enumerate(["random", "uncertainty", lal]):
+        alone = _run(run, [spec], tmp_path / f"alone{i}", "1", replay)
+        del alone["summary.csv"]
+        assert len(alone) == 3, replay
+        for name, data in alone.items():
+            assert data == outputs["1"][name], f"{name} differs run alone; {replay}"
 
     lines = outputs["1"]["rows.csv"].decode().splitlines()
     assert lines[0].startswith("xi_0,xi_1,xi_2,xi_3,xi_4,xi_5,xi_6,delta,"), replay
@@ -133,3 +149,6 @@ def test_drawn_config_is_worker_independent_and_its_rows_refit_the_regressor(
                          derive_seed(drawn["seed"], "regressor"))
     strategy = json.loads(outputs["1"]["strategy.json"])
     assert json.loads(json.dumps(forest_to_doc(refit))) == strategy["regressor"], replay
+    reloaded = load_strategy(lal).regressor
+    assert (reloaded.predict_regression_batch(table[:, :7]).tobytes()
+            == refit.predict_regression_batch(table[:, :7]).tobytes()), replay

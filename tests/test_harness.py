@@ -72,6 +72,11 @@ class TestRunAl:
             run_al(train, test, [RandomStrategy()], budget=len(train) - 1,
                    classifier_config=FAST, seed=5)
 
+    def test_negative_budget_rejected(self, gaussian_task):
+        train, test = gaussian_task
+        with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+            run_al(train, test, [RandomStrategy()], budget=-1, classifier_config=FAST)
+
     def test_full_budget_reaches_identical_final_classifier(self, gaussian_task):
         # any strategy run to the full pool labels everything, so the final
         # classifier (same training seed) is identical across strategies
@@ -225,6 +230,11 @@ class TestRunRepeated:
         with pytest.raises(ValueError, match="duplicate"):
             run_repeated(train, test, [RandomStrategy(), RandomStrategy()],
                          budget=2, repetitions=1, master_seed=0)
+
+    def test_zero_repetitions_rejected(self, gaussian_task):
+        train, test = gaussian_task
+        with pytest.raises(ValueError, match="repetitions must be at least 1, got 0"):
+            run_repeated(train, test, [RandomStrategy()], budget=2, repetitions=0)
 
     def test_curve_budget_lookup(self):
         curve = LearningCurve("s", "d", "accuracy", [0, 1, 2],
