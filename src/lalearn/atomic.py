@@ -14,6 +14,7 @@ This module imports nothing from ``lalearn``, so any module can use it.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from contextlib import contextmanager, suppress
 from numbers import Integral
@@ -52,10 +53,10 @@ def write_csv(path, header, rows) -> None:
 def write_json(path, doc) -> None:
     """Write ``json.dumps(doc, sort_keys=True)`` through ``atomic_open``.
 
-    ``json.dump`` to a file runs the pure-Python encoder; ``json.dumps``
-    runs the C one and gives the same text several times faster.
+    A numpy integer is written as an integer.  ``json.dumps`` runs the C
+    encoder, several times faster than ``json.dump`` to a file.
     """
-    text = json.dumps(doc, sort_keys=True)
+    text = json.dumps(doc, sort_keys=True, default=operator.index)
     with atomic_open(path) as fh:
         fh.write(text)
 

@@ -40,7 +40,7 @@ from .schema import REQUIRED, read_fields
 from .seeding import derive_seed
 from .strategies import BUILD_METHODS, BUILTIN_KINDS, LalStrategy, Strategy, \
     load_strategy, save_strategy
-from .training import MonteCarloConfig, build_lal, cold_start_data
+from .training import MONTE_CARLO_SCHEMA, MonteCarloConfig, build_lal, cold_start_data
 
 CONFIG_FORMAT = 1
 OUTPUT_DIR_ENV = "LALEARN_OUTPUT_DIR"
@@ -74,18 +74,20 @@ def _load_config(path, **flags) -> dict:
     return {**doc, **{key: value for key, value in flags.items() if value is not None}}
 
 
-# key -> (kind, default[, lo[, hi]]), as schema.read_fields takes them
+# key -> (kind, default[, lo[, hi] | names]), as schema.read_fields takes them
 _RUN_CONFIG = {
-    "config_format": (int, REQUIRED), "seed": (int, REQUIRED),
-    "budget": (int, REQUIRED, 0), "repetitions": (int, 50, 1), "metric": (str, "accuracy"),
+    "config_format": (int, REQUIRED), "seed": (int, REQUIRED), "budget": (int, REQUIRED, 0),
+    "repetitions": (int, 50, 1), "metric": (str, "accuracy", METRIC_IDS),
     "test_fraction": (float, 0.5), "warm_start_size": (int, None, 2),
     "strategies": (list, REQUIRED), "dataset": (dict, REQUIRED),
     "classifier": (dict, None), "output_dir": (str, None),
 }
-_MONTE_CARLO = {"size_min": (int, 2), "size_max": (int, 32), "initializations": (int, 10),
-                "candidates": (int, 10), "test_loss": (str, "zero_one")}
+# the grid's fields and bounds with MonteCarloConfig's defaults; the seed is required
+_MONTE_CARLO = {key: (kind, getattr(MonteCarloConfig, key), *bounds)
+                for key, (kind, _, *bounds) in MONTE_CARLO_SCHEMA.items() if key != "seed"}
 _BUILD_CONFIG = {
-    "config_format": (int, REQUIRED), "seed": (int, REQUIRED), "method": (str, REQUIRED),
+    "config_format": (int, REQUIRED), "seed": (int, REQUIRED),
+    "method": (str, REQUIRED, BUILD_METHODS),
     "output": (str, REQUIRED), **_MONTE_CARLO, "classifier": (dict, None),
     "regressor": (dict, None), "representative": (dict, {"cold_start": None}),
     "test_fraction": (float, 0.5),
@@ -177,14 +179,10 @@ def cmd_build_strategy(args) -> int:
     with _reading("build-strategy"):
         doc = _load_config(args.config, seed=args.seed, output=args.output)
         config = read_fields(doc, _BUILD_CONFIG, what, "config")
-        seed, method = config["seed"], config["method"]
-        if method not in BUILD_METHODS:
-            raise ValueError(f"method must be independent or iterative, got {method!r}")
         mc = MonteCarloConfig(
-            **{key: config[key] for key in _MONTE_CARLO},
+            **{key: config[key] for key in MONTE_CARLO_SCHEMA},
             classifier=_forest_config(config["classifier"], ForestConfig(), what),
-            regressor=_forest_config(config["regressor"], regressor_config(), what),
-            seed=seed)
+            regressor=_forest_config(config["regressor"], regressor_config(), what))
 
         representative = config["representative"]
         if "cold_start" in representative:
@@ -194,18 +192,18 @@ def cmd_build_strategy(args) -> int:
                 raise ValueError("field 'test_fraction' needs a dataset representative, "
                                  "not cold_start")
             train, test = cold_start_data(
-                seed, **read_fields(cold or {}, _COLD_START, what, "cold_start"))
+                mc.seed, **read_fields(cold or {}, _COLD_START, what, "cold_start"))
         else:
-            dataset = _dataset_from_spec(representative, seed, what)
+            dataset = _dataset_from_spec(representative, mc.seed, what)
             train, test = split(dataset, config["test_fraction"],
-                                derive_seed(seed, "representative_split"))
+                                derive_seed(mc.seed, "representative_split"))
         if mc.size_max >= len(train):
             raise ValueError(f"size_max ({mc.size_max}) must be smaller than the "
                              f"representative train set ({len(train)} rows)")
 
         output = Path(config["output"])
         _check_overwrite([output, args.rows_out], args.force)
-    strategy, rows = build_lal(mc, train, test, method, workers=args.workers)
+    strategy, rows = build_lal(mc, train, test, config["method"], workers=args.workers)
 
     save_strategy(strategy, output)
     if args.rows_out:
@@ -248,10 +246,7 @@ def cmd_run(args) -> int:
                                           repetitions=args.repetitions),
                              _RUN_CONFIG, what, "config")
         seed, budget, repetitions = config["seed"], config["budget"], config["repetitions"]
-        metric = config["metric"]
-        if metric not in METRIC_IDS:
-            raise ValueError(f"unknown metric {metric!r}")
-        warm = config["warm_start_size"]
+        metric, warm = config["metric"], config["warm_start_size"]
 
         strategies = _resolve_strategies(config["strategies"])
         dataset = _dataset_from_spec(config["dataset"], seed, what)

@@ -117,15 +117,14 @@ class ForestConfig:
     def __post_init__(self):
         read_fields({key: getattr(self, key) for key in CONFIG_SCHEMA}, CONFIG_SCHEMA,
                     "forest", "config")
-        if self.mode not in ("classification", "regression"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 # the one statement of a forest config's fields and bounds, as
 # schema.read_fields takes them; ForestConfig checks itself against it
 CONFIG_SCHEMA = {"n_trees": (int, REQUIRED, 1), "max_depth": (int, REQUIRED_OR_NULL, 0),
                  "min_leaf_size": (int, REQUIRED, 1),
-                 "features_per_split": (int, REQUIRED_OR_NULL, 1), "mode": (str, REQUIRED)}
+                 "features_per_split": (int, REQUIRED_OR_NULL, 1),
+                 "mode": (str, REQUIRED, ("classification", "regression"))}
 
 
 def regressor_config(n_trees: int = 100, min_leaf_size: int = 80, **kwargs) -> ForestConfig:

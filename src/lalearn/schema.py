@@ -5,10 +5,10 @@ A schema maps each key of a JSON object to ``(kind, default)``, where
 field takes finite numbers only.  An integer field may add bounds,
 ``(int, default, lo)`` or ``(int, default, lo, hi)``, and then must lie
 in ``[lo, hi)``; ``hi`` is a power of two and defaults to ``2**63``, so
-such an integer fits in int64.  The default is
-``REQUIRED`` for a key that must be present, ``REQUIRED_OR_NULL`` for one
-that must be present but may be null, and otherwise the value a missing
-key takes.
+such an integer fits in int64.  A string field may add the tuple of names
+it allows, ``(str, default, names)``.  The default is ``REQUIRED`` for a
+key that must be present, ``REQUIRED_OR_NULL`` for one that must be
+present but may be null, and otherwise the value a missing key takes.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ def read_fields(doc, schema: dict, what: str, label: str) -> dict:
         if kind is float and not finite(value):
             raise ValueError(f"{what}: field {key!r} must be a finite number, "
                              f"got {brief(value)}")
-        if bounds:
+        if kind is str and bounds and value not in bounds[0]:
+            raise ValueError(f"{what}: field {key!r} must be one of {bounds[0]}, "
+                             f"got {brief(value)}")
+        if kind is int and bounds:
             lo, hi = bounds if len(bounds) == 2 else (bounds[0], 2 ** 63)
             if not lo <= value < hi:
                 raise ValueError(f"{what}: field {key!r} must be an integer in "

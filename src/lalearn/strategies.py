@@ -24,12 +24,11 @@ BUILD_METHODS = ("independent", "iterative")
 
 
 def entropy(p):
-    """Binary entropy in bits, with 0 log 0 = 0. Accepts scalars or arrays."""
+    """Binary entropy in bits, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=np.float64)
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(p > 0.0, p * np.log2(p), 0.0) - np.where(q > 0.0, q * np.log2(q), 0.0)
-    return float(h) if h.ndim == 0 else h
+        return -np.where(p > 0.0, p * np.log2(p), 0.0) - np.where(q > 0.0, q * np.log2(q), 0.0)
 
 
 def select_uncertainty(model: ForestModel, pool: PoolState, dataset: Dataset) -> int:

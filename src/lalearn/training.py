@@ -29,6 +29,7 @@ from .forest import ForestConfig, ForestModel, regressor_config, train_forest, \
     train_forests
 from .metrics import METRIC_IDS, loss_from_metric
 from .parallel import parallel_map
+from .schema import REQUIRED, read_fields
 from .seeding import derive_seed, rng_for
 from .strategies import BUILD_METHODS, LalStrategy, select_lal
 
@@ -52,18 +53,22 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 2 <= self.size_min <= self.size_max:
-            raise ValueError("need 2 <= size_min <= size_max")
-        if self.initializations < 1 or self.candidates < 1:
-            raise ValueError("initializations and candidates must be at least 1")
-        if self.test_loss not in METRIC_IDS:
-            raise ValueError(f"unknown test_loss {self.test_loss!r}")
+        read_fields({key: getattr(self, key) for key in MONTE_CARLO_SCHEMA},
+                    MONTE_CARLO_SCHEMA, "monte_carlo", "config")
+        if self.size_min > self.size_max:
+            raise ValueError("need size_min <= size_max")
         if self.regressor.mode != "regression":
             raise ValueError("regressor config must be in regression mode")
 
     @property
     def n_sizes(self) -> int:
         return self.size_max - self.size_min + 1
+
+
+# the grid's fields and bounds, stated once for MonteCarloConfig, the build config and metadata
+MONTE_CARLO_SCHEMA = {"size_min": (int, REQUIRED, 2), "size_max": (int, REQUIRED, 2),
+                      "initializations": (int, REQUIRED, 1), "candidates": (int, REQUIRED, 1),
+                      "test_loss": (str, REQUIRED, METRIC_IDS), "seed": (int, REQUIRED)}
 
 
 @dataclass
@@ -257,8 +262,6 @@ def build_lal(config: MonteCarloConfig, representative: Dataset, test: Dataset,
     collected = RegressionSet.concatenate(parts)
     regressor = train_forest(collected.states, collected.deltas, config.regressor,
                              derive_seed(config.seed, "regressor"))
-    metadata = {"rows": len(collected), "size_min": config.size_min,
-                "size_max": config.size_max, "initializations": config.initializations,
-                "candidates": config.candidates, "test_loss": config.test_loss,
-                "seed": config.seed, "representative": representative.name}
+    metadata = {key: getattr(config, key) for key in MONTE_CARLO_SCHEMA}
+    metadata.update(rows=len(collected), representative=representative.name)
     return LalStrategy(regressor, FEATURE_NAMES, method, metadata), collected

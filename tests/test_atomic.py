@@ -49,6 +49,15 @@ def test_write_json_that_cannot_encode_leaves_the_target(tmp_path):
     assert path.read_text() == "old"
 
 
+def test_write_json_writes_numpy_integers_as_integers_and_nothing_else(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"n": np.int64(-3), "u": [np.uint8(7)]})
+    assert path.read_bytes() == b'{"n": -3, "u": [7]}'
+    for value in (np.float32(0.5), np.bool_(True), object()):
+        with pytest.raises(TypeError):
+            write_json(path, {"x": value})
+
+
 def test_read_csv_skips_blank_lines_and_numbers_the_rest(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("a,b\n1,2\n\n  \n3,4\n")

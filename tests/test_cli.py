@@ -12,6 +12,7 @@ from lalearn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lalearn.data import gen_gaussian_clouds, save_csv
 from lalearn.forest import regressor_config, train_forest
 from lalearn.strategies import LalStrategy, save_strategy
+from lalearn.training import MONTE_CARLO_SCHEMA
 
 
 def _write(path, doc):
@@ -90,6 +91,12 @@ class TestBuildStrategy:
         doc = json.loads((tmp_path / "strategy.json").read_text())
         assert doc["provenance"] == "iterative"
         assert doc["format"] == 1
+
+    def test_training_metadata_records_the_grid(self, tmp_path):
+        assert main(["build-strategy", _build_config(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "strategy.json").read_text())
+        assert set(doc["training_metadata"]) == {*MONTE_CARLO_SCHEMA, "rows", "representative"}
+        assert doc["training_metadata"]["seed"] == 3
 
     def test_rows_export(self, tmp_path):
         config = _build_config(tmp_path)
@@ -732,6 +739,9 @@ class TestConfigFormat:
         ("run", {"strategies": ["random", "uncertainty", "random"]}, "strategies"),
         ("run", {"dataset": {"generator": "checkerboard", "k": 3}}, "grid side k"),
         ("build-strategy", {"representative": {"cold_start": {"n_train": 3}}}, "n_train"),
+        ("run", {"metric": "f1"}, "metric"),
+        ("build-strategy", {"test_loss": "f1"}, "test_loss"),
+        ("build-strategy", {"size_min": 1}, "size_min"),
     ])
     def test_invalid_field_is_config_error_naming_it(self, tmp_path, capsys, command,
                                                      overrides, field):

@@ -48,6 +48,20 @@ class TestMonteCarloConfig:
     def test_size_count(self):
         assert MonteCarloConfig(size_min=2, size_max=32).n_sizes == 31
 
+    @pytest.mark.parametrize("field, value", [
+        ("initializations", 2.5), ("candidates", True), ("size_max", 3.5), ("seed", 1.5),
+        ("test_loss", 1), ("test_loss", "f1"),
+    ])
+    def test_rejects_what_a_build_config_may_not_hold(self, field, value):
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            MonteCarloConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = MonteCarloConfig(size_min=np.int64(2), size_max=np.int32(4),
+                                  initializations=np.uint8(2), candidates=np.int64(3),
+                                  seed=np.int64(7))
+        assert config.n_sizes == 3
+
 
 class TestRegressionSet:
     def test_alignment_enforced(self):
@@ -201,6 +215,22 @@ class TestIterativeBuilder:
         assert pool.labeled == sorted(pool.labeled)
         assert set(start.labeled) < set(pool.labeled)
         pool.check_partition(len(train))
+
+    def test_numpy_integer_config_saves_like_plain_integers(self, small_sets, tmp_path):
+        # training_metadata and the regressor's config then hold numpy
+        # integers; the strategy file must not tell them apart
+        from lalearn.strategies import save_strategy
+        train, test = small_sets
+        plain = _fast_config(size_max=3, seed=4)
+        numpy = MonteCarloConfig(size_min=np.int64(2), size_max=np.int64(3),
+                                 initializations=np.int64(2), candidates=np.int32(3),
+                                 classifier=FAST_CLF,
+                                 regressor=regressor_config(n_trees=np.int64(10)),
+                                 seed=np.int64(4))
+        for name, config in (("plain", plain), ("numpy", numpy)):
+            strategy, _ = build_lal(config, train, test, "iterative")
+            save_strategy(strategy, tmp_path / f"{name}.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_multi_stage_rows_and_determinism(self, small_sets):
         train, test = small_sets
