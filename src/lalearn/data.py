@@ -47,7 +47,7 @@ class Dataset:
             raise ValueError("labels must be one per feature row")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite values")
-        bad = ~np.isin(labels, (0, 1))  # before the cast, which would truncate 0.7 to 0
+        bad = ~((labels == 0) | (labels == 1))  # before the cast, which would truncate 0.7 to 0
         if bad.any():
             raise ValueError(f"labels must be 0 or 1 (first bad row: {int(np.flatnonzero(bad)[0])})")
         self.labels = np.asarray(labels, dtype=np.int64)

@@ -115,8 +115,10 @@ class ForestConfig:
     mode: str = "classification"
 
     def __post_init__(self):
-        read_fields({key: getattr(self, key) for key in CONFIG_SCHEMA}, CONFIG_SCHEMA,
-                    "forest", "config")
+        checked = read_fields({key: getattr(self, key) for key in CONFIG_SCHEMA},
+                              CONFIG_SCHEMA, "forest", "config")
+        for key, value in checked.items():  # integers of any type are kept as plain ints
+            object.__setattr__(self, key, value)
 
 
 # the one statement of a forest config's fields and bounds, as
@@ -660,7 +662,7 @@ def _training_set(features, targets, classification: bool):
         raise ValueError("targets must match features row count")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ValueError("training data contains non-finite values")
-    if classification and not np.isin(y, (0.0, 1.0)).all():
+    if classification and not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("classification targets must be 0 or 1")
     return X, y
 

@@ -30,6 +30,7 @@ MOTIVATION_CHUNK = 64
 MOTIVATION_LEARN_RATE = 0.1   # logistic fits of the motivation experiment
 MOTIVATION_ITERATIONS = 50
 MOTIVATION_BATCH_MODELS = 8192  # logistic models per fit at most, whatever the pool size
+MOTIVATION_SCORE_BLOCK = 25  # models scored per product: a (25, n_test) block stays in cache
 
 
 @dataclass
@@ -216,15 +217,17 @@ def _motivation_chunk(args):
 
     1. draw each repetition's pool and cold start, fill its rows of one
        batch, and fit the whole group in one ``train_logistic_batch`` call;
-    2. draw each repetition's test set, score its models on it and add its
-       bin sums, in repetition order.
+    2. draw each repetition's test set, count each model's test errors and
+       add its bin sums, in repetition order.  The errors are counted from
+       packed bits, ``MOTIVATION_SCORE_BLOCK`` models per product: each
+       block's predictions are packed eight test points a byte, XORed with
+       the packed labels, and the set bits counted.
 
     This gives the bits of one fit per repetition: the trainer computes
     each model's weights from its own row alone, every draw has its own
     derived seed (so drawing the test sets after the fit changes none of
-    them), the loss block keeps its per-repetition shape, and the 0/1
-    losses are integer counts over ``n_test``.  Only one test set is alive
-    at a time.
+    them), and the 0/1 losses are exact integer error counts over
+    ``n_test`` at any block size.  Only one test set is alive at a time.
     """
     seed, rep_lo, rep_hi, fraction, n_pool, n_test, separation, n_bins = args
     from .data import gen_gaussian_clouds  # per-call lookup: perfbench/layers.py traces it
@@ -254,22 +257,22 @@ def _motivation_chunk(args):
             batch_x.reshape(-1, 3, 2), batch_y.reshape(-1, 3), mask.reshape(-1, 3),
             MOTIVATION_LEARN_RATE, MOTIVATION_ITERATIONS).reshape(len(reps), n_models, 3)
 
-        # one score and one flag matrix serve the group's repetitions:
-        # allocating them afresh per repetition costs page faults that
-        # rival the time the batched fit saves
-        scores = np.empty((n_test, n_models))
-        mismatch = np.empty((n_test, n_models), dtype=bool)
+        errors = np.empty(n_models, dtype=np.int64)
         for g, r in enumerate(reps):
             test = gen_gaussian_clouds(n_test, fraction, separation, 2,
                                        derive_seed(seed, "rep", r, "test"))
             cand_x1 = np.hstack([batch_x[g, 1:, 2], np.ones((n_cand, 1))])
             p0 = 1.0 - sigmoid(cand_x1 @ weights[g, 0])
 
-            test_x1 = np.hstack([test.features, np.ones((n_test, 1))])
-            np.matmul(test_x1, weights[g].T, out=scores)
-            np.greater(scores, 0.0, out=mismatch)  # predicts class 1 iff p1 > 0.5
-            np.not_equal(mismatch, test.labels[:, None] == 1, out=mismatch)
-            losses = np.count_nonzero(mismatch, axis=0) / n_test
+            test_x1 = np.hstack([test.features, np.ones((n_test, 1))]).T
+            truth = np.packbits(test.labels == 1)
+            for start in range(0, n_models, MOTIVATION_SCORE_BLOCK):
+                block = slice(start, start + MOTIVATION_SCORE_BLOCK)
+                # predicts class 1 iff p1 > 0.5; a wrong prediction is a set bit
+                wrong = np.packbits(weights[g, block] @ test_x1 > 0.0, axis=1)
+                np.bitwise_xor(wrong, truth, out=wrong)
+                errors[block] = np.bitwise_count(wrong).sum(axis=1)
+            losses = errors / n_test
             delta = losses[0] - losses[1:]
 
             bins = np.clip((p0 * n_bins).astype(np.int64), 0, n_bins - 1)

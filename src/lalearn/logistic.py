@@ -16,27 +16,6 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
 
 
-def _augment(X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
-def logistic_loss(weights, features, targets) -> float:
-    """Mean log-loss of ``sigmoid(X1 @ w)`` against 0/1 targets."""
-    x1 = _augment(features)
-    y = np.asarray(targets, dtype=np.float64)
-    p = np.clip(sigmoid(x1 @ np.asarray(weights, dtype=np.float64)), 1e-12, 1.0 - 1e-12)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def logistic_gradient(weights, features, targets) -> np.ndarray:
-    """Gradient of :func:`logistic_loss` with respect to the weights."""
-    x1 = _augment(features)
-    y = np.asarray(targets, dtype=np.float64)
-    p = sigmoid(x1 @ np.asarray(weights, dtype=np.float64))
-    return x1.T @ (p - y) / len(y)
-
-
 def train_logistic_batch(features, targets, sample_mask, learn_rate: float = 0.5,
                          iterations: int = 200) -> np.ndarray:
     """Fit B independent models at once.

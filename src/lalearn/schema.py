@@ -41,23 +41,25 @@ def finite(number) -> bool:
 def read_fields(doc, schema: dict, what: str, label: str) -> dict:
     """``doc`` checked against ``schema``, defaults filled in; ``ValueError`` naming the key.
 
-    An ``int`` field accepts any integer type, numpy's included; a
-    ``float`` field accepts integers too, but no non-finite number; no
-    field accepts a boolean, and only a field whose default is ``None`` or
-    ``REQUIRED_OR_NULL`` accepts null.  ``what`` names the document and
-    ``label`` the object in it.
+    An ``int`` field accepts any integer type, numpy's included, and comes
+    back as a plain ``int``; a ``float`` field accepts integers too, but no
+    non-finite number; no field accepts a boolean, and only a field whose
+    default is ``None`` or ``REQUIRED_OR_NULL`` accepts null.  ``what``
+    names the document and ``label`` the object in it.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{what}: {label} must be an object, got {brief(doc)}")
     unknown = set(doc) - set(schema)
     if unknown:
         raise ValueError(f"{what}: {label} has unknown keys {sorted(unknown)}")
+    fields = {}
     for key, (kind, default, *bounds) in schema.items():
         if key not in doc:
             if default is REQUIRED or default is REQUIRED_OR_NULL:
                 raise ValueError(f"{what}: missing required field {key!r}")
+            fields[key] = default
             continue
-        value = doc[key]
+        value = fields[key] = doc[key]
         if value is None and (default is None or default is REQUIRED_OR_NULL):
             continue
         if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
@@ -69,9 +71,12 @@ def read_fields(doc, schema: dict, what: str, label: str) -> dict:
         if kind is str and bounds and value not in bounds[0]:
             raise ValueError(f"{what}: field {key!r} must be one of {bounds[0]}, "
                              f"got {brief(value)}")
-        if kind is int and bounds:
-            lo, hi = bounds if len(bounds) == 2 else (bounds[0], 2 ** 63)
-            if not lo <= value < hi:
-                raise ValueError(f"{what}: field {key!r} must be an integer in "
-                                 f"[{lo}, 2**{hi.bit_length() - 1}), got {brief(value)}")
-    return {key: doc.get(key, default) for key, (_, default, *_) in schema.items()}
+        if kind is int:
+            # a plain int: numpy's fixed widths would wrap in later arithmetic
+            value = fields[key] = int(value)
+            if bounds:
+                lo, hi = bounds if len(bounds) == 2 else (bounds[0], 2 ** 63)
+                if not lo <= value < hi:
+                    raise ValueError(f"{what}: field {key!r} must be an integer in "
+                                     f"[{lo}, 2**{hi.bit_length() - 1}), got {brief(value)}")
+    return fields

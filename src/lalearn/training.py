@@ -53,8 +53,10 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        read_fields({key: getattr(self, key) for key in MONTE_CARLO_SCHEMA},
-                    MONTE_CARLO_SCHEMA, "monte_carlo", "config")
+        checked = read_fields({key: getattr(self, key) for key in MONTE_CARLO_SCHEMA},
+                              MONTE_CARLO_SCHEMA, "monte_carlo", "config")
+        for key, value in checked.items():  # integers of any type are kept as plain ints
+            object.__setattr__(self, key, value)
         if self.size_min > self.size_max:
             raise ValueError("need size_min <= size_max")
         if self.regressor.mode != "regression":

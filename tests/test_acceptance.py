@@ -15,12 +15,12 @@ from lalearn.cli import EXIT_OK, main
 from lalearn.data import gen_banana, gen_checkerboard, gen_gaussian_clouds, split
 from lalearn.forest import ForestConfig, best_split
 from lalearn.harness import probability_histogram, run_al, run_repeated
-from lalearn.logistic import logistic_gradient, logistic_loss
 from lalearn.metrics import ConfusionCounts, auc_roc, dice, iou
 from lalearn.seeding import derive_seed
 from lalearn.strategies import RandomStrategy, UncertaintyStrategy
 
 from conftest import ACCEPTANCE_CLASSIFIER, WORKERS
+from test_logistic import logistic_gradient, logistic_loss
 
 BENCH_SEED = 90210
 REPETITIONS = 50

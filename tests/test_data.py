@@ -26,6 +26,19 @@ class TestDataset:
         with pytest.raises(ValueError, match="first bad row: 0"):
             Dataset(np.ones((2, 1)), [0.7, 1.0])
 
+    @pytest.mark.parametrize("bad", [0.7, np.nan, "1", None])
+    def test_rejects_labels_that_are_not_0_or_1(self, bad):
+        with pytest.raises(ValueError, match="first bad row: 1"):
+            Dataset(np.ones((3, 1)), np.array([1, bad, 0], dtype=object))
+
+    def test_rejects_string_labels(self):
+        with pytest.raises(ValueError, match="first bad row: 0"):
+            Dataset(np.ones((2, 1)), ["0", "1"])
+
+    def test_accepts_boolean_labels(self):
+        data = Dataset(np.ones((2, 1)), [True, False])
+        assert data.labels.tolist() == [1, 0] and data.labels.dtype == np.int64
+
     def test_subset_keeps_alignment(self):
         data = gen_gaussian_clouds(10, 0.5, 1.0, 2, seed=0)
         sub = data.subset([2, 5, 7])

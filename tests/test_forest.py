@@ -281,6 +281,7 @@ class TestConfig:
                               min_leaf_size=np.uint8(2), features_per_split=np.int64(1))
         data = gen_gaussian_clouds(30, 0.5, 2.0, 2, seed=5)
         assert train_forest(data.features, data.labels, config, seed=1).n_trees == 5
+        assert type(ForestConfig(n_trees=np.int16(3)).n_trees) is int
 
 
 def _exhaustive_best(x, y, criterion, min_leaf_size):

@@ -270,6 +270,17 @@ class TestMotivation:
         assert whole.mean_delta.tobytes() == grouped.mean_delta.tobytes()
         assert np.array_equal(whole.counts, grouped.counts)
 
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_score_blocks_do_not_change_the_curve(self, monkeypatch, block):
+        # 203 test points pad the last packed byte; 29 models split unevenly
+        kwargs = dict(balanced=False, repetitions=20, n_bins=10, seed=17, n_pool=30,
+                      n_test=203)
+        whole = motivation_experiment(**kwargs)
+        monkeypatch.setattr(harness, "MOTIVATION_SCORE_BLOCK", block)
+        blocked = motivation_experiment(**kwargs)
+        assert whole.mean_delta.tobytes() == blocked.mean_delta.tobytes()
+        assert whole.counts.tobytes() == blocked.counts.tobytes()
+
     def test_empty_bins_are_nan(self):
         curve = motivation_experiment(balanced=True, repetitions=2, n_bins=50,
                                       seed=15, n_pool=10, n_test=50)

@@ -2,8 +2,31 @@
 
 import numpy as np
 
-from lalearn.logistic import (logistic_gradient, logistic_loss, sigmoid,
-                              train_logistic_batch)
+from lalearn.logistic import sigmoid, train_logistic_batch
+
+
+# reference loss and gradient of one model, the oracles train_logistic_batch
+# is checked against here and in acceptance criterion 6
+
+def _augment(X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def logistic_loss(weights, features, targets) -> float:
+    """Mean log-loss of ``sigmoid(X1 @ w)`` against 0/1 targets."""
+    x1 = _augment(features)
+    y = np.asarray(targets, dtype=np.float64)
+    p = np.clip(sigmoid(x1 @ np.asarray(weights, dtype=np.float64)), 1e-12, 1.0 - 1e-12)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def logistic_gradient(weights, features, targets) -> np.ndarray:
+    """Gradient of :func:`logistic_loss` with respect to the weights."""
+    x1 = _augment(features)
+    y = np.asarray(targets, dtype=np.float64)
+    p = sigmoid(x1 @ np.asarray(weights, dtype=np.float64))
+    return x1.T @ (p - y) / len(y)
 
 
 def _train_one(X, y, learn_rate, iterations):

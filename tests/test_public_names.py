@@ -18,8 +18,6 @@ PACKAGE = ROOT / "src" / "lalearn"
 EXEMPT = {
     "forest.best_split": "one node through the trainer's scan, checked against "
                          "exhaustive enumeration by criterion 6",
-    "logistic.logistic_loss": "the reference loss for train_logistic_batch",
-    "logistic.logistic_gradient": "the reference gradient for train_logistic_batch",
     "data.PoolState.check_partition": "an invariant check of the pool's index sets",
 }
 

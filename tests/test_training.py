@@ -62,6 +62,18 @@ class TestMonteCarloConfig:
                                   seed=np.int64(7))
         assert config.n_sizes == 3
 
+    def test_small_numpy_integers_build_without_wrapping(self):
+        # held as np.int8, size_max + 1 wraps to -128 and leaves no size to simulate
+        config = MonteCarloConfig(size_min=np.int8(126), size_max=np.int8(127),
+                                  initializations=np.int8(1), candidates=np.int8(2),
+                                  classifier=FAST_CLF, regressor=FAST_REG, seed=np.int8(3))
+        assert all(type(getattr(config, key)) is int
+                   for key in ("size_min", "size_max", "initializations", "candidates", "seed"))
+        train = gen_gaussian_clouds(200, 0.5, 2.0, 2, seed=52)
+        test = gen_gaussian_clouds(100, 0.5, 2.0, 2, seed=53)
+        _, rows = build_lal(config, train, test, "independent")
+        assert sorted(set(rows.tags[:, 0].tolist())) == [126, 127]
+
 
 class TestRegressionSet:
     def test_alignment_enforced(self):
