@@ -66,6 +66,8 @@ def selection_traces_from_csv(path) -> list[SelectionTrace]:
                              f"{','.join(cells).strip()!r}") from None
         if not 0.0 <= p <= 1.0:  # also rejects nan
             raise ValueError(f"{path} line {lineno}: p0 {cells[3]!r} is not in [0, 1]")
+        if rep < 0:
+            raise ValueError(f"{path} line {lineno}: repetition {rep} is negative")
         rows.setdefault(rep, []).append((it, idx, p))
     traces = []
     for rep in sorted(rows):

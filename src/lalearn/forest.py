@@ -42,7 +42,11 @@ of one cell answer every ``x > threshold`` test alike, so they reach the
 same leaf in every tree: the read-out takes one representative per cell
 and each row takes its cell's leaf values.  A forest fitted on a few dozen
 labels has few thresholds, so a thousand rows often fall into a few dozen
-cells.
+cells.  The rank vectors are read as one mixed-radix key, and the cells
+are numbered in key order.  While the key's range is at most a small
+multiple of the rows, a presence mask over that range numbers them
+without a sort (the running count of the keys present); above it,
+``np.unique`` sorts the keys.
 
 When no tree has more than 64 leaves, the cells are read from a bitvector
 table, as QuickScorer does (Lucchese et al., SIGIR 2015).  Each tree's
@@ -51,12 +55,17 @@ feature, rank and tree, one word marks the leaves that a row of that rank
 cannot reach: the left subtrees of the tree's nodes on that feature that
 send the row right.  A row's exit leaf in a tree is the lowest leaf that
 none of its words marks, so a read gathers one word per feature and costs
-the same at any depth.  The table is built once per forest from the level-
-ordered node table, one vectorised step per level.  A forest with a larger
-tree is walked instead: the walk moves every (tree, row) pair one level
-per step.  A leaf steps to itself, so a finished pair can ride along;
-finished pairs are dropped only once they are half of the pairs still
-walked, not at every step.  Both paths return the same leaf values.
+the same at any depth.  The table holds one row of ``n_trees`` words per
+(feature, rank), so a read gathers whole contiguous rows, one (C, n_trees)
+block per feature, and ORs them in place.  The exit leaf's number is a
+count of trailing ones, and the counts, one byte each, are turned
+tree-major as they index the leaf values, so the values come out as the
+(n_trees, C) matrix itself.  The table is built once per forest from the
+level-ordered node table, one vectorised step per level.  A forest with a
+larger tree is walked instead: the walk moves every (tree, row) pair one
+level per step.  A leaf steps to itself, so a finished pair can ride
+along; finished pairs are dropped only once they are half of the pairs
+still walked, not at every step.  Both paths return the same leaf values.
 
 ``tree_predictions_batch``, the one read-out, returns the cells' (n_trees,
 C) leaf matrix, C-contiguous and at least two columns wide (a lone cell's
@@ -94,10 +103,29 @@ from .seeding import derive_seed
 FOREST_FORMAT = 1
 
 _ALL_LEAVES = np.uint64(2 ** 64 - 1)
-# the top six bits of (1 << i) * _DE_BRUIJN differ for every i < 64
-_DE_BRUIJN = np.uint64(0x03F79D71B4CB0A89)
-_BIT_SLOT = (((np.uint64(1) << np.arange(64, dtype=np.uint64)) * _DE_BRUIJN)
-             >> np.uint64(58)).astype(np.intp)
+# keys in [0, radix) are numbered by a presence mask while radix is at
+# most _MASK_KEYS_PER_ROW * (rows + 64), else by np.unique's sort; timed
+# at 1 to 3,000 keys, the mask was faster below that bound and slower
+# well above it
+_MASK_KEYS_PER_ROW = 8
+
+
+def _dense(key: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, cell)``: the distinct values of ``key`` numbered densely.
+
+    ``key`` holds values in ``[0, radix)``.  ``cell[i]`` is the number of
+    distinct values below ``key[i]``, and ``first[c]`` is some row of cell
+    ``c``, so ``len(first)`` is the number of cells.
+    """
+    if radix > _MASK_KEYS_PER_ROW * (len(key) + 64):
+        _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+        return first, cell
+    present = np.zeros(radix, dtype=bool)
+    present[key] = True
+    cell = (np.cumsum(present) - 1)[key]
+    first = np.empty(np.count_nonzero(present), dtype=np.intp)
+    first[cell] = np.arange(len(key))
+    return first, cell
 
 
 @dataclass(frozen=True)
@@ -176,9 +204,10 @@ class ForestModel:
     # ---- prediction -------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # the read-out caches are rebuilt on the first read after unpickling
+        # the read-out caches, every cached_property, are rebuilt on the
+        # first read after unpickling
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("_cuts", "_walk_nodes", "_bitvectors")}
+                if not isinstance(getattr(type(self), k, None), cached_property)}
 
     @cached_property
     def _cuts(self) -> list[tuple[int, np.ndarray]]:
@@ -191,8 +220,8 @@ class ForestModel:
 
         Returns ``(leaf, cell)``: row ``i`` reaches ``leaf[:, cell[i]]``, so
         ``np.take(leaf, cell, axis=1)`` is the per-row (n_trees, N) matrix.
-        ``leaf`` has one C-contiguous column per cell, read out for the
-        cell's first row, and two of a lone cell, so reductions down axis 0
+        ``leaf`` has one C-contiguous column per cell, read out for one of the
+        rows of the cell, and two of a lone cell, so reductions down axis 0
         add the trees in order (see the module docstring).  Raises
         ``ValueError`` naming non-finite rows.
         """
@@ -211,12 +240,12 @@ class ForestModel:
         radix = 1
         for i, (f, cuts) in enumerate(self._cuts):
             if radix * (len(cuts) + 1) > 2 ** 62:
-                distinct, cell = np.unique(cell, return_inverse=True)
-                radix = len(distinct)
+                first, cell = _dense(cell, radix)
+                radix = len(first)
             ranks[:, i] = np.searchsorted(cuts, X[:, f], side="left")
             cell = cell * (len(cuts) + 1) + ranks[:, i]
             radix *= len(cuts) + 1
-        _, first, cell = np.unique(cell, return_index=True, return_inverse=True)
+        first, cell = _dense(cell, radix)
         leaf = self._cell_leaves(X[first], ranks[first])
         if len(first) == 1:
             leaf = np.take(leaf, [0, 0], axis=1)
@@ -233,14 +262,19 @@ class ForestModel:
             return self._walk(X)
         gone, offsets, slots = self._bitvectors
         # the leaves each row cannot reach in each tree: the OR of one
-        # gathered word per feature (of none in a forest of single leaves).
-        # The exit leaf is the lowest leaf left, and the lowest clear bit,
-        # isolated, is a power of two whose de Bruijn product's top six
-        # bits name it
-        lost = np.bitwise_or.reduce(gone[ranks + offsets], axis=1)
-        slot = (((lost + np.uint64(1)) & ~lost) * _DE_BRUIJN) >> np.uint64(58)
-        slot = slot.astype(np.intp) + 64 * np.arange(self.n_trees)
-        return np.ascontiguousarray(slots[slot].T)
+        # gathered (N, n_trees) block of table rows per feature (of none in
+        # a forest of single leaves).  The exit leaf is the lowest leaf
+        # left, so its number is the count of trailing ones, and
+        # x ^ (x + 1) sets one bit more than that; the counts are turned
+        # tree-major as they are added to each tree's slot base
+        words = (ranks + offsets).T
+        lost = gone[words[0]] if len(words) else np.zeros((len(ranks), self.n_trees), np.uint64)
+        for column in words[1:]:
+            lost |= gone[column]
+        lost ^= lost + np.uint64(1)
+        slot = np.empty((self.n_trees, len(ranks)), dtype=np.intp)
+        np.add(64 * np.arange(self.n_trees)[:, None], np.bitwise_count(lost).T, out=slot)
+        return slots[slot]
 
     @cached_property
     def _bitvectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -252,8 +286,8 @@ class ForestModel:
         row of rank ``r`` among ``_cuts[i]``'s thresholds cannot reach: the
         left subtrees of the tree's nodes on that feature whose thresholds
         rank below ``r``, the nodes that send such a row right.
-        ``slots[64 * t + s]`` is the value of the leaf of tree ``t`` whose
-        bit hashes to ``s`` (see ``_cell_leaves``).
+        ``slots[64 * t + k + 1]`` is the value of leaf ``k`` of tree ``t``
+        (see ``_cell_leaves``).
         """
         T, n = self.n_trees, len(self.feature)
         split = self.feature >= 0
@@ -279,8 +313,8 @@ class ForestModel:
             first[T + 2 * lo:T + 2 * hi:2] = parent
             first[T + 2 * lo + 1:T + 2 * hi:2] = parent + size[T + 2 * lo:T + 2 * hi:2]
         leaf = first[~split]
-        slots = np.zeros(64 * T)
-        slots[(leaf & ~63) + _BIT_SLOT[leaf & 63]] = self.value[~split]
+        slots = np.zeros(64 * T + 1)
+        slots[leaf + 1] = self.value[~split]
         # a split's left subtree holds the leaves [first, first + size)
         first = first[s]
         mask = ((_ALL_LEAVES >> (np.uint64(64) - size[T::2].astype(np.uint64)))

@@ -35,7 +35,11 @@ MOTIVATION_SCORE_BLOCK = 25  # models scored per product: a (25, n_test) block s
 
 @dataclass
 class SelectionTrace:
-    """Chosen index and its predicted class-0 probability, per iteration."""
+    """Chosen index and its predicted class-0 probability, per iteration.
+
+    Iterations run from 0 to n-1 in order, and every index is a distinct
+    non-negative pool position, as ``run_al`` records them.
+    """
 
     iterations: np.ndarray
     indices: np.ndarray
@@ -47,6 +51,10 @@ class SelectionTrace:
         self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
         if not (len(self.iterations) == len(self.indices) == len(self.probabilities)):
             raise ValueError("trace columns must align")
+        if not np.array_equal(self.iterations, np.arange(len(self.iterations))):
+            raise ValueError(f"iterations must run 0 to {len(self.iterations) - 1} in order")
+        if np.any(self.indices < 0):
+            raise ValueError("an index is negative")
         if len(np.unique(self.indices)) != len(self.indices):
             raise ValueError("an index was queried twice")
 

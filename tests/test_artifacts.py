@@ -55,7 +55,17 @@ def test_selection_trace_round_trip(tmp_path):
                           ("0,0,4,0.5\n0,1,x,0.1\n", "line 3: non-numeric cell"),
                           ("0,0,4,0.5\n0,1,4,0.1\n", "repetition 0: an index was queried"),
                           ("0,0,4,1.5\n0,1,9,0.1\n", "line 2: p0 '1.5' is not in [0, 1]"),
-                          ("0,0,4,0.5\n0,1,9,nan\n", "line 3: p0 'nan' is not in [0, 1]")]:
+                          ("0,0,4,0.5\n0,1,9,nan\n", "line 3: p0 'nan' is not in [0, 1]"),
+                          # traces that run cannot have written
+                          ("0,0,3,0.5\n0,0,4,0.5\n",
+                           "repetition 0: iterations must run 0 to 1 in order"),
+                          ("0,1,3,0.5\n0,0,4,0.5\n",
+                           "repetition 0: iterations must run 0 to 1 in order"),
+                          ("0,0,3,0.5\n1,1,4,0.5\n",
+                           "repetition 1: iterations must run 0 to 0 in order"),
+                          ("0,-1,3,0.5\n", "repetition 0: iterations must run 0 to 0"),
+                          ("0,0,3,0.5\n0,1,-4,0.5\n", "repetition 0: an index is negative"),
+                          ("-1,0,3,0.5\n", "line 2: repetition -1 is negative")]:
         path.write_text(header + body)
         with pytest.raises(ValueError) as err:
             selection_traces_from_csv(path)

@@ -367,6 +367,16 @@ class TestAnalyze:
         assert err.startswith("error: config") and f"{traces} line 2" in err
         assert not (tmp_path / "hist.csv").exists()
 
+    def test_repeated_iterations_are_config_errors(self, tmp_path, capsys):
+        traces = tmp_path / "sel.csv"
+        traces.write_text("repetition,iteration,index,p0\n0,0,3,0.5\n0,0,4,0.5\n")
+        code = main(["analyze", "--traces", str(traces),
+                     "--histogram-out", str(tmp_path / "hist.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and f"{traces}: repetition 0" in err
+        assert not (tmp_path / "hist.csv").exists()
+
     def test_missing_inputs_are_config_errors(self, tmp_path):
         assert main(["analyze"]) == EXIT_CONFIG
         assert main(["analyze", "--strategy", "nope.json",

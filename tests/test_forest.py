@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pickle
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -622,6 +623,36 @@ class TestPrediction:
         assert read == [len(np.unique(ranks, axis=0))]
         assert read[0] < 100
 
+        # cells are numbered by a presence mask while the key's radix is at
+        # most _MASK_KEYS_PER_ROW * (rows + 64), and by np.unique's sort
+        # above that: a batch at the bound and one row short of it number
+        # their cells alike
+        rng = np.random.default_rng(38)
+        data = gen_gaussian_clouds(40, 0.5, 1.0, 2, seed=38)
+        model = train_forest(data.features, data.labels, ForestConfig(n_trees=50), seed=39)
+        radix = math.prod(len(cuts) + 1 for _, cuts in model._cuts)
+        at_bound = -(-radix // forest._MASK_KEYS_PER_ROW) - 64
+        assert radix <= forest._MASK_KEYS_PER_ROW * (at_bound + 64) < radix + 8
+        rows = _threshold_grid_rows(model, rng, at_bound)
+        rows[at_bound // 2:] = rows[rng.integers(0, at_bound // 2, at_bound - at_bound // 2)]
+        unique = np.unique
+        for X, sorts in ((rows, 0), (rows[:-1], 1)):
+            ranks = np.column_stack([np.searchsorted(cuts, X[:, f]) for f, cuts in model._cuts])
+            distinct = unique(ranks, axis=0)
+            given, calls = [], []
+            monkeypatch.setattr(ForestModel, "_cell_leaves", lambda model, X, ranks:
+                                given.append(ranks) or kernel(model, X, ranks))
+            monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+            leaf, cell = model.tree_predictions_batch(X)
+            monkeypatch.undo()
+            assert len(calls) == sorts
+            # one row per distinct rank vector, cells numbered 0 ... C-1
+            assert len(given) == 1 and len(given[0]) == len(distinct) < len(X)
+            assert np.array_equal(unique(given[0], axis=0), distinct)
+            assert np.array_equal(unique(cell), np.arange(len(distinct)))
+            assert np.array_equal(ranks, given[0][cell])
+            assert np.array_equal(np.take(leaf, cell, axis=1), model._walk(X))
+
     def test_cell_key_densifies_before_int64_overflow(self):
         # 40 features with 3 thresholds each make a radix product of 4**40;
         # rows that differ only in feature 0 would share a cell if the key
@@ -1041,14 +1072,21 @@ class TestSerialization:
 
     def test_read_out_leaves_the_pickle_unchanged(self):
         # the thresholds, the walk's nodes and the bitvector table are
-        # rebuilt after unpickling, so a read forest pickles as a fresh one
+        # rebuilt after unpickling, so a read forest pickles as a fresh one,
+        # whichever read-out serves it: a tree of 65 leaves sends the second
+        # forest down the walk
         data = gen_gaussian_clouds(60, 0.5, 1.0, 2, seed=20)
-        model = train_forest(data.features, data.labels, ForestConfig(n_trees=20), seed=14)
-        fresh = pickle.dumps(model)
-        model.predict_proba_batch(data.features)
-        model._walk(data.features)
-        assert model._bitvectors is not None
-        assert pickle.dumps(model) == fresh
+        table = train_forest(data.features, data.labels, ForestConfig(n_trees=20), seed=14)
+        walked = forest_from_doc(_forest_doc(
+            [_random_tree(np.random.default_rng(20), 65, 2), _leaf(0.5)]))
+        cached = {k for k, v in vars(ForestModel).items() if isinstance(v, cached_property)}
+        for model in (table, walked):
+            fresh = pickle.dumps(model)
+            model.predict_proba_batch(data.features)
+            model._walk(data.features)
+            assert (model._bitvectors is None) == (model is walked)
+            assert set(vars(model)) - set(vars(pickle.loads(fresh))) == cached
+            assert pickle.dumps(model) == fresh
 
     def test_pickle_size_does_not_depend_on_the_training_rows(self):
         # constant rows give single-leaf trees, so only the row count differs

@@ -1,6 +1,7 @@
 """Fuzz the determinism contract: drawn small configs give the same bytes at 1, 2
-and 3 workers, each strategy of a run gives the files it gives run alone, and a
-strategy's regressor is the fit of its exported rows.
+and 3 workers, each strategy of a run gives the files it gives run alone, a
+strategy's regressor is the fit of its exported rows, and ``run`` writes what
+``run_repeated`` returns, written through ``lalearn.artifacts``.
 
 Each config is drawn from a fixed seed, so a failure replays; the failure
 message prints the drawn config.  Three workers cut uneven blocks of
@@ -12,12 +13,14 @@ import json
 import numpy as np
 import pytest
 
+from lalearn import artifacts
 from lalearn.cli import EXIT_OK, main
-from lalearn.data import gen_gaussian_clouds, save_csv
-from lalearn.forest import forest_to_doc, regressor_config, train_forest
+from lalearn.data import gen_gaussian_clouds, load_csv, save_csv, split
+from lalearn.forest import ForestConfig, forest_to_doc, regressor_config, train_forest
+from lalearn.harness import run_repeated
 from lalearn.metrics import METRIC_IDS
 from lalearn.seeding import derive_seed
-from lalearn.strategies import load_strategy
+from lalearn.strategies import RandomStrategy, UncertaintyStrategy, load_strategy
 
 N_CONFIGS = 6
 
@@ -152,3 +155,34 @@ def test_drawn_config_is_worker_independent_and_its_rows_refit_the_regressor(
     reloaded = load_strategy(lal).regressor
     assert (reloaded.predict_regression_batch(table[:, :7]).tobytes()
             == refit.predict_regression_batch(table[:, :7]).tobytes()), replay
+
+
+def test_run_writes_what_the_library_returns(tmp_path):
+    # the first drawn config on a CSV dataset, run through the CLI and
+    # through run_repeated, whose results lalearn.artifacts writes
+    index, drawn = next((i, d) for i, d in enumerate(_draws()) if "imbalanced" in d["dataset"])
+    replay = f"draw {index} of default_rng(23): {json.dumps(drawn, sort_keys=True)}"
+    build, run = _configs(drawn, tmp_path)
+    (tmp_path / "build.json").write_text(json.dumps(build))
+    lal = tmp_path / "strategy.json"
+    assert main(["build-strategy", str(tmp_path / "build.json"),
+                 "--output", str(lal)]) == EXIT_OK, replay
+    cli = _run(run, ["random", "uncertainty", str(lal)], tmp_path / "cli", "1", replay)
+
+    train, test = split(load_csv(run["dataset"]["csv"]), run["test_fraction"],
+                        derive_seed(run["seed"], "benchmark_split"))
+    curves, traces = run_repeated(
+        train, test, [RandomStrategy(), UncertaintyStrategy(), load_strategy(lal)],
+        run["budget"], run["metric"], run["repetitions"], run["seed"],
+        ForestConfig(**run["classifier"]), warm_start_size=run["warm_start_size"])
+    out = tmp_path / "library"
+    out.mkdir()
+    for name, curve in curves.items():
+        artifacts.curve_to_csv(curve, out / f"{name}_curve.csv")
+        artifacts.curve_to_json(curve, out / f"{name}_curve.json")
+        artifacts.selection_traces_to_csv(traces[name], out / f"{name}_selections.csv")
+    artifacts.summary_to_csv(curves, out / "summary.csv")
+    library = _files(out)
+    assert sorted(library) == sorted(cli) and len(cli) == 10, replay
+    for name, data in library.items():
+        assert data == cli[name], f"{name} differs from the library's; {replay}"
