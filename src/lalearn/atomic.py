@@ -20,10 +20,15 @@ from contextlib import contextmanager, suppress
 from numbers import Integral
 
 
+def temp_path(path) -> str:
+    """The temp file ``atomic_open`` writes before it replaces ``path``."""
+    return f"{os.fspath(path)}.tmp"
+
+
 @contextmanager
 def atomic_open(path):
     """A UTF-8 text file for writing whose contents become ``path`` on a clean exit."""
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp = temp_path(path)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh

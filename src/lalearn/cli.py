@@ -30,7 +30,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import artifacts, svg
-from .atomic import read_json
+from .atomic import read_json, temp_path
 from .data import Dataset, gen_banana, gen_checkerboard, gen_gaussian_clouds, load_csv, split
 from .forest import CONFIG_SCHEMA, ForestConfig, regressor_config
 from .harness import motivation_experiment, probability_histogram, \
@@ -131,13 +131,13 @@ def _dataset_from_spec(spec: dict, seed: int, what: str) -> Dataset:
 def _check_overwrite(paths: list, force: bool) -> None:
     """Outputs name distinct files in existing directories, and replace none unless forced.
 
-    ``atomic_open`` writes each output to ``<output>.tmp`` first, so that
+    ``atomic_open`` writes each output to its ``temp_path`` first, so that
     name is checked like the output's own.  An output that is a directory
     is refused even when forced.  A ``None`` entry is an optional output
     that was not asked for.
     """
     paths = [Path(p) for p in paths if p is not None]
-    names = [(name, path) for path in paths for name in (path, Path(f"{path}.tmp"))]
+    names = [(name, path) for path in paths for name in (path, Path(temp_path(path)))]
     seen = {}
     for name, path in names:
         first = seen.setdefault(name.resolve(), path)

@@ -748,14 +748,13 @@ def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]
     open_tree = np.arange(G * T)
     open_pt = np.zeros(G * T, dtype=np.int64)   # within-tree creation index
     tree_next_pt = np.ones(G * T, dtype=np.int64)
-    # open-node ordinal of each row, -1 once in a leaf
-    row_ord = np.repeat(open_tree, np.repeat(ns, T))
+    # the bootstrapped rows still in open nodes, and their node ordinals
+    rows = np.arange(len(src))
+    o = np.repeat(open_tree, np.repeat(ns, T))
     depth = 0
 
     while len(open_tree):
         P = len(open_tree)
-        rows = np.flatnonzero(row_ord >= 0)
-        o = row_ord[rows]
         # by node, then row; the keys stay below 2 * len(src)**2
         rows_g = np.sort(o << rbits | rows) & ((1 << rbits) - 1)
         sizes = np.bincount(o, minlength=P)
@@ -780,32 +779,24 @@ def train_forests(sets, config: ForestConfig | None = None) -> list[ForestModel]
             thr_l[elig[node]] = thr
         levels.append((open_tree, feat_l, thr_l, value, sizes))
 
-        # within-tree creation indices for the children: sequential per
-        # tree, in split order.  open_tree is non-decreasing at every level
-        # (roots in tree order; split_ord is ascending and children follow
-        # their parents), so each tree's splits are adjacent and
-        # searchsorted finds the first one
+        # rows of a split node move to their child's ordinal on the next
+        # level, whose open nodes are the children in split order; rows of a
+        # leaf leave
         is_split = feat_l >= 0
-        split_ord = np.flatnonzero(is_split)
-        S = len(split_ord)
-        split_tree = open_tree[split_ord]
-        tree_rank = np.arange(S) - np.searchsorted(split_tree, split_tree)
-        left_pt = tree_next_pt[split_tree] + 2 * tree_rank
-        tree_next_pt += 2 * np.bincount(split_tree, minlength=G * T)
-
-        # the children of the level's S splits are the next level's open
-        # nodes, in split order; rows of a split node move to their
-        # child's ordinal there, rows of a leaf leave
-        child = np.full(P, -1, dtype=np.int64)
-        child[split_ord] = 2 * np.arange(S)
+        child = 2 * np.cumsum(is_split) - 2   # read at split nodes only
         split = is_split[o]
-        srows = rows[split]
-        so = o[split]
-        row_ord[srows] = child[so] + (stacked[src[srows], feat_l[so]] > thr_l[so])
-        row_ord[rows[~split]] = -1
-        np.maximum.at(tree_depths, open_tree[~is_split], depth)
-        open_tree = np.repeat(split_tree, 2)
-        open_pt = (left_pt[:, None] + np.arange(2)).reshape(-1)
+        rows, o = rows[split], o[split]
+        o = child[o] + (stacked[src[rows], feat_l[o]] > thr_l[o])
+        # levels run in depth order, so a tree's last leaf level is its depth
+        tree_depths[open_tree[~is_split]] = depth
+        # the children's within-tree creation indices run on from the tree's
+        # last one, in split order.  open_tree is non-decreasing at every
+        # level (roots in tree order, children after their parents), so a
+        # tree's children are adjacent and searchsorted finds its first one
+        open_tree = np.repeat(open_tree[is_split], 2)
+        open_pt = (tree_next_pt[open_tree] + np.arange(len(open_tree))
+                   - np.searchsorted(open_tree, open_tree))
+        tree_next_pt += np.bincount(open_tree, minlength=G * T)
         depth += 1
 
     # regroup the level tables set by set.  A set's table stays level

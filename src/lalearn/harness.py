@@ -301,8 +301,17 @@ def motivation_experiment(balanced: bool, repetitions: int = 10000,
     its label changes the 0/1 test loss.  Reductions are averaged in
     ``n_bins`` equal-width bins of the base classifier's p0.
     """
-    if repetitions < 1 or n_bins < 2:
-        raise ValueError("need at least 1 repetition and 2 bins")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
+    if n_bins < 2:
+        raise ValueError(f"n_bins must be at least 2, got {n_bins}")
+    if n_pool < 3:
+        raise ValueError(f"n_pool must be at least 3 (two seed labels and a candidate), "
+                         f"got {n_pool}")
+    if n_test < 2:
+        raise ValueError(f"n_test must be at least 2, got {n_test}")
+    if not 0.0 < separation < np.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     fraction = 0.5 if balanced else 2.0 / 3.0
     edges = list(range(0, repetitions, MOTIVATION_CHUNK)) + [repetitions]
     tasks = [(seed, lo, hi, fraction, n_pool, n_test, separation, n_bins)

@@ -467,6 +467,11 @@ def _digest_fits(case):
         sets = [(np.round(rng.normal(size=(n, 4)), 1), rng.integers(0, 2, n), 1000 + n)
                 for n in np.linspace(2, 64, 21).astype(int)]
         return train_forests(sets, ForestConfig(n_trees=20))
+    if case == "classifier_deep":
+        # labels that cycle every 5 rows along one feature: leaves end at
+        # depths 22-44, and every tree has more than 64 leaves
+        y = (np.arange(300) * 7) % 5 < 2
+        return [train_forest(np.arange(300.0)[:, None], y, ForestConfig(n_trees=5), 3)]
     if case.startswith("classifier"):
         X, y = np.round(rng.normal(size=(40, 4)), 1), rng.integers(0, 2, 40)
         k = 1 if case == "classifier_k1" else 4
@@ -485,6 +490,7 @@ def _digest_fits(case):
 # the order of a prefix sum, a tie-break or the node numbering shows here
 _TRAINER_DIGESTS = {
     "cell_of_21": "af9ae733cc6c24ce07a49c30b4a8f9a1f909179f4528eef00a8802f7a98569f6",
+    "classifier_deep": "80de528523b5c78a95d6336bdc6f2efb1d7b92ff51f80afac31e9a469142ecfa",
     "classifier_k1": "379a792be270b1eb109f7dc7e6ba76035f49c82f948a0890bf0f3f9ad9eb874b",
     "classifier_kd": "27c624b88f15d234b8cd0e002cc4e6545bda02c81a4ec95cbe791b8552402ff8",
     "reg_leaf1": "58cf7f2e37a72346b392213c1d8dd2889352b9db42f6d1d85c4b6bab4a957011",

@@ -281,6 +281,14 @@ class TestMotivation:
         assert whole.mean_delta.tobytes() == blocked.mean_delta.tobytes()
         assert whole.counts.tobytes() == blocked.counts.tobytes()
 
+    @pytest.mark.parametrize("bad", [
+        dict(repetitions=0), dict(n_bins=1), dict(n_pool=2), dict(n_test=1),
+        dict(separation=0.0), dict(separation=np.inf), dict(separation=np.nan)])
+    def test_rejects_bad_arguments_by_name(self, bad):
+        kwargs = dict(balanced=True, repetitions=3, n_bins=4, seed=1, n_pool=10, n_test=50)
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+            motivation_experiment(**{**kwargs, **bad})
+
     def test_empty_bins_are_nan(self):
         curve = motivation_experiment(balanced=True, repetitions=2, n_bins=50,
                                       seed=15, n_pool=10, n_test=50)
