@@ -263,24 +263,24 @@ def cmd_run(args) -> int:
                              f"({n_train - initial} after initialization)")
 
         out = _output_dir(config["output_dir"], args.output_dir)
-        targets = [out / "summary.csv"]
-        for s in strategies:
-            targets += [out / f"{s.name}_curve.csv", out / f"{s.name}_curve.json",
-                        out / f"{s.name}_selections.csv"]
-        if args.svg:
-            targets.append(out / "curves.svg")
-        _check_overwrite(targets, args.force)
+        summary, plot = out / "summary.csv", (out / "curves.svg" if args.svg else None)
+        files = {s.name: [out / f"{s.name}{suffix}" for suffix in
+                          ("_curve.csv", "_curve.json", "_selections.csv")]
+                 for s in strategies}
+        _check_overwrite([summary, *(f for trio in files.values() for f in trio), plot],
+                         args.force)
     curves, traces = run_repeated(train, test, strategies, budget, metric,
                                   repetitions, seed, classifier,
                                   warm_start_size=warm, workers=args.workers)
     for name, curve in curves.items():
-        artifacts.curve_to_csv(curve, out / f"{name}_curve.csv")
-        artifacts.curve_to_json(curve, out / f"{name}_curve.json")
-        artifacts.selection_traces_to_csv(traces[name], out / f"{name}_selections.csv")
-    artifacts.summary_to_csv(curves, out / "summary.csv")
+        curve_csv, curve_json, selections = files[name]
+        artifacts.curve_to_csv(curve, curve_csv)
+        artifacts.curve_to_json(curve, curve_json)
+        artifacts.selection_traces_to_csv(traces[name], selections)
+    artifacts.summary_to_csv(curves, summary)
     if args.svg:
         series = [(name, curve.budgets, curve.mean()) for name, curve in curves.items()]
-        svg.line_plot(out / "curves.svg", series,
+        svg.line_plot(plot, series,
                       title=f"{dataset.name}: {metric} vs labels",
                       x_label="acquired labels", y_label=metric)
     for name, curve in curves.items():

@@ -123,8 +123,8 @@ def gen_gaussian_clouds(n: int, class0_fraction: float, separation: float,
         raise ValueError("dim must be at least 1")
     if not 0.0 < class0_fraction < 1.0:
         raise ValueError("class0_fraction must lie strictly between 0 and 1")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    if not 0.0 < separation < math.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     n0 = int(round(n * class0_fraction))
     n1 = n - n0
     if n0 == 0 or n1 == 0:
@@ -175,8 +175,8 @@ def gen_banana(n: int, noise: float = 0.2, seed: int = 0) -> Dataset:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be non-negative and finite, got {noise}")
     n0 = n - n // 2
     n1 = n // 2
     rng = rng_for(seed)

@@ -15,6 +15,7 @@ forests are bit-identical to fitting each set alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -301,6 +302,10 @@ def motivation_experiment(balanced: bool, repetitions: int = 10000,
     its label changes the 0/1 test loss.  Reductions are averaged in
     ``n_bins`` equal-width bins of the base classifier's p0.
     """
+    for name, value in (("repetitions", repetitions), ("n_bins", n_bins),
+                        ("n_pool", n_pool), ("n_test", n_test)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     if n_bins < 2:
@@ -322,8 +327,7 @@ def motivation_experiment(balanced: bool, repetitions: int = 10000,
     for part_sums, part_counts in results:  # canonical order: chunk index
         sums += part_sums
         counts += part_counts
-    with np.errstate(invalid="ignore"):
-        mean_delta = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    mean_delta = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     centers = (np.arange(n_bins) + 0.5) / n_bins
     return MotivationCurve(centers, mean_delta, counts)
 

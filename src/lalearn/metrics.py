@@ -2,7 +2,9 @@
 
 Class 1 is "positive" throughout: confusion counts, IOU, dice, and the
 AUC score orientation all follow that convention.  The forest predicts
-the class-0 probability, so AUC scores are ``1 - p0``.
+the class-0 probability, so a row is predicted class 1 when ``p0 < 0.5``
+(a tie goes to class 0) and AUC scores are ``1 - p0``.  Every label must
+be 0 or 1.
 """
 
 from __future__ import annotations
@@ -25,33 +27,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def counts_from_predictions(predicted, actual) -> ConfusionCounts:
-    p = np.asarray(predicted)
-    a = np.asarray(actual)
-    if p.shape != a.shape:
-        raise ValueError("predicted and actual labels must align")
-    return ConfusionCounts(
-        tp=int(np.sum((p == 1) & (a == 1))),
-        fp=int(np.sum((p == 1) & (a == 0))),
-        tn=int(np.sum((p == 0) & (a == 0))),
-        fn=int(np.sum((p == 0) & (a == 1))),
-    )
-
-
-def accuracy(counts: ConfusionCounts) -> float:
-    if counts.total == 0:
-        raise ValueError("no evaluated samples")
-    return (counts.tp + counts.tn) / counts.total
-
-
-def zero_one_loss(counts: ConfusionCounts) -> float:
-    return 1.0 - accuracy(counts)
-
 
 def iou(counts: ConfusionCounts) -> float:
     """Intersection over union of the positive class; 1.0 when empty."""
@@ -65,6 +40,16 @@ def dice(counts: ConfusionCounts) -> float:
     return 2 * counts.tp / denom if denom else 1.0
 
 
+def _class1(labels) -> np.ndarray:
+    """Where ``labels`` is 1; raises unless every label is 0 or 1."""
+    y = np.asarray(labels)
+    is1 = y == 1
+    bad = ~(is1 | (y == 0))
+    if bad.any():
+        raise ValueError(f"labels must be 0 or 1, got {y[bad][0]}")
+    return is1
+
+
 def auc_roc(scores, labels) -> float:
     """Rank-based (Mann-Whitney) area under the ROC curve.
 
@@ -72,49 +57,42 @@ def auc_roc(scores, labels) -> float:
     a single-class label vector, where the area is undefined.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.shape != y.shape or s.ndim != 1:
+    is1 = _class1(labels)
+    if s.shape != is1.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equally long vectors")
-    n1 = int(np.sum(y == 1))
-    n0 = len(y) - n1
+    n1 = int(np.count_nonzero(is1))
+    n0 = len(s) - n1
     if n1 == 0 or n0 == 0:
         raise ValueError("AUC is undefined for a single-class label vector")
-    order = np.argsort(s, kind="stable")
-    sorted_scores = s[order]
-    # midranks: equal scores share the average of their 1-based positions
-    new_group = np.empty(len(s), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_scores[1:] != sorted_scores[:-1]
-    group = np.cumsum(new_group) - 1
-    first = np.flatnonzero(new_group)
-    size = np.diff(np.append(first, len(s)))
-    ranks = np.empty(len(s), dtype=np.float64)
-    ranks[order] = (first + (size - 1) / 2.0 + 1.0)[group]
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0)
-
-
-def predicted_labels(proba_class0) -> np.ndarray:
-    """Hard labels from class-0 probabilities; ties (p = 0.5) go to class 0."""
-    p0 = np.asarray(proba_class0, dtype=np.float64)
-    return np.where(p0 < 0.5, 1, 0)
+    values, level = np.unique(s, return_inverse=True)
+    pos = np.bincount(level[is1], minlength=len(values))
+    neg = np.bincount(level[~is1], minlength=len(values))
+    # twice U: each positive beats the negatives below it and ties the rest at
+    # its score, an exact integer, so the quotient is correctly rounded
+    twice_u = int(pos @ (2 * (np.cumsum(neg) - neg) + neg))
+    return twice_u / (2 * n1 * n0)
 
 
 def evaluate_probability_metric(metric: str, proba_class0, labels) -> float:
     """Evaluate a metric id against class-0 probabilities."""
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_IDS}")
-    y = np.asarray(labels)
+    p0 = np.asarray(proba_class0, dtype=np.float64)
     if metric == "auc":
-        return auc_roc(1.0 - np.asarray(proba_class0, dtype=np.float64), y)
-    counts = counts_from_predictions(predicted_labels(proba_class0), y)
-    if metric == "accuracy":
-        return accuracy(counts)
-    if metric == "zero_one":
-        return zero_one_loss(counts)
-    if metric == "iou":
-        return iou(counts)
-    return dice(counts)
+        return auc_roc(1.0 - p0, labels)
+    is1 = _class1(labels)
+    if p0.shape != is1.shape:
+        raise ValueError("probabilities and labels must align")
+    if is1.size == 0:
+        raise ValueError("no evaluated samples")
+    # cell 2 * actual + predicted
+    tn, fp, fn, tp = np.bincount((2 * is1 + (p0 < 0.5)).ravel(), minlength=4).tolist()
+    if metric in ("accuracy", "zero_one"):
+        accuracy = (tp + tn) / is1.size
+        # not (fp + fn) / total, which can round differently
+        return accuracy if metric == "accuracy" else 1.0 - accuracy
+    counts = ConfusionCounts(tp, fp, tn, fn)
+    return iou(counts) if metric == "iou" else dice(counts)
 
 
 def loss_from_metric(metric: str, proba_class0, labels) -> float:

@@ -155,6 +155,16 @@ class TestBanana:
         assert forest_acc > 0.95
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("generator, argument, fixed", [
+    (gen_banana, "noise", {}),
+    (gen_gaussian_clouds, "separation", {"class0_fraction": 0.5}),
+], ids=["banana", "gaussian_clouds"])
+def test_generators_reject_a_non_finite_float_by_name(generator, argument, fixed, value):
+    with pytest.raises(ValueError, match=f"^{argument} must .*finite, got {value}"):
+        generator(10, seed=1, **fixed, **{argument: value})
+
+
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
         data = gen_gaussian_clouds(50, 0.5, 2.0, 3, seed=10)

@@ -283,11 +283,21 @@ class TestMotivation:
 
     @pytest.mark.parametrize("bad", [
         dict(repetitions=0), dict(n_bins=1), dict(n_pool=2), dict(n_test=1),
-        dict(separation=0.0), dict(separation=np.inf), dict(separation=np.nan)])
+        dict(separation=0.0), dict(separation=np.inf), dict(separation=np.nan),
+        dict(repetitions=2.5), dict(repetitions=True), dict(n_bins=2.5),
+        dict(n_bins=np.float64(4.0)), dict(n_pool=10.5), dict(n_test=2.5)])
     def test_rejects_bad_arguments_by_name(self, bad):
         kwargs = dict(balanced=True, repetitions=3, n_bins=4, seed=1, n_pool=10, n_test=50)
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             motivation_experiment(**{**kwargs, **bad})
+
+    def test_accepts_numpy_integers(self):
+        kwargs = dict(repetitions=2, n_bins=4, n_pool=10, n_test=50)
+        plain = motivation_experiment(balanced=True, seed=1, **kwargs)
+        wide = motivation_experiment(balanced=True, seed=1,
+                                     **{k: np.int32(v) for k, v in kwargs.items()})
+        assert plain.mean_delta.tobytes() == wide.mean_delta.tobytes()
+        assert np.array_equal(plain.counts, wide.counts)
 
     def test_empty_bins_are_nan(self):
         curve = motivation_experiment(balanced=True, repetitions=2, n_bins=50,

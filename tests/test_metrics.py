@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from lalearn.metrics import (ConfusionCounts, accuracy, auc_roc,
-                             counts_from_predictions, dice,
-                             evaluate_probability_metric, iou,
-                             loss_from_metric, predicted_labels, zero_one_loss)
+from lalearn.metrics import (METRIC_IDS, ConfusionCounts, auc_roc, dice,
+                             evaluate_probability_metric, iou, loss_from_metric)
 
 
 def _pair_counting_auc(scores, labels):
@@ -26,13 +24,13 @@ def _pair_counting_auc(scores, labels):
 
 
 class TestCounts:
-    def test_from_predictions(self):
-        c = counts_from_predictions(np.array([1, 0, 1, 0]), np.array([1, 0, 0, 1]))
-        assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 1, 1)
-
-    def test_total_invariant(self):
-        c = ConfusionCounts(tp=3, fp=1, tn=2, fn=4)
-        assert c.total == 10
+    def test_each_cell_lands_in_its_count(self):
+        # p0 < 0.5 predicts class 1; rows: tp, fp, tn, fn, fn
+        p0 = np.array([0.2, 0.3, 0.8, 0.9, 0.6])
+        y = np.array([1, 0, 0, 1, 1])
+        assert evaluate_probability_metric("accuracy", p0, y) == 2 / 5
+        assert evaluate_probability_metric("iou", p0, y) == 1 / 4
+        assert evaluate_probability_metric("dice", p0, y) == 2 / 5
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -41,26 +39,39 @@ class TestCounts:
 
 class TestAccuracy:
     def test_perfect_and_all_wrong(self):
-        assert accuracy(ConfusionCounts(5, 0, 5, 0)) == 1.0
-        assert zero_one_loss(ConfusionCounts(5, 0, 5, 0)) == 0.0
-        assert accuracy(ConfusionCounts(0, 5, 0, 5)) == 0.0
-        assert zero_one_loss(ConfusionCounts(0, 5, 0, 5)) == 1.0
+        p0 = np.array([0.9, 0.1, 0.7, 0.3])
+        y = np.array([0, 1, 0, 1])
+        assert evaluate_probability_metric("accuracy", p0, y) == 1.0
+        assert evaluate_probability_metric("zero_one", p0, y) == 0.0
+        assert evaluate_probability_metric("accuracy", p0, 1 - y) == 0.0
+        assert evaluate_probability_metric("zero_one", p0, 1 - y) == 1.0
 
-    def test_arithmetic_example(self):
-        assert accuracy(ConfusionCounts(tp=3, tn=2, fp=1, fn=4)) == 0.5
+    def test_tie_predicts_class0(self):
+        y = np.array([0, 1, 1])
+        assert evaluate_probability_metric("accuracy", [0.5, 0.51, 0.49], y) == 2 / 3
+        assert evaluate_probability_metric("accuracy", [0.5, 0.5, 0.5], y) == 1 / 3
 
     def test_complement_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            tp, fp, tn, fn = rng.integers(0, 20, size=4)
-            if tp + fp + tn + fn == 0:
-                continue
-            c = ConfusionCounts(int(tp), int(fp), int(tn), int(fn))
-            assert accuracy(c) + zero_one_loss(c) == 1.0
+            n = int(rng.integers(1, 40))
+            p0 = np.round(rng.random(n), 1)
+            y = rng.integers(0, 2, size=n)
+            assert (evaluate_probability_metric("accuracy", p0, y)
+                    + evaluate_probability_metric("zero_one", p0, y)) == 1.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy(ConfusionCounts(0, 0, 0, 0))
+    @pytest.mark.parametrize("metric", ["accuracy", "zero_one", "iou", "dice"])
+    def test_empty_rejected(self, metric):
+        with pytest.raises(ValueError, match="no evaluated samples"):
+            evaluate_probability_metric(metric, [], [])
+
+    def test_float_labels_accepted(self):
+        p0 = np.array([0.9, 0.2, 0.5])
+        assert evaluate_probability_metric("accuracy", p0, [0.0, 1.0, 1.0]) == 2 / 3
+
+    def test_misaligned_rejected(self):
+        with pytest.raises(ValueError, match="align"):
+            evaluate_probability_metric("accuracy", [0.2, 0.7], [0, 1, 1])
 
 
 class TestOverlap:
@@ -120,9 +131,49 @@ class TestAuc:
         assert auc_roc(scores, labels) == auc_roc(scores[perm], labels[perm])
 
 
+def _direct(metric, p0, y):
+    """The metric counted row by row, without numpy."""
+    cells = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+    for p, label in zip(p0, y):
+        predicted = 1 if p < 0.5 else 0
+        key = ("t" if predicted == label else "f") + ("p" if predicted == 1 else "n")
+        cells[key] += 1
+    tp, fp, tn, fn = cells["tp"], cells["fp"], cells["tn"], cells["fn"]
+    if metric == "accuracy":
+        return (tp + tn) / len(y)
+    if metric == "zero_one":
+        return 1.0 - (tp + tn) / len(y)
+    if metric == "iou":
+        return tp / (tp + fp + fn) if tp + fp + fn else 1.0
+    if metric == "dice":
+        return 2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 1.0
+    return _pair_counting_auc([1.0 - p for p in p0], y)
+
+
 class TestProbabilityInterface:
-    def test_tie_probability_predicts_class0(self):
-        assert predicted_labels([0.5, 0.51, 0.49]).tolist() == [0, 0, 1]
+    def test_matches_direct_count(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            p0 = np.round(rng.random(n), int(rng.integers(0, 3)))
+            p0[rng.random(n) < 0.2] = 0.5
+            y = rng.integers(0, 2, size=n)
+            y[:2] = [0, 1]
+            for metric in METRIC_IDS:
+                assert evaluate_probability_metric(metric, p0, y) == pytest.approx(
+                    _direct(metric, p0, y), abs=1e-12), metric
+
+    @pytest.mark.parametrize("metric", METRIC_IDS)
+    @pytest.mark.parametrize("bad", [2, 0.5, -1])
+    def test_labels_other_than_0_1_rejected(self, metric, bad):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            evaluate_probability_metric(metric, [0.9, 0.1, 0.2], [0, 1, bad])
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            loss_from_metric(metric, [0.9, 0.1, 0.2], [0, 1, bad])
+
+    def test_auc_rejects_labels_other_than_0_1(self):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            auc_roc([0.1, 0.2, 0.3], [0, 1, 2])
 
     def test_evaluate_accuracy(self):
         p0 = np.array([0.9, 0.2, 0.6, 0.1])
