@@ -2,8 +2,10 @@
 
 Subcommands: ``build-strategy``, ``run``, ``motivate``, ``analyze``.
 Experiments are described by JSON config files (``config_format: 1``);
-selected flags override config fields.  Every command is a pure function
-of (config, input files, seed): reruns produce byte-identical outputs.
+``build-strategy --output`` and ``run --output-dir`` override the output
+path a config names.  A command depends only on its arguments and the
+files they name, never on the environment: reruns produce byte-identical
+outputs.
 
 Each command reads and checks all of its inputs and output paths in one
 input phase, ``with _reading(command)``, before it does any work or writes
@@ -15,15 +17,12 @@ generator, ``split``) a ``ValueError`` or ``OSError`` naming its file, and
 phase is a runtime failure, exit 3.
 
 Exit codes: 0 success, 2 config validation failure, 3 runtime failure.
-The only environment dependence is ``LALEARN_OUTPUT_DIR``, which overrides
-the output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -38,12 +37,11 @@ from .harness import motivation_experiment, probability_histogram, \
 from .metrics import METRIC_IDS
 from .schema import REQUIRED, read_fields
 from .seeding import derive_seed
-from .strategies import BUILD_METHODS, BUILTIN_KINDS, LalStrategy, Strategy, \
-    load_strategy, save_strategy
+from .strategies import BUILD_METHODS, BUILTIN_KINDS, Strategy, load_strategy, \
+    save_strategy
 from .training import MONTE_CARLO_SCHEMA, MonteCarloConfig, build_lal, cold_start_data
 
 CONFIG_FORMAT = 1
-OUTPUT_DIR_ENV = "LALEARN_OUTPUT_DIR"
 EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME = 0, 2, 3
 
 
@@ -63,15 +61,15 @@ def _reading(command: str):
         raise ConfigError(f"{command}: {exc}") from None
 
 
-def _load_config(path, **flags) -> dict:
-    """The config object at ``path``, with the flags that are set overriding its fields."""
+def _load_config(path) -> dict:
+    """The config object at ``path``."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
     if doc.get("config_format") != CONFIG_FORMAT:
         raise ValueError(f"{path}: config_format must be {CONFIG_FORMAT}, "
                          f"got {doc.get('config_format')!r}")
-    return {**doc, **{key: value for key, value in flags.items() if value is not None}}
+    return doc
 
 
 # key -> (kind, default[, lo[, hi] | names]), as schema.read_fields takes them
@@ -153,14 +151,13 @@ def _check_overwrite(paths: list, force: bool) -> None:
 
 
 def _output_dir(doc_value, flag_value) -> Path:
-    """The flag, else a non-empty ``LALEARN_OUTPUT_DIR``, else the config field."""
+    """The flag, else the config field."""
     if flag_value == "":
         raise ValueError("--output-dir must not be empty")
     if doc_value == "":
         raise ValueError("field 'output_dir' must not be empty")
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    chosen = flag_value or env or doc_value
-    source = "--output-dir" if flag_value else OUTPUT_DIR_ENV if env else "field 'output_dir'"
+    chosen, source = ((flag_value, "--output-dir") if flag_value
+                      else (doc_value, "field 'output_dir'"))
     if chosen is None:
         raise ValueError("no output directory configured")
     out = Path(chosen)
@@ -177,7 +174,9 @@ def _output_dir(doc_value, flag_value) -> Path:
 def cmd_build_strategy(args) -> int:
     what = args.config   # read_fields names the config file in its errors
     with _reading("build-strategy"):
-        doc = _load_config(args.config, seed=args.seed, output=args.output)
+        doc = _load_config(args.config)
+        if args.output is not None:
+            doc["output"] = args.output
         config = read_fields(doc, _BUILD_CONFIG, what, "config")
         mc = MonteCarloConfig(
             **{key: config[key] for key in MONTE_CARLO_SCHEMA},
@@ -242,9 +241,7 @@ def _resolve_strategies(specs) -> list[Strategy]:
 def cmd_run(args) -> int:
     what = args.config
     with _reading("run"):
-        config = read_fields(_load_config(args.config, seed=args.seed, budget=args.budget,
-                                          repetitions=args.repetitions),
-                             _RUN_CONFIG, what, "config")
+        config = read_fields(_load_config(args.config), _RUN_CONFIG, what, "config")
         seed, budget, repetitions = config["seed"], config["budget"], config["repetitions"]
         metric, warm = config["metric"], config["warm_start_size"]
 
@@ -337,9 +334,6 @@ def cmd_analyze(args) -> int:
             raise ValueError("--traces needs --histogram-out")
         if args.strategy:
             strategy = load_strategy(args.strategy)
-            if not isinstance(strategy, LalStrategy):
-                raise ValueError(f"{args.strategy} is a {strategy.kind} strategy; "
-                                 f"only learned strategies carry a regressor")
         traces = [trace for path in args.traces
                   for trace in artifacts.selection_traces_from_csv(path)]
         _check_overwrite([args.importances_out if args.strategy else None,
@@ -375,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("config", help="JSON build config")
     build.add_argument("--output", help="strategy file (overrides config)")
     build.add_argument("--rows-out", help="also export the regression set CSV")
-    build.add_argument("--seed", type=int, help="override the config seed")
     build.add_argument("--workers", type=int, default=1)
     build.add_argument("--force", action="store_true", help="overwrite outputs")
     build.set_defaults(fn=cmd_build_strategy)
@@ -383,9 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="benchmark strategies on a dataset")
     run.add_argument("config", help="JSON run config")
     run.add_argument("--output-dir", help="overrides config output_dir")
-    run.add_argument("--seed", type=int, help="override the config seed")
-    run.add_argument("--budget", type=int, help="override the config budget")
-    run.add_argument("--repetitions", type=int, help="override the config repetitions")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--svg", action="store_true", help="also emit curves.svg")
     run.add_argument("--force", action="store_true", help="overwrite outputs")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import read_csv, write_csv
+from .schema import check_integers
 from .seeding import derive_seed, rng_for
 
 WARM_START_ATTEMPTS = 16
@@ -117,6 +118,7 @@ def gen_gaussian_clouds(n: int, class0_fraction: float, separation: float,
     at ``+separation/2``; both use unit variance in every coordinate.
     ``round(n * class0_fraction)`` samples belong to class 0.
     """
+    check_integers(n=n, dim=dim)
     if n < 2:
         raise ValueError("n must be at least 2")
     if dim < 1:
@@ -149,6 +151,7 @@ def gen_checkerboard(k: int, n: int, seed: int = 0, label_noise: float = 0.0) ->
     ``label_noise`` flips each label independently with the given
     probability (default 0: the label function is exact).
     """
+    check_integers(k=k, n=n)
     if k not in (2, 4):
         raise ValueError("grid side k must be 2 or 4")
     if n < 2:
@@ -173,6 +176,7 @@ def gen_banana(n: int, noise: float = 0.2, seed: int = 0) -> Dataset:
     not linearly separable, which is the property that matters for the
     benchmarks built on it.
     """
+    check_integers(n=n)
     if n < 2:
         raise ValueError("n must be at least 2")
     if not 0.0 <= noise < math.inf:
@@ -313,6 +317,7 @@ def init_warm_start(train: Dataset, n0: int, seed: int = 0) -> PoolState:
     one random row of each class and ``n0 - 2`` more random rows, so the
     start fails only when ``train`` lacks a class.
     """
+    check_integers(n0=n0)
     n = len(train)
     if not 2 <= n0 < n:
         raise ValueError(f"n0 must satisfy 2 <= n0 < {n}, got {n0}")

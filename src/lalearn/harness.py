@@ -15,15 +15,16 @@ forests are bit-identical to fitting each set alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .data import Dataset, PoolState, init_cold_start, init_warm_start, merge, split
+from .features import FEATURE_NAMES
 from .forest import ForestConfig, train_forest, train_forests
 from .logistic import sigmoid, train_logistic_batch
 from .metrics import METRIC_IDS, evaluate_probability_metric
 from .parallel import parallel_map
+from .schema import check_integers
 from .seeding import derive_seed, rng_for
 from .strategies import LalStrategy, Strategy
 
@@ -118,6 +119,7 @@ def run_al(train: Dataset, test: Dataset, strategies: list[Strategy], budget: in
     in a single ``train_forests`` call.  A grouped forest is bit-identical
     to fitting its set alone, so each run gives the bits it gives alone.
     """
+    _check_run_integers(budget, warm_start_size)
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}")
     if budget < 0:
@@ -154,6 +156,13 @@ def run_al(train: Dataset, test: Dataset, strategies: list[Strategy], budget: in
             for e in range(len(strategies))]
 
 
+def _check_run_integers(budget, warm_start_size) -> None:
+    """``check_integers`` on a run's ``budget`` and its ``warm_start_size`` when set."""
+    check_integers(budget=budget)
+    if warm_start_size is not None:
+        check_integers(warm_start_size=warm_start_size)
+
+
 def _repetition(args):
     (pooled, test_fraction, strategies, budget, metric, rep_seed,
      classifier_config, warm_start_size) = args
@@ -177,6 +186,8 @@ def run_repeated(train: Dataset, test: Dataset, strategies: list[Strategy],
     ``test``, so when both of them hold both classes every repetition's
     parts and start do too: no repetition fails on a draw.
     """
+    check_integers(repetitions=repetitions)
+    _check_run_integers(budget, warm_start_size)
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     names = [s.name for s in strategies]
@@ -302,10 +313,7 @@ def motivation_experiment(balanced: bool, repetitions: int = 10000,
     its label changes the 0/1 test loss.  Reductions are averaged in
     ``n_bins`` equal-width bins of the base classifier's p0.
     """
-    for name, value in (("repetitions", repetitions), ("n_bins", n_bins),
-                        ("n_pool", n_pool), ("n_test", n_test)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_integers(repetitions=repetitions, n_bins=n_bins, n_pool=n_pool, n_test=n_test)
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     if n_bins < 2:
@@ -338,6 +346,7 @@ def motivation_experiment(balanced: bool, repetitions: int = 10000,
 def probability_histogram(traces: list[SelectionTrace], n_bins: int = 21,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Pooled histogram of chosen-point probabilities over [0, 1]."""
+    check_integers(n_bins=n_bins)
     if n_bins < 1:
         raise ValueError("n_bins must be positive")
     values = (np.concatenate([t.probabilities for t in traces])
@@ -351,4 +360,4 @@ def regressor_importance_report(strategy: LalStrategy) -> list[tuple[str, float]
     if not isinstance(strategy, LalStrategy):
         raise ValueError("importance report needs a learned strategy")
     weights = strategy.regressor.feature_importances()
-    return [(name, float(w)) for name, w in zip(strategy.feature_schema, weights)]
+    return [(name, float(w)) for name, w in zip(FEATURE_NAMES, weights)]

@@ -38,6 +38,23 @@ def finite(number) -> bool:
         return False
 
 
+def _is_a(kind, value) -> bool:
+    """Whether ``value`` is of ``kind`` as a field reads it: never a boolean."""
+    return not isinstance(value, bool) and isinstance(value, _ACCEPTED.get(kind, kind))
+
+
+def check_integers(**values) -> None:
+    """Raise ``ValueError`` naming the first argument that is not an integer.
+
+    An integer is what an ``int`` field takes: any integer type, numpy's
+    included, but no boolean.  The message is
+    ``<name> must be an integer, got <value>``.
+    """
+    for name, value in values.items():
+        if not _is_a(int, value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def read_fields(doc, schema: dict, what: str, label: str) -> dict:
     """``doc`` checked against ``schema``, defaults filled in; ``ValueError`` naming the key.
 
@@ -62,7 +79,7 @@ def read_fields(doc, schema: dict, what: str, label: str) -> dict:
         value = fields[key] = doc[key]
         if value is None and (default is None or default is REQUIRED_OR_NULL):
             continue
-        if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
+        if not _is_a(kind, value):
             raise ValueError(f"{what}: field {key!r} must be {_KIND_NAMES[kind]}, "
                              f"got {brief(value)}")
         if kind is float and not finite(value):

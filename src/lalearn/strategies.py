@@ -3,8 +3,9 @@
 Three kinds: uniform random sampling, entropy-based uncertainty sampling,
 and learned selection that ranks candidates by a regression forest's
 predicted test-error reduction.  Strategies are immutable; all mutable
-loop state lives in the pool.  A strategy file is an input like a config,
-and is checked by the same reader, ``schema.read_fields``.
+loop state lives in the pool.  Only a learned strategy has a file: the
+two builtins are named, never filed.  A strategy file is an input like a
+config, and is checked by the same reader, ``schema.read_fields``.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class Strategy:
                rng=None) -> int:
         raise NotImplementedError
 
-    def to_doc(self) -> dict:
-        return {"format": STRATEGY_FORMAT, "kind": self.kind}
-
 
 class RandomStrategy(Strategy):
     kind = "random"
@@ -98,19 +96,16 @@ class LalStrategy(Strategy):
 
     kind = "lal"
 
-    def __init__(self, regressor: ForestModel, feature_schema=FEATURE_NAMES,
-                 provenance: str = "independent", training_metadata: dict | None = None):
+    def __init__(self, regressor: ForestModel, provenance: str = "independent",
+                 training_metadata: dict | None = None):
         if regressor.mode != "regression":
             raise ValueError("strategy regressor must be a regression forest")
         if regressor.n_features != len(FEATURE_NAMES):
             raise ValueError(f"strategy regressor takes {regressor.n_features} features, "
                              f"the learning state has {len(FEATURE_NAMES)}")
-        if tuple(feature_schema) != FEATURE_NAMES:
-            raise ValueError(f"feature schema mismatch: {tuple(feature_schema)}")
         if provenance not in BUILD_METHODS:
             raise ValueError(f"unknown provenance {provenance!r}")
         self.regressor = regressor
-        self.feature_schema = tuple(feature_schema)
         self.provenance = provenance
         self.training_metadata = dict(training_metadata or {})
 
@@ -125,7 +120,7 @@ class LalStrategy(Strategy):
         return {
             "format": STRATEGY_FORMAT,
             "kind": self.kind,
-            "feature_schema": list(self.feature_schema),
+            "feature_schema": list(FEATURE_NAMES),
             "provenance": self.provenance,
             "training_metadata": self.training_metadata,
             "regressor": forest_to_doc(self.regressor),
@@ -135,34 +130,30 @@ class LalStrategy(Strategy):
 # the strategies that need no file, by kind
 BUILTIN_KINDS = {cls.kind: cls for cls in (RandomStrategy, UncertaintyStrategy)}
 
-_DOC_SCHEMA = {"format": (int, REQUIRED), "kind": (str, REQUIRED)}
-_LAL_DOC_SCHEMA = {**_DOC_SCHEMA, "feature_schema": (list, REQUIRED),
-                   "provenance": (str, REQUIRED), "training_metadata": (dict, {}),
-                   "regressor": (dict, REQUIRED)}
+# format 1 is the only one: an integer in [1, 2)
+_DOC_SCHEMA = {"format": (int, REQUIRED, STRATEGY_FORMAT, 2),
+               "kind": (str, REQUIRED, (LalStrategy.kind,)),
+               "feature_schema": (list, REQUIRED), "provenance": (str, REQUIRED),
+               "training_metadata": (dict, {}), "regressor": (dict, REQUIRED)}
 
 
-def strategy_from_doc(doc: dict) -> Strategy:
-    """Rebuild a strategy from ``to_doc`` output; ``ValueError`` when malformed.
+def strategy_from_doc(doc: dict) -> LalStrategy:
+    """Rebuild a learned strategy from ``to_doc`` output; ``ValueError`` when malformed.
 
-    ``read_fields`` reads the document with its kind's schema.
+    ``read_fields`` checks the format and the kind before the other fields.
     """
-    lal = isinstance(doc, dict) and doc.get("kind") == "lal"
-    fields = read_fields(doc, _LAL_DOC_SCHEMA if lal else _DOC_SCHEMA, "strategy", "document")
-    if fields["format"] != STRATEGY_FORMAT:
-        raise ValueError(f"unsupported strategy format: {fields['format']!r}")
-    if fields["kind"] in BUILTIN_KINDS:
-        return BUILTIN_KINDS[fields["kind"]]()
-    if not lal:
-        raise ValueError(f"unknown strategy kind {fields['kind']!r}")
-    return LalStrategy(forest_from_doc(fields["regressor"]), fields["feature_schema"],
-                       fields["provenance"], fields["training_metadata"])
+    fields = read_fields(doc, _DOC_SCHEMA, "strategy", "document")
+    if tuple(fields["feature_schema"]) != FEATURE_NAMES:
+        raise ValueError(f"feature schema mismatch: {tuple(fields['feature_schema'])}")
+    return LalStrategy(forest_from_doc(fields["regressor"]), fields["provenance"],
+                       fields["training_metadata"])
 
 
-def save_strategy(strategy: Strategy, path) -> None:
+def save_strategy(strategy: LalStrategy, path) -> None:
     write_json(path, strategy.to_doc())
 
 
-def load_strategy(path) -> Strategy:
+def load_strategy(path) -> LalStrategy:
     """The strategy in the file at ``path``; ``ValueError`` naming the file when malformed."""
     doc = read_json(path)
     try:

@@ -29,7 +29,7 @@ from .forest import ForestConfig, ForestModel, regressor_config, train_forest, \
     train_forests
 from .metrics import METRIC_IDS, loss_from_metric
 from .parallel import parallel_map
-from .schema import REQUIRED, read_fields
+from .schema import REQUIRED, check_integers, read_fields
 from .seeding import derive_seed, rng_for
 from .strategies import BUILD_METHODS, LalStrategy, select_lal
 
@@ -210,6 +210,7 @@ def cold_start_data(seed: int, n_train: int = 1000, n_test: int = 1000,
     Returns ``(train, test)``: the simulation's labeled pool and the test
     set whose loss it measures, each seeded from ``seed``.
     """
+    check_integers(n_train=n_train, n_test=n_test)
     if n_train < 4:
         raise ValueError("representative train set too small: n_train must be at least 4, "
                          f"got {n_train}")
@@ -266,4 +267,4 @@ def build_lal(config: MonteCarloConfig, representative: Dataset, test: Dataset,
                              derive_seed(config.seed, "regressor"))
     metadata = {key: getattr(config, key) for key in MONTE_CARLO_SCHEMA}
     metadata.update(rows=len(collected), representative=representative.name)
-    return LalStrategy(regressor, FEATURE_NAMES, method, metadata), collected
+    return LalStrategy(regressor, method, metadata), collected

@@ -1,6 +1,6 @@
 """The one module that opens files: the CSV cell rule, the readers' errors, and
-guards that no other module opens a file or decodes JSON itself, and that the
-CLI rejects input one way."""
+guards that no other module opens a file or decodes JSON itself, that no module
+reads the environment, and that the CLI rejects input one way."""
 
 import ast
 import json
@@ -15,6 +15,7 @@ from lalearn.atomic import read_csv, read_json, write_csv, write_json
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lalearn"
 
 FILE_METHODS = {"read_text", "write_text", "read_bytes", "write_bytes"}
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
 def test_write_csv_renders_each_cell_by_its_type(tmp_path):
@@ -136,6 +137,25 @@ def test_only_the_atomic_module_decodes_json():
     assert not found, f"JSON decoding outside lalearn/atomic.py: {sorted(found)}"
     atomic = ast.parse((PACKAGE / "atomic.py").read_text(encoding="utf-8"))
     assert list(_json_decodes(atomic)), "the guard no longer sees atomic.py's own decode"
+
+
+def _environment_reads(tree: ast.AST):
+    """Line numbers of the names and imports in ``tree`` that reach the environment."""
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES)
+                or (isinstance(node, ast.Name) and node.id in ENVIRONMENT_NAMES)
+                or (isinstance(node, ast.ImportFrom)
+                    and {alias.name for alias in node.names} & ENVIRONMENT_NAMES)):
+            yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    # a command depends only on its arguments and the files they name
+    found = {f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _environment_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert not found, f"environment reads in lalearn: {sorted(found)}"
+    sample = "import os\nfrom os import getenv\nos.environ.get('X')\ngetenv('Y')\n"
+    assert sorted(_environment_reads(ast.parse(sample))) == [2, 3, 4]
 
 
 def _config_errors(tree: ast.AST) -> list:

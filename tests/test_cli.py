@@ -164,18 +164,6 @@ class TestRun:
         assert ((tmp_path / "w1" / "summary.csv").read_bytes()
                 == (tmp_path / "w2" / "summary.csv").read_bytes())
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LALEARN_OUTPUT_DIR", str(tmp_path / "env_out"))
-        run = _run_config(tmp_path)
-        assert main(["run", run]) == EXIT_OK
-        assert (tmp_path / "env_out" / "summary.csv").exists()
-        assert not (tmp_path / "out" / "summary.csv").exists()
-
-    def test_empty_output_dir_env_counts_as_unset(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LALEARN_OUTPUT_DIR", "")
-        assert main(["run", _run_config(tmp_path)]) == EXIT_OK
-        assert (tmp_path / "out" / "summary.csv").exists()
-
     def test_csv_dataset_and_warm_start(self, tmp_path):
         data = gen_gaussian_clouds(100, 0.5, 2.0, 2, seed=11)
         csv = tmp_path / "pool.csv"
@@ -225,6 +213,15 @@ class TestRun:
         assert main(["run", run]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_builtin_strategy_file_is_config_error_naming_kind(self, tmp_path, capsys):
+        # a builtin is named in 'strategies', never filed
+        path = _write(tmp_path / "random.json", {"format": 1, "kind": "random"})
+        assert main(["run", _run_config(tmp_path, strategies=["uncertainty", path])]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: run: ") and "field 'kind'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_svg_emission(self, tmp_path):
         run = _run_config(tmp_path)
@@ -384,12 +381,13 @@ class TestAnalyze:
         assert main(["analyze", "--traces", "nope.csv",
                      "--histogram-out", str(tmp_path / "h.csv")]) == EXIT_CONFIG
 
-    def test_baseline_strategy_has_no_importances(self, tmp_path):
-        from lalearn.strategies import RandomStrategy, save_strategy
-        path = tmp_path / "random.json"
-        save_strategy(RandomStrategy(), path)
-        assert main(["analyze", "--strategy", str(path),
+    def test_baseline_strategy_has_no_importances(self, tmp_path, capsys):
+        path = _write(tmp_path / "random.json", {"format": 1, "kind": "random"})
+        assert main(["analyze", "--strategy", path,
                      "--importances-out", str(tmp_path / "i.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: analyze: ") and "field 'kind'" in err
+        assert not (tmp_path / "i.csv").exists()
 
 
 def _label_only_csv(tmp_path):
@@ -818,6 +816,17 @@ class TestConfigFormat:
         assert main(args + ["--workers", workers]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: config") and "--workers" in err
+        assert {path.name for path in tmp_path.iterdir()} <= {"build.json", "run.json"}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--seed"), ("run", "--budget"), ("run", "--repetitions"),
+        ("build-strategy", "--seed")])
+    def test_config_fields_have_no_override_flags(self, tmp_path, capsys, command, flag):
+        write = _run_config if command == "run" else _build_config
+        with pytest.raises(SystemExit) as exc:
+            main([command, write(tmp_path), flag, "1"])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert {path.name for path in tmp_path.iterdir()} <= {"build.json", "run.json"}
 
     def test_malformed_json(self, tmp_path):

@@ -165,6 +165,21 @@ def test_generators_reject_a_non_finite_float_by_name(generator, argument, fixed
         generator(10, seed=1, **fixed, **{argument: value})
 
 
+@pytest.mark.parametrize("call, argument", [
+    (lambda: gen_checkerboard(2, 2.5), "n"),
+    (lambda: gen_checkerboard(2.0, 10), "k"),
+    (lambda: gen_gaussian_clouds(10.5, 0.5, 2.0), "n"),
+    (lambda: gen_gaussian_clouds(10, 0.5, 2.0, dim=2.5), "dim"),
+    (lambda: gen_gaussian_clouds(10, 0.5, 2.0, dim=True), "dim"),
+    (lambda: gen_banana(7.5), "n"),
+    (lambda: init_warm_start(gen_gaussian_clouds(20, 0.5, 2.0, seed=1), 2.5), "n0"),
+], ids=["checkerboard_n", "checkerboard_k", "gaussian_clouds_n", "gaussian_clouds_dim",
+        "gaussian_clouds_bool_dim", "banana_n", "warm_start_n0"])
+def test_integer_arguments_reject_other_values_by_name(call, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer, got "):
+        call()
+
+
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
         data = gen_gaussian_clouds(50, 0.5, 2.0, 3, seed=10)

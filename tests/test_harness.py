@@ -1,5 +1,7 @@
 """Experiment loop, repeated benchmarks, motivation study, analysis ops."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,14 @@ class TestRunAl:
         train, test = gaussian_task
         with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
             run_al(train, test, [RandomStrategy()], budget=-1, classifier_config=FAST)
+
+    @pytest.mark.parametrize("bad", [dict(budget=2.5), dict(budget=True),
+                                     dict(warm_start_size=2.5), dict(warm_start_size=True)])
+    def test_rejects_non_integers_by_name(self, gaussian_task, bad):
+        train, test = gaussian_task
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be an integer, got "):
+            run_al(train, test, [RandomStrategy()], **{"budget": 2, **bad},
+                   classifier_config=FAST)
 
     def test_full_budget_reaches_identical_final_classifier(self, gaussian_task):
         # any strategy run to the full pool labels everything, so the final
@@ -236,6 +246,15 @@ class TestRunRepeated:
         with pytest.raises(ValueError, match="repetitions must be at least 1, got 0"):
             run_repeated(train, test, [RandomStrategy()], budget=2, repetitions=0)
 
+    @pytest.mark.parametrize("bad", [
+        dict(budget=2.5), dict(budget=True), dict(repetitions=2.5), dict(repetitions=True),
+        dict(warm_start_size=2.5)])
+    def test_rejects_non_integers_by_name(self, gaussian_task, bad):
+        train, test = gaussian_task
+        kwargs = dict(budget=2, repetitions=1, classifier_config=FAST)
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be an integer, got "):
+            run_repeated(train, test, [RandomStrategy()], **{**kwargs, **bad})
+
     def test_curve_budget_lookup(self):
         curve = LearningCurve("s", "d", "accuracy", [0, 1, 2],
                               [[0.5, 0.6, 0.7]], 0)
@@ -317,6 +336,13 @@ class TestAnalysis:
     def test_empty_traces_give_zero_histogram(self):
         counts, _ = probability_histogram([], n_bins=5)
         assert counts.tolist() == [0] * 5
+
+    @pytest.mark.parametrize("n_bins", [2.5, True, np.float64(3.0)])
+    def test_histogram_rejects_non_integer_bins_by_name(self, n_bins):
+        traces = [SelectionTrace([0], [9], [0.5])]
+        with pytest.raises(ValueError,
+                           match=f"^n_bins must be an integer, got {re.escape(repr(n_bins))}$"):
+            probability_histogram(traces, n_bins)
 
     def test_uncertainty_selections_concentrate_centrally(self, gaussian_task):
         train, test = gaussian_task

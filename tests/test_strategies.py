@@ -209,16 +209,10 @@ class TestSelectInterface:
 
 
 class TestPersistence:
-    def test_random_strategy_serializes_to_one_line(self, tmp_path):
-        path = tmp_path / "random.json"
-        save_strategy(RandomStrategy(), path)
-        assert path.read_text().count("\n") == 0
-        assert load_strategy(path).kind == "random"
-
     def test_lal_round_trip_selects_identically(self, tmp_path):
         regressor = _identity_regressor(seed=23)
-        strategy = LalStrategy(regressor, FEATURE_NAMES, "iterative",
-                               {"rows": 400})
+        strategy = LalStrategy(regressor, provenance="iterative",
+                               training_metadata={"rows": 400})
         path = tmp_path / "lal.json"
         save_strategy(strategy, path)
         loaded = load_strategy(path)
@@ -238,7 +232,7 @@ class TestPersistence:
         states = rng.random((400, 7))
         regressor = train_forest(states, states[:, 6],
                                  regressor_config(n_trees=20, min_leaf_size=20), seed=26)
-        strategy = LalStrategy(regressor, FEATURE_NAMES, "iterative")
+        strategy = LalStrategy(regressor, provenance="iterative")
         fresh = pickle.dumps(strategy)
         data, pool, model = _toy_problem(n=30, seed=27)
         strategy.select(model, pool, data)
@@ -280,9 +274,8 @@ class TestPersistence:
         with pytest.raises(ValueError, match=field):
             strategy_from_doc(doc)
 
-    @pytest.mark.parametrize("make", [RandomStrategy, UncertaintyStrategy,
-                                      lambda: LalStrategy(_identity_regressor(seed=27))],
-                             ids=["random", "uncertainty", "lal"])
+    @pytest.mark.parametrize("make", [lambda: LalStrategy(_identity_regressor(seed=27))],
+                             ids=["lal"])
     def test_unknown_key_is_named(self, make):
         doc = make().to_doc()
         strategy_from_doc(doc)

@@ -305,6 +305,12 @@ class TestColdStart:
         assert np.array_equal(loaded.regressor.predict_regression_batch(grid),
                               a.regressor.predict_regression_batch(grid))
 
+    @pytest.mark.parametrize("bad", [dict(n_train=10.5), dict(n_test=20.5),
+                                     dict(n_train=True)])
+    def test_cold_start_data_rejects_non_integers_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be an integer, got "):
+            cold_start_data(1, **bad)
+
     def test_method_validation(self):
         train, test = cold_start_data(0, n_train=40, n_test=20)
         with pytest.raises(ValueError, match="method"):
